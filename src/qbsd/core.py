@@ -5,13 +5,17 @@ time-varying expected operating range), a forecast equal to the mean of the
 samples strictly inside (Q1, Q3), and two residuals against the observed
 value: the raw difference and the difference normalized by max(IQR, c).
 
-Everything here is a pure function of its inputs; subsets are small (6k+3
-samples for the default weekly scheme), so plain sorted lists beat array
-round-trips on the per-forecast hot path.
+Everything here is a pure function of its inputs. ``quartile_forecast`` is
+the per-slot kernel: it sorts the present samples once and takes Q1, Q3,
+the interior mean and the median fallback from that one sorted list.
+``qbsd_step``, ``compute_quartiles`` and ``forecast_from_subset`` are thin
+callers of the same sorted-list helpers. Subsets are small (6k+3 samples for
+the default weekly scheme), so plain sorted lists beat array round-trips.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -127,33 +131,47 @@ class QbsdConfig:
         return self.scheme.k
 
 
+def _quartiles_sorted(ordered: Sequence[float]) -> tuple[float, float]:
+    """Q1/Q3 of an ascending sample as its 25th/75th interpolated
+    percentiles."""
+    q1 = _percentile_sorted(ordered, 0.25)
+    q3 = _percentile_sorted(ordered, 0.75)
+    if q1 > q3:
+        raise ValueError(f"q1 ({q1}) must not exceed q3 ({q3})")
+    return q1, q3
+
+
+def _forecast_sorted(ordered: Sequence[float]) -> tuple[float, float, float, bool]:
+    """Q1, Q3, forecast and fallback marker of an ascending sample.
+
+    The forecast is the mean of the samples strictly between Q1 and Q3, a
+    contiguous run of the sorted sample. The strict inequalities reject
+    outliers but can select nothing (e.g. a constant subset has Q1 == Q3);
+    the median is then returned with the fallback marker set.
+    """
+    q1, q3 = _quartiles_sorted(ordered)
+    lo = bisect_right(ordered, q1)
+    hi = bisect_left(ordered, q3, lo)
+    if lo < hi:
+        return q1, q3, sum(ordered[lo:hi]) / (hi - lo), False
+    return q1, q3, _percentile_sorted(ordered, 0.5), True
+
+
 def compute_quartiles(values: Sequence[float]) -> Quartiles:
     """Q1/Q3 as the 25th/75th interpolated percentiles of the sample."""
     if len(values) == 0:
         raise EmptyInput("quartiles of an empty sample")
-    ordered = sorted(values)
-    return Quartiles(
-        q1=_percentile_sorted(ordered, 0.25),
-        q3=_percentile_sorted(ordered, 0.75),
-    )
+    q1, q3 = _quartiles_sorted(sorted(values))
+    return Quartiles(q1=q1, q3=q3)
 
 
 def forecast_from_subset(values: Sequence[float]) -> tuple[float, bool]:
-    """Mean of the samples strictly between Q1 and Q3.
-
-    The strict inequalities reject outliers but can select nothing (e.g. a
-    constant subset has Q1 == Q3); the median is then returned with a
-    fallback marker.
-    """
+    """Mean of the samples strictly between Q1 and Q3, or the median with a
+    fallback marker when that interior is empty."""
     if len(values) == 0:
         raise EmptyInput("forecast from an empty sample")
-    ordered = sorted(values)
-    q1 = _percentile_sorted(ordered, 0.25)
-    q3 = _percentile_sorted(ordered, 0.75)
-    interior = [x for x in ordered if q1 < x < q3]
-    if interior:
-        return sum(interior) / len(interior), False
-    return _percentile_sorted(ordered, 0.5), True
+    _, _, forecast, fallback_used = _forecast_sorted(sorted(values))
+    return forecast, fallback_used
 
 
 def compute_residuals(actual: float, fo: ForecastOutput, c: float) -> Residuals:
@@ -181,22 +199,29 @@ def contingency_constant(training_values: Sequence[float], floor: float) -> floa
     return max(abs(interpolated_percentile(training_values, 0.01)), floor)
 
 
-def qbsd_step(subset: ContextualSubset, cfg: QbsdConfig) -> ForecastOutput:
-    """Full per-slot computation: quartiles of the present samples, then the
-    interior-mean forecast."""
-    if subset.present_count < cfg.min_samples:
+def quartile_forecast(
+    values: Sequence[float], requested_size: int, cfg: QbsdConfig
+) -> ForecastOutput:
+    """Full per-slot computation from the present subset values (in any
+    order): one sort, then quartiles and the interior-mean forecast.
+    ``requested_size`` is the scheme's subset size, for the error message."""
+    present = len(values)
+    if present < cfg.min_samples:
         raise InsufficientHistory(
-            f"{subset.present_count} of {subset.requested_size} subset samples "
+            f"{present} of {requested_size} subset samples "
             f"present, need at least {cfg.min_samples}"
         )
-    values = subset.values()
-    quartiles = compute_quartiles(values)
-    forecast, fallback_used = forecast_from_subset(values)
+    q1, q3, forecast, fallback_used = _forecast_sorted(sorted(values))
     return ForecastOutput(
         forecast=forecast,
-        q1=quartiles.q1,
-        q3=quartiles.q3,
-        iqr=quartiles.iqr,
-        sample_count=subset.present_count,
+        q1=q1,
+        q3=q3,
+        iqr=q3 - q1,
+        sample_count=present,
         fallback_used=fallback_used,
     )
+
+
+def qbsd_step(subset: ContextualSubset, cfg: QbsdConfig) -> ForecastOutput:
+    """``quartile_forecast`` over a subset's present samples."""
+    return quartile_forecast(subset.values(), subset.requested_size, cfg)

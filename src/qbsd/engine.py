@@ -8,37 +8,38 @@ inserts it, so a value can never influence its own forecast.
 
 from __future__ import annotations
 
-import heapq
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
-from .core import (
-    ContextualSubset,
-    ForecastOutput,
-    QbsdConfig,
-    Residuals,
-    compute_residuals,
-    qbsd_step,
-)
+from .core import ForecastOutput, QbsdConfig, Residuals, compute_residuals, quartile_forecast
 from .errors import ConfigError, GridMisaligned, InsufficientHistory, InsufficientSpan, StaleSlot
-from .timegrid import Granularity, SlotCoord, resolve_subset_slots
+from .timegrid import Granularity, SlotCoord
+
+# Not called by the forecast path; importable from this module because
+# perfbench/tracer.py looks them up here by name.
+from .core import qbsd_step  # noqa: F401
+from .timegrid import resolve_subset_slots  # noqa: F401
 
 
 class SlidingHistory:
     """Bounded slot -> value map retaining the most recent ``capacity`` slots.
 
-    Inserts may arrive out of order within the retained window; slots older
-    than the window are rejected. Eviction uses a lazy min-heap so advancing
-    the window stays O(log n) amortized per insert.
+    A ring of ``capacity`` preallocated cells indexed by ``slot % capacity``:
+    each cell holds a value and the slot id it was written for. A slot is
+    present when its cell carries its id and it lies in the retained window
+    ``(latest - capacity, latest]``, so advancing the window evicts older
+    slots without touching them and every insert is O(1). Inserts may arrive
+    out of order within the window; slots older than it are rejected. Memory
+    is O(capacity) however sparse the series is.
     """
 
-    __slots__ = ("capacity", "_values", "_heap", "_latest")
+    __slots__ = ("capacity", "_values", "_ids", "_latest")
 
     def __init__(self, capacity_slots: int):
         if capacity_slots < 1:
             raise ConfigError(f"capacity must be >= 1 slot, got {capacity_slots}")
         self.capacity = capacity_slots
-        self._values: dict[int, float] = {}
-        self._heap: list[int] = []
+        self._values: list[float] = [0.0] * capacity_slots
+        self._ids: list[Optional[int]] = [None] * capacity_slots  # None: never written
         self._latest: Optional[int] = None
 
     @property
@@ -46,28 +47,51 @@ class SlidingHistory:
         return self._latest
 
     def insert(self, slot: int, value: float) -> None:
-        if self._latest is not None and slot <= self._latest - self.capacity:
+        latest = self._latest
+        if latest is None or slot > latest:
+            self._latest = slot
+        elif slot <= latest - self.capacity:
             raise StaleSlot(
                 f"slot {slot} is older than the retained window "
-                f"(oldest kept: {self._latest - self.capacity + 1})"
+                f"(oldest kept: {latest - self.capacity + 1})"
             )
-        if slot not in self._values:
-            heapq.heappush(self._heap, slot)
-        self._values[slot] = value
-        if self._latest is None or slot > self._latest:
-            self._latest = slot
-            cutoff = slot - self.capacity
-            while self._heap and self._heap[0] <= cutoff:
-                self._values.pop(heapq.heappop(self._heap), None)
+        cell = slot % self.capacity
+        self._ids[cell] = slot
+        self._values[cell] = value
 
     def get(self, slot: int) -> Optional[float]:
-        return self._values.get(slot)
+        latest = self._latest
+        cell = slot % self.capacity
+        if self._ids[cell] == slot and latest - self.capacity < slot <= latest:
+            return self._values[cell]
+        return None
+
+    def gather(self, base: int, offsets: Sequence[int]) -> list[float]:
+        """Values present at ``base + offset`` for each offset, in offset
+        order; absent slots are skipped."""
+        latest = self._latest
+        if latest is None:
+            return []
+        oldest = latest - self.capacity
+        capacity, ids, values = self.capacity, self._ids, self._values
+        out = []
+        for offset in offsets:
+            slot = base + offset
+            cell = slot % capacity
+            # a stored id is never above latest, so only the lower edge is checked
+            if ids[cell] == slot and slot > oldest:
+                out.append(values[cell])
+        return out
 
     def __contains__(self, slot: int) -> bool:
-        return slot in self._values
+        return self.get(slot) is not None
 
     def __len__(self) -> int:
-        return len(self._values)
+        """Number of retained slots; O(capacity)."""
+        if self._latest is None:
+            return 0
+        oldest = self._latest - self.capacity
+        return sum(1 for slot in self._ids if slot is not None and slot > oldest)
 
 
 class RollingForecaster:
@@ -99,6 +123,8 @@ class RollingForecaster:
         self.cfg = cfg
         self.granularity = granularity
         self.history = SlidingHistory(capacity_slots)
+        self._offsets = scheme.offsets
+        self._span = required
 
     @property
     def latest_slot(self) -> Optional[SlotCoord]:
@@ -125,26 +151,21 @@ class RollingForecaster:
         """Forecast for slot t from history alone. The output is identical
         whether or not a value at t (or later) has been observed."""
         self._check_aligned(t)
-        coords = resolve_subset_slots(t, self.cfg.scheme)
-        get = self.history.get
-        samples = []
-        for coord in coords:
-            value = get(coord.global_slot)
-            if value is not None:
-                samples.append((coord, value))
-        subset = ContextualSubset(
-            samples=tuple(samples),
-            requested_size=self.cfg.scheme.subset_size,
-        )
-        return qbsd_step(subset, self.cfg)
+        base = t.global_slot
+        if base < self._span:
+            raise InsufficientSpan(
+                f"slot {base} needs history {self._span} slots back, "
+                "which falls before the epoch"
+            )
+        values = self.history.gather(base, self._offsets)
+        return quartile_forecast(values, len(self._offsets), self.cfg)
 
     def observe(self, t: SlotCoord, value: float) -> tuple[Residuals, ForecastOutput]:
         """Forecast slot t, score the new value against it, then buffer the
         value. During warmup the value is still buffered before the error
         propagates."""
-        self._check_aligned(t)
         try:
-            fo = self.forecast_at(t)
+            fo = self.forecast_at(t)  # also checks that t is on this grid
         except (InsufficientHistory, InsufficientSpan):
             self.history.insert(t.global_slot, value)
             raise
