@@ -33,6 +33,7 @@ from .datasets import (
     load_csv,
     parse_timestamp,
     rolling_evaluate,
+    series_rows,
     skipped_count,
 )
 from .engine import RollingForecaster, SlidingHistory
@@ -72,16 +73,6 @@ REPORTED_TIMINGS_LINE = (
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # keep argparse from sys.exit(2) on usage errors
         raise ConfigError(message)
-
-
-def _fmt_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def _parse_scheme(name: str, k: int, g: Granularity):
@@ -234,6 +225,9 @@ class RecordWriter:
     Smoothing is centered, so rows are held back until their smoothed values
     are final; memory stays bounded by the smoother window. A warmup row
     (no bounds) ends the current smoothing segment.
+
+    Every cell is a timestamp, a number, a boolean or blank, so no cell
+    needs CSV quoting and each row is one joined line.
     """
 
     def __init__(
@@ -250,74 +244,56 @@ class RecordWriter:
             columns += ["q1_smooth", "q3_smooth"]
         if threshold is not None:
             columns.append("anomaly_flag")
-        self._writer = csv.writer(handle, lineterminator="\n")
-        self._writer.writerow(columns)
-        self._pending: deque[list[str]] = deque()
+        self._write = handle.write
+        self._write(",".join(columns) + "\n")
+        # rows waiting for their smoothed cells, as (cells before, cells after)
+        self._pending: deque[tuple[str, str]] = deque()
         self._smooth_q1: Optional[StreamingSmoother] = None
         self._smooth_q3: Optional[StreamingSmoother] = None
 
-    def _row_of(self, record: StepRecord) -> list[str]:
-        row = [
-            format_timestamp(record.timestamp),
-            _fmt_cell(record.actual),
-            _fmt_cell(record.forecast),
-            _fmt_cell(record.q1),
-            _fmt_cell(record.q3),
-            _fmt_cell(record.iqr),
-            _fmt_cell(record.diff_residual),
-            _fmt_cell(record.norm_residual),
-            _fmt_cell(record.sample_count),
-            _fmt_cell(record.fallback_used),
-        ]
-        if self._threshold is not None:
-            flagged = (
-                record.norm_residual is not None
-                and abs(record.norm_residual) > self._threshold
-            )
-            if flagged:
-                self.anomaly_count += 1
-            row_flag = _fmt_cell(bool(flagged)) if record.norm_residual is not None else ""
-            # the flag column comes after the smoothing columns; stash it
-            record_flag = row_flag
-        else:
-            record_flag = None
-        self._flag = record_flag
-        return row
-
     def write(self, record: StepRecord) -> None:
-        row = self._row_of(record)
-        flag = self._flag
+        norm = record.norm_residual
+        head = ",".join((
+            format_timestamp(record.timestamp),
+            "" if record.actual is None else repr(record.actual),
+            "" if record.forecast is None else repr(record.forecast),
+            "" if record.q1 is None else repr(record.q1),
+            "" if record.q3 is None else repr(record.q3),
+            "" if record.iqr is None else repr(record.iqr),
+            "" if record.diff_residual is None else repr(record.diff_residual),
+            "" if norm is None else repr(norm),
+            "" if record.sample_count is None else str(record.sample_count),
+            "" if record.fallback_used is None
+            else "true" if record.fallback_used else "false",
+        ))
+        if self._threshold is None:
+            tail = ""
+        elif norm is None:
+            tail = ","
+        elif abs(norm) > self._threshold:
+            self.anomaly_count += 1
+            tail = ",true"
+        else:
+            tail = ",false"
         if self._smoother is None:
-            if flag is not None:
-                row.append(flag)
-            self._writer.writerow(row)
+            self._write(head + tail + "\n")
             return
         if record.q1 is None:
             self._flush_segment()
-            row += ["", ""]
-            if flag is not None:
-                row.append(flag)
-            self._writer.writerow(row)
+            self._write(head + ",," + tail + "\n")
             return
         if self._smooth_q1 is None:
             self._smooth_q1 = StreamingSmoother(self._smoother)
             self._smooth_q3 = StreamingSmoother(self._smoother)
-        if flag is not None:
-            row.append(flag)  # placed last; smooth cells are spliced in
-        self._pending.append(row)
+        self._pending.append((head, tail))
         q1s = self._smooth_q1.push(record.q1)
         q3s = self._smooth_q3.push(record.q3)
         self._emit_smoothed(q1s, q3s)
 
     def _emit_smoothed(self, q1s: list[float], q3s: list[float]) -> None:
         for sq1, sq3 in zip(q1s, q3s):
-            row = self._pending.popleft()
-            if self._threshold is not None:
-                flag = row.pop()
-                row += [_fmt_cell(sq1), _fmt_cell(sq3), flag]
-            else:
-                row += [_fmt_cell(sq1), _fmt_cell(sq3)]
-            self._writer.writerow(row)
+            head, tail = self._pending.popleft()
+            self._write(f"{head},{sq1!r},{sq3!r}{tail}\n")
 
     def _flush_segment(self) -> None:
         if self._smooth_q1 is None:
@@ -329,13 +305,8 @@ class RecordWriter:
         except SeriesTooShort:
             # segment shorter than the smoother window: emit rows unsmoothed
             while self._pending:
-                row = self._pending.popleft()
-                if self._threshold is not None:
-                    flag = row.pop()
-                    row += ["", "", flag]
-                else:
-                    row += ["", ""]
-                self._writer.writerow(row)
+                head, tail = self._pending.popleft()
+                self._write(head + ",," + tail + "\n")
         self._smooth_q1 = None
         self._smooth_q3 = None
 
@@ -558,15 +529,13 @@ def _estimate_c_from_prefix(input_path: str, desc: DatasetDescriptor, floor: flo
     first = None
     values: list[float] = []
     span = desc.scheme.span_slots
-    with open(input_path, newline="") as handle:
-        for row in csv.DictReader(handle):
+    with series_rows(input_path, desc.timestamp_column, desc.target_column) as rows:
+        for _, raw_ts, value, _ in rows:
+            if value is None:
+                continue
             try:
-                slot = align(
-                    parse_timestamp(row.get(desc.timestamp_column) or ""),
-                    desc.frequency,
-                ).global_slot
-                value = float((row.get(desc.target_column) or "").strip())
-            except (DataError, ValueError):
+                slot = align(parse_timestamp(raw_ts), desc.frequency).global_slot
+            except DataError:
                 continue
             if first is None:
                 first = slot
@@ -596,50 +565,27 @@ def _stream_one(args, desc: DatasetDescriptor, input_path: str, out_handle: Text
     )
     forecaster = RollingForecaster(cfg, g, capacity_slots=capacity)
     smoother = _parse_smoother(args.smoother)
-    with open(input_path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        header = reader.fieldnames or []
-        for column in (desc.timestamp_column, desc.target_column):
-            if column not in header:
-                raise ParseError(
-                    f"{input_path}: column {column!r} not found in header {header}"
-                )
+    with series_rows(input_path, desc.timestamp_column, desc.target_column) as rows:
         writer = RecordWriter(out_handle, smoother=smoother, threshold=threshold)
-        for number, row in enumerate(reader, start=2):
-            raw_value = (row.get(desc.target_column) or "").strip()
-            raw_ts = row.get(desc.timestamp_column) or ""
+        for number, raw_ts, value, bad_value in rows:
             try:
-                epoch = parse_timestamp(raw_ts)
-                t = align(epoch, g)
+                t = align(parse_timestamp(raw_ts), g)
             except DataError as exc:
                 raise type(exc)(f"{input_path}:{number}: {exc}") from exc
-            if not raw_value:
-                record = StepRecord(slot=t)
-                try:
-                    fo = forecaster.forecast_at(t)
-                    record.forecast = fo.forecast
-                    record.q1, record.q3, record.iqr = fo.q1, fo.q3, fo.iqr
-                    record.sample_count = fo.sample_count
-                    record.fallback_used = fo.fallback_used
-                except (InsufficientHistory, InsufficientSpan):
-                    pass
-                writer.write(record)
-                continue
-            try:
-                value = float(raw_value)
-            except ValueError as exc:
-                raise ParseError(
-                    f"{input_path}:{number}: bad value {raw_value!r}"
-                ) from exc
+            if bad_value:
+                raise ParseError(f"{input_path}:{number}: bad value {bad_value!r}")
             record = StepRecord(slot=t, actual=value)
             try:
-                residuals, fo = forecaster.observe(t, value)
+                if value is None:  # gap: forecast only
+                    fo = forecaster.forecast_at(t)
+                else:
+                    residuals, fo = forecaster.observe(t, value)
+                    record.diff_residual = residuals.difference
+                    record.norm_residual = residuals.normalized
                 record.forecast = fo.forecast
                 record.q1, record.q3, record.iqr = fo.q1, fo.q3, fo.iqr
                 record.sample_count = fo.sample_count
                 record.fallback_used = fo.fallback_used
-                record.diff_residual = residuals.difference
-                record.norm_residual = residuals.normalized
             except (InsufficientHistory, InsufficientSpan):
                 pass
             writer.write(record)

@@ -12,9 +12,12 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 import random
+import re
+from contextlib import contextmanager
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import date, datetime, timezone
 from typing import Iterator, Optional, Union
 
 from .baselines import BaselineSpec, baseline_forecast
@@ -43,12 +46,42 @@ from .timegrid import (
 )
 
 
+# Canonical ``YYYY-MM-DDTHH:MM:SS`` timestamps are split into a date part and
+# a clock part, each converted once and remembered; the epoch is their sum.
+# A part is converted without the general parser, and a part that is not a
+# valid date or clock is neither converted nor cached, so the whole string
+# goes to the general parser and fails there exactly as before. The caches
+# only memoise pure functions, so every caller and thread may share them. A
+# full cache is emptied and refilled.
+_DATE = re.compile(r"(\d{4})-(\d{2})-(\d{2})", re.ASCII)
+_CLOCK = re.compile(r"(\d{2}):(\d{2}):(\d{2})", re.ASCII)
+_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
+_DATE_CACHE_LIMIT = 4096  # days, about 11 years
+_CLOCK_CACHE_LIMIT = SECONDS_PER_DAY  # every clock of a day
+_date_seconds: dict[str, int] = {}
+_clock_seconds: dict[str, int] = {}
+_day_prefix: dict[int, str] = {}
+_clock_text: dict[int, str] = {}
+
+
 def parse_timestamp(text: str) -> int:
     """Epoch seconds from an integer literal or an RFC 3339 timestamp.
 
     Naive timestamps are taken as UTC; offsets are honored. Only whole
-    seconds are representable on the grid.
+    seconds are representable on the grid. The canonical
+    ``YYYY-MM-DDTHH:MM:SS`` form is answered from its cached date and clock
+    parts; every other form goes through the general parser below.
     """
+    if len(text) == 19 and text[10] == "T":
+        day = _date_seconds.get(text[:10])
+        if day is None:
+            day = _date_part(text[:10])
+        if day is not None:
+            clock = _clock_seconds.get(text[11:])
+            if clock is None:
+                clock = _clock_part(text[11:])
+            if clock is not None:
+                return day + clock
     text = text.strip()
     try:
         return int(text)
@@ -66,10 +99,108 @@ def parse_timestamp(text: str) -> int:
     return int(dt.timestamp())
 
 
+def _remember(cache: dict, key, value, limit: int) -> None:
+    if len(cache) >= limit:
+        cache.clear()
+    cache[key] = value
+
+
+def _date_part(text: str) -> Optional[int]:
+    """Epoch seconds of UTC midnight of a ``YYYY-MM-DD`` date, or None."""
+    match = _DATE.fullmatch(text)
+    if match is None:
+        return None
+    try:
+        ordinal = date(*map(int, match.groups())).toordinal()
+    except ValueError:  # month 13, February 30, year 0, ...
+        return None
+    seconds = (ordinal - _EPOCH_ORDINAL) * SECONDS_PER_DAY
+    _remember(_date_seconds, text, seconds, _DATE_CACHE_LIMIT)
+    return seconds
+
+
+def _clock_part(text: str) -> Optional[int]:
+    """Seconds after midnight of an ``HH:MM:SS`` clock, or None."""
+    match = _CLOCK.fullmatch(text)
+    if match is None:
+        return None
+    hours, minutes, seconds = map(int, match.groups())
+    if hours > 23 or minutes > 59 or seconds > 59:
+        return None
+    seconds += hours * 3600 + minutes * 60
+    _remember(_clock_seconds, text, seconds, _CLOCK_CACHE_LIMIT)
+    return seconds
+
+
 def format_timestamp(epoch_seconds: int) -> str:
-    return datetime.fromtimestamp(epoch_seconds, tz=timezone.utc).strftime(
-        "%Y-%m-%dT%H:%M:%S"
-    )
+    """``YYYY-MM-DDTHH:MM:SS`` in UTC of an integer epoch, built from a cached
+    per-day prefix and a cached clock string."""
+    day, second = divmod(operator.index(epoch_seconds), SECONDS_PER_DAY)
+    prefix = _day_prefix.get(day)
+    if prefix is None:
+        midnight = date.fromordinal(day + _EPOCH_ORDINAL)
+        # strftime pads %Y before year 1000 on some platforms only; keep its text
+        if midnight.year >= 1000:
+            prefix = midnight.isoformat() + "T"
+        else:
+            prefix = midnight.strftime("%Y-%m-%dT")
+        _remember(_day_prefix, day, prefix, _DATE_CACHE_LIMIT)
+    clock = _clock_text.get(second)
+    if clock is None:
+        hours, rest = divmod(second, 3600)
+        clock = f"{hours:02d}:{rest // 60:02d}:{rest % 60:02d}"
+        _remember(_clock_text, second, clock, _CLOCK_CACHE_LIMIT)
+    return prefix + clock
+
+
+@contextmanager
+def series_rows(
+    path: str, timestamp_column: str, value_column: str
+) -> Iterator[Iterator[tuple[int, str, Optional[float], str]]]:
+    """Open a headered CSV and yield an iterator over its data rows.
+
+    The header is checked and resolved to column indices on entry. Each row
+    comes out as ``(number, raw_timestamp, value, bad_value)``: ``value`` is
+    the finite float in the value cell, or None for a gap (a blank or
+    non-finite cell); ``bad_value`` is the stripped cell text when the cell
+    is not a number at all, else "". Rows behave as in ``csv.DictReader``:
+    blank lines are skipped, missing cells of a short row are blank, a
+    repeated header name means its last column, and ``number`` counts the
+    header as 1 and each non-blank row after it.
+    """
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None) or []
+        for column in (timestamp_column, value_column):
+            if column not in header:
+                raise ParseError(
+                    f"{path}: column {column!r} not found in header {header}"
+                )
+        last = {name: index for index, name in enumerate(header)}
+        yield _series_cells(reader, last[timestamp_column], last[value_column])
+
+
+def _series_cells(
+    reader, ts_index: int, value_index: int
+) -> Iterator[tuple[int, str, Optional[float], str]]:
+    isfinite = math.isfinite
+    width = max(ts_index, value_index) + 1
+    number = 1
+    for row in reader:
+        if not row:
+            continue
+        number += 1
+        if len(row) < width:
+            row += [""] * (width - len(row))
+        try:
+            value = float(row[value_index])
+        except ValueError:
+            yield number, row[ts_index], None, row[value_index].strip()
+            continue
+        if isfinite(value):
+            yield number, row[ts_index], value, ""
+        else:
+            yield number, row[ts_index], None, ""
 
 
 @dataclass(frozen=True)
@@ -115,21 +246,12 @@ def load_csv(
     """Read a headered CSV into a SeriesFrame.
 
     Rows are sorted by slot; duplicate timestamps are rejected; rows with an
-    empty value cell are treated as gaps.
+    empty or non-finite value cell are treated as gaps.
     """
     rows: list[tuple[int, float]] = []
-    with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        header = reader.fieldnames or []
-        for column in (timestamp_column, value_column):
-            if column not in header:
-                raise ParseError(
-                    f"{path}: column {column!r} not found in header {header}"
-                )
-        for number, row in enumerate(reader, start=2):
-            raw_ts = row.get(timestamp_column) or ""
-            raw_value = (row.get(value_column) or "").strip()
-            if not raw_value:
+    with series_rows(path, timestamp_column, value_column) as cells:
+        for number, raw_ts, value, bad_value in cells:
+            if value is None and not bad_value:
                 continue  # gap
             try:
                 epoch = parse_timestamp(raw_ts)
@@ -137,13 +259,11 @@ def load_csv(
                 raise type(exc)(
                     f"{path}:{number}: column {timestamp_column!r}: {exc}"
                 ) from exc
-            try:
-                value = float(raw_value)
-            except ValueError as exc:
+            if value is None:
                 raise ParseError(
                     f"{path}:{number}: column {value_column!r}: "
-                    f"bad value {raw_value!r}"
-                ) from exc
+                    f"bad value {bad_value!r}"
+                )
             try:
                 coord = align(epoch, granularity)
             except GridMisaligned as exc:

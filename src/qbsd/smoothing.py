@@ -142,7 +142,10 @@ class StreamingSmoother:
         self._emitted = 0
         if isinstance(spec, SavitzkyGolay):
             self._weights = savgol_coefficients(spec.window_length, spec.polyorder)
-            self._buf: deque[float] = deque(maxlen=spec.window_length)
+            # every value is written at i and i + window_length, so the last
+            # window_length values are always one contiguous slice, oldest first
+            self._ring = np.zeros(2 * spec.window_length)
+            self._pos = 0
         elif isinstance(spec, MovingAverage):
             self._buf = deque(maxlen=spec.window)
         else:
@@ -161,20 +164,23 @@ class StreamingSmoother:
             self._count += 1
             self._emitted += 1
             return [float(value)]
-        self._buf.append(float(value))
         self._count += 1
         out: list[float] = []
         if isinstance(self.spec, MovingAverage):
+            self._buf.append(float(value))
             _, right = _ma_bounds(self.spec.window)
             while self._emitted + right <= self._count - 1:
                 out.append(self._ma_value(self._emitted))
                 self._emitted += 1
             return out
         wl = self.spec.window_length
-        half = wl // 2
+        pos = self._pos
+        self._ring[pos] = self._ring[pos + wl] = value
+        pos = self._pos = (pos + 1) % wl
         if self._count < wl:
             return []
-        window = np.array(self._buf)
+        half = wl // 2
+        window = self._ring[pos : pos + wl]
         if self._count == wl:
             head = _edge_poly(window, self.spec.polyorder)
             out.extend(head(np.arange(half, dtype=float)).tolist())
@@ -203,7 +209,7 @@ class StreamingSmoother:
                 f"series of {self._count} points is shorter than window {wl}"
             )
         half = wl // 2
-        tail = _edge_poly(np.array(self._buf), self.spec.polyorder)
+        tail = _edge_poly(self._ring[self._pos : self._pos + wl], self.spec.polyorder)
         positions = np.arange(wl - half, wl, dtype=float)
         self._emitted = self._count
         return tail(positions).tolist()

@@ -148,6 +148,29 @@ def test_streaming_matches_batch(data, spec):
     assert got == pytest.approx(batch.tolist(), abs=1e-12)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=80),
+    spec=st.sampled_from(
+        [SavitzkyGolay(3, 1), SavitzkyGolay(5, 2), SavitzkyGolay(11, 3),
+         SavitzkyGolay(17, 4), SavitzkyGolay(33, 2)]
+    ),
+)
+def test_streaming_interior_is_exact_dot(data, spec):
+    """Each interior value equals, to the last bit, the weights dotted with
+    an array of the last window_length values."""
+    wl = spec.window_length
+    weights = savgol_coefficients(wl, spec.polyorder)
+    streamer = StreamingSmoother(spec)
+    for i, value in enumerate(data):
+        out = streamer.push(value)
+        if i + 1 < wl:
+            assert out == []
+            continue
+        expected = float(np.dot(weights, np.array(data[i + 1 - wl : i + 1])))
+        assert out[-1] == expected
+
+
 def test_streaming_too_short():
     streamer = StreamingSmoother(SavitzkyGolay(5, 2))
     assert streamer.push(1.0) == []
