@@ -14,8 +14,9 @@ import statistics
 import sys
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from contextlib import nullcontext
+from dataclasses import dataclass, replace
+from itertools import chain
 from pathlib import Path
 from typing import Optional, Sequence, TextIO
 
@@ -32,16 +33,15 @@ from .datasets import (
     get_descriptor,
     load_csv,
     parse_timestamp,
+    replay,
     rolling_evaluate,
     series_rows,
     skipped_count,
 )
-from .engine import RollingForecaster, SlidingHistory
+from .engine import RollingForecaster
 from .errors import (
     ConfigError,
     DataError,
-    InsufficientHistory,
-    InsufficientSpan,
     ParseError,
     SeriesTooShort,
     TooFewPairs,
@@ -380,7 +380,9 @@ def _load_frame(args, desc: DatasetDescriptor, input_path: Optional[str]) -> Ser
     )
 
 
-def _resolve_c(args, frame: Optional[SeriesFrame], before_slot: Optional[int]) -> float:
+def _resolve_c(args) -> float:
+    """``--c`` when given, else the ``--c-floor`` that an estimate of c is
+    floored at; either must be > 0."""
     if args.c is not None:
         if args.c <= 0:
             raise ConfigError(f"--c must be > 0, got {args.c}")
@@ -388,9 +390,7 @@ def _resolve_c(args, frame: Optional[SeriesFrame], before_slot: Optional[int]) -
     floor = args.c_floor if args.c_floor is not None else DEFAULT_C_FLOOR_CONTINUOUS
     if floor <= 0:
         raise ConfigError(f"--c-floor must be > 0, got {floor}")
-    if frame is None or before_slot is None:
-        return floor
-    return estimate_contingency(frame, before_slot, floor)
+    return floor
 
 
 # ---------------------------------------------------------------- evaluate
@@ -419,30 +419,27 @@ def cmd_evaluate(args) -> int:
     results: list[_MethodResult] = []
     for label, marker in methods:
         if marker == "qbsd":
-            c = _resolve_c(args, frame, test_start)
+            c = _resolve_c(args)
+            if args.c is None:
+                c = estimate_contingency(frame, test_start, c)
             method = desc.qbsd_config(c=c, min_samples=args.min_samples)
         else:
             method = marker
         report, records = rolling_evaluate(frame, method, desc)
         results.append(_MethodResult(label, report, records))
 
+    # every method has one record per test slot, in slot order
     qbsd_result = next((r for r in results if r.label == "qbsd"), None)
     if qbsd_result is not None:
-        qbsd_errors = {
-            r.slot.global_slot: abs(r.actual - r.forecast)
-            for r in qbsd_result.records
-            if r.actual is not None and r.forecast is not None
-        }
         for result in results:
             if result is qbsd_result:
                 continue
-            shared = []
-            for r in result.records:
-                if r.actual is None or r.forecast is None:
-                    continue
-                slot = r.slot.global_slot
-                if slot in qbsd_errors:
-                    shared.append((qbsd_errors[slot], abs(r.actual - r.forecast)))
+            shared = [
+                (abs(q.actual - q.forecast), abs(r.actual - r.forecast))
+                for q, r in zip(qbsd_result.records, result.records)
+                if q.actual is not None and q.forecast is not None
+                and r.forecast is not None
+            ]
             try:
                 result.p_vs_qbsd = wilcoxon_signed_rank(
                     [a for a, _ in shared],
@@ -484,15 +481,24 @@ def _evaluation_rows(results: list[_MethodResult]) -> list[dict]:
     return rows
 
 
-def _render_evaluation(args, desc: DatasetDescriptor, results: list[_MethodResult]) -> None:
-    rows = _evaluation_rows(results)
-    fmt = args.format or "table"
-    if fmt == "json":
-        print(json.dumps({"dataset": desc.name, "methods": rows}, indent=2))
-    elif fmt == "csv":
-        writer = csv.DictWriter(sys.stdout, fieldnames=rows[0].keys(), lineterminator="\n")
+def _write_report(handle: TextIO, fmt: str, payload: dict) -> None:
+    """The machine-readable report: CSV rows for ``csv``, else JSON."""
+    if fmt == "csv":
+        rows = payload["methods"]
+        writer = csv.DictWriter(handle, fieldnames=rows[0].keys(), lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
+    else:
+        json.dump(payload, handle, indent=2)
+        handle.write("\n")
+
+
+def _render_evaluation(args, desc: DatasetDescriptor, results: list[_MethodResult]) -> None:
+    rows = _evaluation_rows(results)
+    payload = {"dataset": desc.name, "methods": rows}
+    fmt = args.format or "table"
+    if fmt != "table":
+        _write_report(sys.stdout, fmt, payload)
     else:
         print(f"dataset: {desc.name}")
         header = (
@@ -508,86 +514,63 @@ def _render_evaluation(args, desc: DatasetDescriptor, results: list[_MethodResul
                 f"{row['mape_excluded']:>5d} {row['skipped']:>5d} {p:>10}"
             )
     if args.report:
-        payload = {"dataset": desc.name, "methods": rows}
         with open(args.report, "w") as handle:
-            if args.format == "csv":
-                writer = csv.DictWriter(handle, fieldnames=rows[0].keys(), lineterminator="\n")
-                writer.writeheader()
-                writer.writerows(rows)
-            else:
-                json.dump(payload, handle, indent=2)
-                handle.write("\n")
+            _write_report(handle, fmt, payload)
 
 
 # ---------------------------------------------------------------- forecast
 
 
-def _estimate_c_from_prefix(input_path: str, desc: DatasetDescriptor, floor: float) -> float:
-    """Contingency constant from the warmup prefix (the first scheme-span of
-    rows, where no forecast is produced anyway). Lenient parse: the main
-    pass reports malformed rows properly."""
-    first = None
+def _points(rows, input_path: str, g: Granularity):
+    """``series_rows`` rows as ``(slot, value)``; a malformed row raises with
+    its ``path:line``."""
+    for number, raw_ts, value, bad_value in rows:
+        try:
+            t = align(parse_timestamp(raw_ts), g)
+        except DataError as exc:
+            raise type(exc)(f"{input_path}:{number}: {exc}") from exc
+        if bad_value:
+            raise ParseError(f"{input_path}:{number}: bad value {bad_value!r}")
+        yield t, value
+
+
+def _estimate_c(points, span: int, floor: float) -> tuple[float, list]:
+    """c from the first scheme-span of a stream: |P1| of the values before
+    the first value ``span`` or more slots after the first value, floored.
+    Returns c and the points taken, which the replay emits first."""
+    held = []
     values: list[float] = []
-    span = desc.scheme.span_slots
-    with series_rows(input_path, desc.timestamp_column, desc.target_column) as rows:
-        for _, raw_ts, value, _ in rows:
-            if value is None:
-                continue
-            try:
-                slot = align(parse_timestamp(raw_ts), desc.frequency).global_slot
-            except DataError:
-                continue
-            if first is None:
-                first = slot
-            if slot >= first + span:
-                break
-            values.append(value)
-    if not values:
-        return floor
-    return contingency_constant(values, floor)
+    first = None
+    for point in points:
+        held.append(point)
+        t, value = point
+        if value is None:
+            continue
+        if first is None:
+            first = t.global_slot
+        elif t.global_slot >= first + span:
+            break
+        values.append(value)
+    return (contingency_constant(values, floor) if values else floor), held
 
 
-def _stream_one(args, desc: DatasetDescriptor, input_path: str, out_handle: TextIO,
-                threshold: Optional[float]) -> int:
+def _stream_one(args, desc: DatasetDescriptor, cfg: QbsdConfig, smoother: SmootherSpec,
+                input_path: str, out_handle: TextIO, threshold: Optional[float]) -> int:
     """Stream one CSV through a rolling forecaster, emitting one record per
-    input row. Memory stays bounded by the retained window."""
+    input row. The input is read once: without ``--c``, ``anomaly`` holds
+    the rows of the first scheme-span while it estimates c from them. Memory
+    stays bounded by the retained window and those rows."""
     g = desc.frequency
-    if threshold is not None and args.c is None:
-        floor = args.c_floor if args.c_floor is not None else DEFAULT_C_FLOOR_CONTINUOUS
-        if floor <= 0:
-            raise ConfigError(f"--c-floor must be > 0, got {floor}")
-        c = _estimate_c_from_prefix(input_path, desc, floor)
-    else:
-        c = _resolve_c(args, None, None)
-    cfg = desc.qbsd_config(c=c, min_samples=args.min_samples)
-    capacity = (
-        desc.train_window_slots if args.train_window is not None else None
-    )
-    forecaster = RollingForecaster(cfg, g, capacity_slots=capacity)
-    smoother = _parse_smoother(args.smoother)
+    capacity = desc.train_window_slots if args.train_window is not None else None
     with series_rows(input_path, desc.timestamp_column, desc.target_column) as rows:
+        points = _points(rows, input_path, g)
+        if threshold is not None and args.c is None:
+            c, held = _estimate_c(points, desc.scheme.span_slots, cfg.c)
+            cfg = replace(cfg, c=c)
+            points = chain(held, points)
+        forecaster = RollingForecaster(cfg, g, capacity_slots=capacity)
         writer = RecordWriter(out_handle, smoother=smoother, threshold=threshold)
-        for number, raw_ts, value, bad_value in rows:
-            try:
-                t = align(parse_timestamp(raw_ts), g)
-            except DataError as exc:
-                raise type(exc)(f"{input_path}:{number}: {exc}") from exc
-            if bad_value:
-                raise ParseError(f"{input_path}:{number}: bad value {bad_value!r}")
-            record = StepRecord(slot=t, actual=value)
-            try:
-                if value is None:  # gap: forecast only
-                    fo = forecaster.forecast_at(t)
-                else:
-                    residuals, fo = forecaster.observe(t, value)
-                    record.diff_residual = residuals.difference
-                    record.norm_residual = residuals.normalized
-                record.forecast = fo.forecast
-                record.q1, record.q3, record.iqr = fo.q1, fo.q3, fo.iqr
-                record.sample_count = fo.sample_count
-                record.fallback_used = fo.fallback_used
-            except (InsufficientHistory, InsufficientSpan):
-                pass
+        for record in replay(forecaster, points):
             writer.write(record)
     writer.close()
     return writer.anomaly_count
@@ -598,32 +581,24 @@ def _run_streaming_command(args, threshold: Optional[float]) -> int:
     inputs = args.input or []
     if not inputs:
         raise ConfigError("--input is required")
-    if len(inputs) == 1:
-        if args.output and args.output != "-":
-            with open(args.output, "w", newline="") as out:
-                count = _stream_one(args, desc, inputs[0], out, threshold)
+    # every flag is checked before any input is opened
+    cfg = desc.qbsd_config(c=_resolve_c(args), min_samples=args.min_samples)
+    smoother = _parse_smoother(args.smoother)
+    many = len(inputs) > 1  # several inputs are streamed in turn, one file each
+    if many:
+        if not args.output:
+            raise ConfigError("--output must name a directory for multiple inputs")
+        Path(args.output).mkdir(parents=True, exist_ok=True)
+    for path in inputs:
+        if many:
+            out_path = Path(args.output) / (Path(path).stem + ".qbsd.csv")
         else:
-            count = _stream_one(args, desc, inputs[0], sys.stdout, threshold)
+            out_path = args.output if args.output != "-" else None
+        with open(out_path, "w", newline="") if out_path else nullcontext(sys.stdout) as out:
+            count = _stream_one(args, desc, cfg, smoother, path, out, threshold)
         if threshold is not None:
-            target = sys.stderr if not args.output or args.output == "-" else sys.stdout
-            print(f"anomalies: {count} (threshold={threshold})", file=target)
-        return 0
-    # several inputs: fan out across worker threads, one output file each
-    if not args.output:
-        raise ConfigError("--output must name a directory for multiple inputs")
-    out_dir = Path(args.output)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    workers = max(1, args.parallel or 1)
-
-    def run(path: str) -> tuple[str, int]:
-        out_path = out_dir / (Path(path).stem + ".qbsd.csv")
-        with open(out_path, "w", newline="") as out:
-            return path, _stream_one(args, desc, path, out, threshold)
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for path, count in pool.map(run, inputs):
-            if threshold is not None:
-                print(f"{path}: anomalies: {count} (threshold={threshold})")
+            print(f"{path + ': ' if many else ''}anomalies: {count} (threshold={threshold})",
+                  file=sys.stdout if out_path else sys.stderr)
     return 0
 
 
@@ -648,9 +623,12 @@ def measure_qbsd_latency(
     slots_per_day: int = 96,
     buffer_weeks: Sequence[int] = (4, 16),
     seed: int = 0,
-) -> dict[int, tuple[float, float]]:
+    baselines: Sequence[tuple[str, bl.BaselineSpec]] = (),
+) -> dict[int | str, tuple[float, float]]:
     """Median and p95 per-forecast wall time (seconds) per retained-buffer
-    size, measured call by call over a noisy synthetic series."""
+    size, and per baseline label, measured call by call over a noisy
+    synthetic series. The baselines read the largest buffer, which holds the
+    whole series."""
     g = Granularity(86400 // slots_per_day)
     history_weeks = max(buffer_weeks)
     frame = generate_synthetic(
@@ -664,25 +642,31 @@ def measure_qbsd_latency(
     cfg = QbsdConfig(scheme=default_weekly_scheme(4, k, g), c=1.0)
     last = frame.last_slot
     targets = [SlotCoord(s, g) for s in range(last - 500, last + 1)]
-    out: dict[int, tuple[float, float]] = {}
+    fns = {}
     for weeks in buffer_weeks:
         forecaster = RollingForecaster(cfg, g, capacity_slots=weeks * g.slots_per_week)
         forecaster.ingest_history(frame.pairs())
-        durations = _time_calls(
-            lambda t: forecaster.forecast_at(t), targets, n_forecasts
-        )
-        out[weeks] = _median_p95(durations)
-    return out
+        fns[weeks] = forecaster.forecast_at
+        if weeks == history_weeks:
+            history = forecaster.history
+    for label, spec in baselines:
+        fns[label] = lambda t, spec=spec: bl.baseline_forecast(history, t, spec)
+    durations = _time_calls(list(fns.values()), targets, n_forecasts)
+    return {key: _median_p95(d) for key, d in zip(fns, durations)}
 
 
-def _time_calls(fn, targets, n_calls: int) -> list[int]:
-    durations = []
-    n_targets = len(targets)
+def _time_calls(fns, targets, n_calls: int) -> list[list[int]]:
+    """Per-call wall times (ns) of each of ``fns``. Every target is handed to
+    each fn in turn, in reverse order every other time, so a change in host
+    speed during the run reaches all fns alike."""
+    durations: list[list[int]] = [[] for _ in fns]
+    calls = list(zip(fns, durations))
     for i in range(n_calls):
-        t = targets[i % n_targets]
-        start = time.perf_counter_ns()
-        fn(t)
-        durations.append(time.perf_counter_ns() - start)
+        t = targets[i % len(targets)]
+        for fn, out in calls[::-1] if i % 2 else calls:
+            start = time.perf_counter_ns()
+            fn(t)
+            out.append(time.perf_counter_ns() - start)
     return durations
 
 
@@ -706,38 +690,19 @@ def cmd_bench(args) -> int:
     k = args.k if args.k is not None else 4
     spd = args.slots_per_day or 96
     g = Granularity(86400 // spd)
-
-    qbsd_stats = measure_qbsd_latency(
-        n, k=k, slots_per_day=spd, buffer_weeks=buffer_weeks, seed=args.seed or 0
-    )
-    rows = [
-        (f"qbsd ({weeks}w buffer)", median, p95)
-        for weeks, (median, p95) in qbsd_stats.items()
-    ]
-
     methods = _parse_methods(args.method or "seasonal-naive,persistence,moving-average", g)
-    frame = generate_synthetic(
-        SynthSpec(days=max(buffer_weeks) * 7, slots_per_day=spd, noise_std=25.0,
-                  seed=args.seed or 0)
+
+    stats = measure_qbsd_latency(
+        n, k=k, slots_per_day=spd, buffer_weeks=buffer_weeks, seed=args.seed or 0,
+        baselines=[(label, spec) for label, spec in methods if spec != "qbsd"],
     )
-    history = SlidingHistory(max(buffer_weeks) * g.slots_per_week)
-    for slot, value in zip(frame.slots, frame.values):
-        history.insert(slot, value)
-    targets = [SlotCoord(s, g) for s in range(frame.last_slot - 500, frame.last_slot + 1)]
-    for label, marker in methods:
-        if marker == "qbsd":
-            continue
-        durations = _time_calls(
-            lambda t, spec=marker: bl.baseline_forecast(history, t, spec), targets, n
-        )
-        median, p95 = _median_p95(durations)
-        rows.append((label, median, p95))
 
     print(f"{'method':<24} {'forecasts':>9} {'median_ms':>11} {'p95_ms':>9}")
-    for label, median, p95 in rows:
+    for key, (median, p95) in stats.items():
+        label = f"qbsd ({key}w buffer)" if isinstance(key, int) else key
         print(f"{label:<24} {n:>9d} {median * 1e3:>11.4f} {p95 * 1e3:>9.4f}")
     small, large = min(buffer_weeks), max(buffer_weeks)
-    ratio = qbsd_stats[large][0] / qbsd_stats[small][0]
+    ratio = stats[large][0] / stats[small][0]
     print(
         f"history scaling: median({large}w buffer) / median({small}w buffer) "
         f"= {ratio:.3f}"
@@ -798,7 +763,6 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--train-window", type=int, help="moving training window in days")
     p.add_argument("--seed", type=int, help="seed for synthetic data")
     p.add_argument("--noise-std", type=float, help="synthetic noise sigma")
-    p.add_argument("--parallel", type=int, help="worker threads for multiple inputs")
 
 
 def _build_parser() -> argparse.ArgumentParser:

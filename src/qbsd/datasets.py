@@ -18,7 +18,7 @@ import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
-from typing import Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .baselines import BaselineSpec, baseline_forecast
 from .core import QbsdConfig, DEFAULT_C_FLOOR_CONTINUOUS, contingency_constant
@@ -164,9 +164,10 @@ def series_rows(
     the finite float in the value cell, or None for a gap (a blank or
     non-finite cell); ``bad_value`` is the stripped cell text when the cell
     is not a number at all, else "". Rows behave as in ``csv.DictReader``:
-    blank lines are skipped, missing cells of a short row are blank, a
-    repeated header name means its last column, and ``number`` counts the
-    header as 1 and each non-blank row after it.
+    blank lines are skipped, missing cells of a short row are blank, and a
+    repeated header name means its last column. ``number`` is the physical
+    line the row ends on (``csv.reader.line_num``), so blank lines and
+    quoted cells spanning lines are counted.
     """
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
@@ -185,11 +186,10 @@ def _series_cells(
 ) -> Iterator[tuple[int, str, Optional[float], str]]:
     isfinite = math.isfinite
     width = max(ts_index, value_index) + 1
-    number = 1
     for row in reader:
         if not row:
             continue
-        number += 1
+        number = reader.line_num
         if len(row) < width:
             row += [""] * (width - len(row))
         try:
@@ -551,6 +551,35 @@ def estimate_contingency(
     return contingency_constant(training, floor)
 
 
+def replay(
+    forecaster: RollingForecaster,
+    points: Iterable[tuple[SlotCoord, Optional[float]]],
+) -> Iterator[StepRecord]:
+    """One record per ``(slot, actual)`` point, in order.
+
+    A present actual is observed (forecast, scored, then buffered); a gap
+    (None) is only forecast. Slots that cannot be forecast yet (warmup, too
+    few present samples) keep their forecast fields None; ``observe`` has
+    still buffered their actual.
+    """
+    for t, actual in points:
+        record = StepRecord(slot=t, actual=actual)
+        try:
+            if actual is None:
+                fo = forecaster.forecast_at(t)
+            else:
+                residuals, fo = forecaster.observe(t, actual)
+                record.diff_residual = residuals.difference
+                record.norm_residual = residuals.normalized
+            record.forecast = fo.forecast
+            record.q1, record.q3, record.iqr = fo.q1, fo.q3, fo.iqr
+            record.sample_count = fo.sample_count
+            record.fallback_used = fo.fallback_used
+        except (InsufficientHistory, InsufficientSpan):
+            pass
+        yield record
+
+
 def rolling_evaluate(
     frame: SeriesFrame,
     method: Method,
@@ -574,38 +603,23 @@ def rolling_evaluate(
     qbsd = isinstance(method, QbsdConfig)
     if qbsd:
         forecaster = RollingForecaster(method, g, capacity_slots=window)
+        history = forecaster.history
     else:
         history = SlidingHistory(window)
 
     for slot, value in zip(frame.slots, frame.values):
         if slot >= test_start:
             break
-        if qbsd:
-            forecaster.history.insert(slot, value)
-        else:
-            history.insert(slot, value)
+        history.insert(slot, value)
 
-    records: list[StepRecord] = []
-    for slot in range(test_start, test_end + 1):
-        t = SlotCoord(slot, g)
-        record = StepRecord(slot=t, actual=actuals.get(slot))
-        if qbsd:
-            try:
-                if record.actual is not None:
-                    residuals, fo = forecaster.observe(t, record.actual)
-                    record.diff_residual = residuals.difference
-                    record.norm_residual = residuals.normalized
-                else:
-                    fo = forecaster.forecast_at(t)
-                record.forecast = fo.forecast
-                record.q1 = fo.q1
-                record.q3 = fo.q3
-                record.iqr = fo.iqr
-                record.sample_count = fo.sample_count
-                record.fallback_used = fo.fallback_used
-            except (InsufficientHistory, InsufficientSpan):
-                pass  # skipped slot; observe() already buffered the actual
-        else:
+    test_slots = range(test_start, test_end + 1)
+    if qbsd:
+        points = ((SlotCoord(slot, g), actuals.get(slot)) for slot in test_slots)
+        records = list(replay(forecaster, points))
+    else:
+        records = []
+        for slot in test_slots:
+            record = StepRecord(slot=SlotCoord(slot, g), actual=actuals.get(slot))
             try:
                 record.forecast = baseline_forecast(history, slot, method)
                 if record.actual is not None:
@@ -614,7 +628,7 @@ def rolling_evaluate(
                 pass
             if record.actual is not None:
                 history.insert(slot, record.actual)
-        records.append(record)
+            records.append(record)
 
     scored = [
         (r.actual, r.forecast)

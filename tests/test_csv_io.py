@@ -41,7 +41,9 @@ def dictreader_rows(path: Path, ts_column: str, value_column: str) -> list:
     """What the loops over ``csv.DictReader`` saw, in ``series_rows`` form."""
     out = []
     with open(path, newline="") as handle:
-        for number, row in enumerate(csv.DictReader(handle), start=2):
+        reader = csv.DictReader(handle)
+        for row in reader:
+            number = reader.line_num  # the physical line the row ends on
             raw_value = (row.get(value_column) or "").strip()
             value, bad = None, ""
             if raw_value:
