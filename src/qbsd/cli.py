@@ -48,7 +48,7 @@ from .errors import (
 )
 from .metrics import MetricsReport, wilcoxon_signed_rank
 from .smoothing import MovingAverage as SmoothingMA
-from .smoothing import SavitzkyGolay, SmootherSpec, StreamingSmoother
+from .smoothing import DEFAULT_SAVGOL, SavitzkyGolay, SmootherSpec, StreamingSmoother
 from .timegrid import Granularity, SlotCoord, align, default_weekly_scheme, scheme_from_lags, weekly_plus_yearly_scheme
 
 RECORD_COLUMNS = (
@@ -104,7 +104,7 @@ def _parse_smoother(text: Optional[str]) -> SmootherSpec:
     parts = text.split(":")
     if parts[0] == "sg":
         if len(parts) == 1:
-            return SavitzkyGolay(11, 3)
+            return DEFAULT_SAVGOL
         if len(parts) == 3:
             try:
                 return SavitzkyGolay(int(parts[1]), int(parts[2]))
@@ -413,16 +413,18 @@ def _records_path(base: str, label: str, many: bool) -> str:
 
 def cmd_evaluate(args) -> int:
     desc = _resolve_descriptor(args, need_test_range=True)
+    c = _resolve_c(args)
     frame = _load_frame(args, desc, args.input[0] if args.input else None)
     methods = _parse_methods(args.method or "qbsd", desc.frequency)
     test_start, _ = desc.test_slot_range
     results: list[_MethodResult] = []
     for label, marker in methods:
         if marker == "qbsd":
-            c = _resolve_c(args)
             if args.c is None:
-                c = estimate_contingency(frame, test_start, c)
-            method = desc.qbsd_config(c=c, min_samples=args.min_samples)
+                method_c = estimate_contingency(frame, test_start, c)
+            else:
+                method_c = c
+            method = desc.qbsd_config(c=method_c, min_samples=args.min_samples)
         else:
             method = marker
         report, records = rolling_evaluate(frame, method, desc)
@@ -588,12 +590,18 @@ def _run_streaming_command(args, threshold: Optional[float]) -> int:
     if many:
         if not args.output:
             raise ConfigError("--output must name a directory for multiple inputs")
+        out_paths = [Path(args.output) / (Path(path).stem + ".qbsd.csv") for path in inputs]
+        writer_of: dict[Path, str] = {}
+        for path, out_path in zip(inputs, out_paths):
+            if out_path in writer_of:
+                raise ConfigError(
+                    f"inputs {writer_of[out_path]} and {path} would both write {out_path}"
+                )
+            writer_of[out_path] = path
         Path(args.output).mkdir(parents=True, exist_ok=True)
-    for path in inputs:
-        if many:
-            out_path = Path(args.output) / (Path(path).stem + ".qbsd.csv")
-        else:
-            out_path = args.output if args.output != "-" else None
+    else:
+        out_paths = [args.output if args.output != "-" else None]
+    for path, out_path in zip(inputs, out_paths):
         with open(out_path, "w", newline="") if out_path else nullcontext(sys.stdout) as out:
             count = _stream_one(args, desc, cfg, smoother, path, out, threshold)
         if threshold is not None:

@@ -6,8 +6,6 @@ out for plotting, never to values feeding forecasts or metrics.
 
 from __future__ import annotations
 
-import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -16,21 +14,24 @@ import numpy as np
 from .errors import InvalidWindow, SeriesTooShort
 
 
+def _check_savgol(window_length: int, polyorder: int) -> None:
+    if window_length < 3 or window_length % 2 == 0:
+        raise InvalidWindow(
+            f"window_length must be an odd integer >= 3, got {window_length}"
+        )
+    if not 0 <= polyorder < window_length:
+        raise InvalidWindow(
+            f"polyorder must satisfy 0 <= polyorder < window_length, got {polyorder}"
+        )
+
+
 @dataclass(frozen=True)
 class SavitzkyGolay:
     window_length: int
     polyorder: int
 
     def __post_init__(self) -> None:
-        if self.window_length < 3 or self.window_length % 2 == 0:
-            raise InvalidWindow(
-                f"window_length must be an odd integer >= 3, got {self.window_length}"
-            )
-        if not 0 <= self.polyorder < self.window_length:
-            raise InvalidWindow(
-                f"polyorder must satisfy 0 <= polyorder < window_length, "
-                f"got {self.polyorder}"
-            )
+        _check_savgol(self.window_length, self.polyorder)
 
 
 @dataclass(frozen=True)
@@ -50,166 +51,107 @@ SmootherSpec = Union[SavitzkyGolay, MovingAverage, None]
 DEFAULT_SAVGOL = SavitzkyGolay(window_length=11, polyorder=3)
 
 
-def savgol_coefficients(
-    window_length: int, polyorder: int, derivative: int = 0
-) -> np.ndarray:
+def savgol_coefficients(window_length: int, polyorder: int) -> np.ndarray:
     """Least-squares polynomial-fit weights for a centered window.
 
     Args:
         window_length: odd number of samples in the window.
         polyorder: degree of the fitted polynomial, < window_length.
-        derivative: derivative order evaluated at the window center;
-            0 gives smoothing weights that sum to 1.
 
     Returns:
-        Weights to dot with the window values in time order.
+        Weights to dot with the window values in time order; they sum to 1.
     """
-    if window_length < 3 or window_length % 2 == 0:
-        raise InvalidWindow(
-            f"window_length must be an odd integer >= 3, got {window_length}"
-        )
-    if not 0 <= polyorder < window_length:
-        raise InvalidWindow(
-            f"polyorder must satisfy 0 <= polyorder < window_length, got {polyorder}"
-        )
-    if not 0 <= derivative <= polyorder:
-        raise InvalidWindow(
-            f"derivative must satisfy 0 <= derivative <= polyorder, got {derivative}"
-        )
+    _check_savgol(window_length, polyorder)
     half = window_length // 2
     offsets = np.arange(-half, half + 1, dtype=float)
     design = np.vander(offsets, polyorder + 1, increasing=True)
-    # row d of the pseudo-inverse is the d-th fitted coefficient; the d-th
-    # derivative of the fit at the center is d! times that coefficient
-    return np.linalg.pinv(design)[derivative] * math.factorial(derivative)
+    # row 0 of the pseudo-inverse is the fitted value at the window center
+    return np.linalg.pinv(design)[0]
 
 
-def _edge_poly(window_values: np.ndarray, polyorder: int):
-    xs = np.arange(len(window_values), dtype=float)
-    return np.polynomial.Polynomial.fit(xs, window_values, polyorder)
-
-
-def _ma_bounds(window: int) -> tuple[int, int]:
-    left = window // 2
-    return left, window - 1 - left
+def _edge_fit(window: np.ndarray, polyorder: int, positions: range) -> list[float]:
+    """The polynomial fitted to a full window, evaluated at ``positions``
+    (indices into that window)."""
+    xs = np.arange(len(window), dtype=float)
+    fit = np.polynomial.Polynomial.fit(xs, window, polyorder)
+    return fit(np.array(positions, dtype=float)).tolist()
 
 
 def smooth(series: Sequence[float], spec: SmootherSpec) -> np.ndarray:
-    """Smooth a series without changing its length.
-
-    Savitzky-Golay applies the convolution weights to interior points and
-    fits the polynomial to the first/last full window for the edge points,
-    so any polynomial of degree <= polyorder passes through unchanged.
-    """
-    arr = np.asarray(series, dtype=float)
+    """Smooth a series without changing its length: every value pushed
+    through a `StreamingSmoother`, then its tail, so the result equals the
+    smoothed columns the CLI writes. ``spec=None`` returns a copy."""
+    values = np.array(series, dtype=float)
     if spec is None:
-        return arr.copy()
-    n = arr.size
-    if isinstance(spec, MovingAverage):
-        w = spec.window
-        if n < w:
-            raise SeriesTooShort(f"series of {n} points is shorter than window {w}")
-        left, right = _ma_bounds(w)
-        out = np.empty(n)
-        for i in range(n):
-            chunk = arr[max(0, i - left) : min(n, i + right + 1)]
-            out[i] = chunk.mean()
-        return out
-    wl = spec.window_length
-    if n < wl:
-        raise SeriesTooShort(f"series of {n} points is shorter than window {wl}")
-    half = wl // 2
-    weights = savgol_coefficients(wl, spec.polyorder)
-    out = np.empty(n)
-    out[half : n - half] = np.correlate(arr, weights, mode="valid")
-    head = _edge_poly(arr[:wl], spec.polyorder)
-    out[:half] = head(np.arange(half, dtype=float))
-    tail = _edge_poly(arr[n - wl :], spec.polyorder)
-    out[n - half :] = tail(np.arange(wl - half, wl, dtype=float))
-    return out
+        return values
+    streamer = StreamingSmoother(spec)
+    out: list[float] = []
+    for value in values.tolist():
+        out.extend(streamer.push(value))
+    out.extend(streamer.finish())
+    return np.array(out)
 
 
 class StreamingSmoother:
-    """Incremental `smooth` with memory bounded by the window length.
+    """Centered smoothing one value at a time, in memory bounded by the window.
 
-    push() returns the smoothed values that became final; finish() flushes
-    the tail. Concatenating everything reproduces the batch output exactly.
+    push() returns the smoothed values that became final, oldest first;
+    finish() returns the rest, or raises `SeriesTooShort` when fewer values
+    than the window were pushed.
+
+    Savitzky-Golay dots the weights with each full window, and the first and
+    last half windows come from the polynomial fitted to the first and last
+    full window, so any polynomial of degree <= polyorder passes through
+    unchanged. The moving average clips its window at either end of the
+    series, each value the mean of the values it covers.
     """
 
-    def __init__(self, spec: SmootherSpec):
-        self.spec = spec
-        self._count = 0
-        self._emitted = 0
+    def __init__(self, spec: Union[SavitzkyGolay, MovingAverage]):
         if isinstance(spec, SavitzkyGolay):
-            self._weights = savgol_coefficients(spec.window_length, spec.polyorder)
-            # every value is written at i and i + window_length, so the last
-            # window_length values are always one contiguous slice, oldest first
-            self._ring = np.zeros(2 * spec.window_length)
-            self._pos = 0
-        elif isinstance(spec, MovingAverage):
-            self._buf = deque(maxlen=spec.window)
+            n = spec.window_length
+            self._polyorder = spec.polyorder
+            self._weights = savgol_coefficients(n, spec.polyorder)
         else:
-            self._buf = deque(maxlen=1)
-
-    def _ma_value(self, position: int) -> float:
-        left, right = _ma_bounds(self.spec.window)
-        base = self._count - len(self._buf)
-        start = max(0, position - left)
-        stop = min(self._count, position + right + 1)
-        window = [self._buf[i - base] for i in range(start, stop)]
-        return sum(window) / len(window)
+            n = spec.window
+            self._weights = None
+        self._n = n
+        # a smoothed value is final once this many later values are in
+        self._lag = (n - 1) // 2
+        self._count = 0
+        # every value is written at i and i + n, so the last n values are
+        # always one contiguous slice, oldest first
+        self._ring = np.zeros(2 * n)
+        self._pos = 0
 
     def push(self, value: float) -> list[float]:
-        if self.spec is None:
-            self._count += 1
-            self._emitted += 1
-            return [float(value)]
-        self._count += 1
-        out: list[float] = []
-        if isinstance(self.spec, MovingAverage):
-            self._buf.append(float(value))
-            _, right = _ma_bounds(self.spec.window)
-            while self._emitted + right <= self._count - 1:
-                out.append(self._ma_value(self._emitted))
-                self._emitted += 1
-            return out
-        wl = self.spec.window_length
+        n = self._n
         pos = self._pos
-        self._ring[pos] = self._ring[pos + wl] = value
-        pos = self._pos = (pos + 1) % wl
-        if self._count < wl:
+        self._ring[pos] = self._ring[pos + n] = value
+        pos = self._pos = (pos + 1) % n
+        count = self._count = self._count + 1
+        if self._weights is None:
+            if count <= self._lag:
+                return []
+            # the value lag positions back: its window is clipped only at
+            # the head, so it is the last min(count, n) values
+            size = min(count, n)
+            return [sum(self._ring[pos + n - size : pos + n].tolist()) / size]
+        if count < n:
             return []
-        half = wl // 2
-        window = self._ring[pos : pos + wl]
-        if self._count == wl:
-            head = _edge_poly(window, self.spec.polyorder)
-            out.extend(head(np.arange(half, dtype=float)).tolist())
-            self._emitted = half
+        window = self._ring[pos : pos + n]
+        out = _edge_fit(window, self._polyorder, range(self._lag)) if count == n else []
         out.append(float(np.dot(self._weights, window)))
-        self._emitted += 1
         return out
 
     def finish(self) -> list[float]:
-        if self.spec is None:
-            return []
-        if isinstance(self.spec, MovingAverage):
-            if self._count < self.spec.window:
-                raise SeriesTooShort(
-                    f"series of {self._count} points is shorter than window "
-                    f"{self.spec.window}"
-                )
-            out = []
-            while self._emitted < self._count:
-                out.append(self._ma_value(self._emitted))
-                self._emitted += 1
-            return out
-        wl = self.spec.window_length
-        if self._count < wl:
+        n = self._n
+        if self._count < n:
             raise SeriesTooShort(
-                f"series of {self._count} points is shorter than window {wl}"
+                f"series of {self._count} points is shorter than window {n}"
             )
-        half = wl // 2
-        tail = _edge_poly(self._ring[self._pos : self._pos + wl], self.spec.polyorder)
-        positions = np.arange(wl - half, wl, dtype=float)
-        self._emitted = self._count
-        return tail(positions).tolist()
+        window = self._ring[self._pos : self._pos + n]
+        if self._weights is None:
+            values = window.tolist()
+            # the last lag values, windows clipped at the tail
+            return [sum(values[i:]) / (n - i) for i in range(1, self._lag + 1)]
+        return _edge_fit(window, self._polyorder, range(n - self._lag, n))

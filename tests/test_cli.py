@@ -9,10 +9,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qbsd.cli import _build_parser, _estimate_c, _points, _resolve_descriptor, main
+from qbsd.cli import (
+    _build_parser,
+    _estimate_c,
+    _parse_smoother,
+    _points,
+    _resolve_descriptor,
+    main,
+)
 from qbsd.core import contingency_constant
 from qbsd.datasets import format_timestamp, parse_timestamp, series_rows
 from qbsd.errors import DataError
+from qbsd.smoothing import smooth
 from qbsd.timegrid import Granularity, align
 
 
@@ -153,6 +161,32 @@ class TestForecast:
             # anomaly prints one summary per input, in input order
             assert stdout.splitlines() == summaries
             assert len(summaries) == (3 if command[0] == "anomaly" else 0)
+
+    def test_same_file_name_rejected_before_any_output(self, tmp_path, capsys, monkeypatch):
+        inputs = []
+        for folder in ("a", "b"):
+            (tmp_path / folder).mkdir()
+            path = tmp_path / folder / "x.csv"
+            run(capsys, "synth", "--output", str(path), "--days", "28",
+                "--slots-per-day", "24")
+            inputs.append(str(path))
+        opened = []
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        out_dir = tmp_path / "out"
+        for command in (["forecast"], ["anomaly", "--threshold", "3"]):
+            code, _, err = run(capsys, *command, "--interval", "3600", "--k", "1",
+                               "--input", inputs[0], "--input", inputs[1],
+                               "--output", str(out_dir))
+            assert code == 1
+            assert inputs[0] in err and inputs[1] in err
+        assert opened == []
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("command", [["forecast"], ["anomaly", "--threshold", "3"]])
     def test_each_input_opened_once(self, tmp_path, capsys, monkeypatch, command):
@@ -365,6 +399,40 @@ class TestSchemeAndMethodFlags:
         assert smoothed
         assert len(smoothed) == len([r for r in rows if r["q1"] != ""])
 
+    @pytest.mark.parametrize("text,window", [
+        ("sg", 11), ("sg:11:3", 11), ("sg:5:2", 5), ("sg:3:1", 3),
+        ("ma:1", 1), ("ma:4", 4), ("ma:7", 7),
+    ])
+    def test_smooth_equals_written_columns(self, tmp_path, capsys, text, window):
+        path = tmp_path / "series.csv"
+        run(capsys, "synth", "--output", str(path), "--days", "42",
+            "--slots-per-day", "24", "--noise-std", "5", "--seed", "3")
+        lines = path.read_text().splitlines()
+        # with --min-samples 9 each gap is a warmup row and ends a segment
+        # wherever it is in a subset: short segments early, long ones later
+        for i in (*range(23, 240, 23), 241, 290, 291, 292):
+            lines[i] = lines[i].split(",")[0] + ","
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "fc.csv"
+        code, _, _ = run(capsys, "forecast", "--input", str(path),
+                         "--interval", "3600", "--k", "1", "--min-samples", "9",
+                         "--smoother", text, "--output", str(out))
+        assert code == 0
+        spec = _parse_smoother(text)
+        segments, segment = [], []
+        for row in read_rows(out) + [{"q1": ""}]:
+            if row["q1"]:
+                segment.append(row)
+            elif segment:
+                segments.append(segment)
+                segment = []
+        full = [seg for seg in segments if len(seg) >= window]
+        assert len(full) >= 3
+        for seg in full:
+            for column in ("q1", "q3"):
+                want = smooth([float(r[column]) for r in seg], spec)
+                assert [r[column + "_smooth"] for r in seg] == [repr(v) for v in want.tolist()]
+
     def test_bad_smoother(self, tmp_path, capsys):
         code, _, err = run(capsys, "forecast", "--input", "x.csv",
                            "--interval", "900", "--smoother", "lowess:3")
@@ -409,6 +477,22 @@ class TestConfigFile:
         code, _, err = run(capsys, "evaluate", "--config", str(conf))
         assert code == 1
         assert "key=value" in err
+
+
+@pytest.mark.parametrize("flag", [["--c", "-1"], ["--c-floor", "0"]], ids=["c", "c-floor"])
+@pytest.mark.parametrize("command", [
+    ["forecast", "--interval", "3600"],
+    ["anomaly", "--interval", "3600", "--threshold", "3"],
+    ["evaluate", "--dataset", "synthetic", "--method", "qbsd"],
+    ["evaluate", "--dataset", "synthetic", "--method", "persistence"],
+], ids=["forecast", "anomaly", "evaluate-qbsd", "evaluate-persistence"])
+def test_bad_contingency_flags_exit_1(tmp_path, capsys, command, flag):
+    path = tmp_path / "series.csv"
+    run(capsys, "synth", "--output", str(path), "--days", "28", "--slots-per-day", "24")
+    inputs = [] if command[0] == "evaluate" else ["--input", str(path)]
+    code, _, err = run(capsys, *command, *inputs, *flag)
+    assert code == 1
+    assert flag[0] in err
 
 
 def test_usage_error_is_exit_1(capsys):

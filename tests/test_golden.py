@@ -61,6 +61,17 @@ def _cases(inputs: dict[str, Path], out: Path) -> dict[str, list[str]]:
         "forecast_window": ["forecast", "--interval", "3600", "--k", "1",
                             "--train-window", "22", "--input", hourly,
                             "--output", str(out / "forecast_window.csv")],
+        # --min-samples 9 makes every gap a warmup row, which cuts the bounds
+        # into segments of 1, 2 and 4 rows: clipped moving-average heads and
+        # tails, Savitzky-Golay edge fits and segments shorter than the window
+        "forecast_ma_segments": ["forecast", "--interval", "3600", "--k", "1",
+                                 "--min-samples", "9", "--smoother", "ma:4",
+                                 "--input", hourly,
+                                 "--output", str(out / "forecast_ma_segments.csv")],
+        "forecast_sg_segments": ["forecast", "--interval", "3600", "--k", "1",
+                                 "--min-samples", "9", "--smoother", "sg:3:1",
+                                 "--input", hourly,
+                                 "--output", str(out / "forecast_sg_segments.csv")],
         "evaluate": ["evaluate", "--interval", "3600", "--k", "2", "--input", hourly,
                      "--method", "qbsd,seasonal-naive,persistence", "--format", "json",
                      "--test-start", "1970-01-29T00:00:00",
