@@ -77,6 +77,18 @@ def _cases(inputs: dict[str, Path], out: Path) -> dict[str, list[str]]:
                      "--test-start", "1970-01-29T00:00:00",
                      "--test-end", "1970-02-18T23:00:00",
                      "--output", str(out / "evaluate.csv")],
+        # k=8 gives the weekly4 scheme 51 samples in 4 lag groups, a wide
+        # enough window for consecutive forecasts to slide the sorted subset
+        "anomaly_k8": ["anomaly", "--interval", "3600", "--k", "8", "--input", hourly,
+                       "--smoother", "sg:11:3", "--threshold", "3",
+                       "--output", str(out / "anomaly_k8.csv")],
+        "forecast_k8": ["forecast", "--interval", "3600", "--k", "8", "--c", "1",
+                        "--input", flat, "--output", str(out / "forecast_k8.csv")],
+        "evaluate_k8": ["evaluate", "--interval", "3600", "--k", "8", "--input", hourly,
+                        "--method", "qbsd,seasonal-naive,persistence", "--format", "json",
+                        "--test-start", "1970-01-29T00:00:00",
+                        "--test-end", "1970-02-18T23:00:00",
+                        "--output", str(out / "evaluate_k8.csv")],
         "evaluate_yearly": ["evaluate", "--interval", "86400", "--k", "2",
                             "--scheme", "weekly_plus_yearly", "--train-window", "380",
                             "--input", daily, "--method", "qbsd,seasonal-naive,persistence",
