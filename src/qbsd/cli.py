@@ -49,7 +49,15 @@ from .errors import (
 from .metrics import MetricsReport, wilcoxon_signed_rank
 from .smoothing import MovingAverage as SmoothingMA
 from .smoothing import DEFAULT_SAVGOL, SavitzkyGolay, SmootherSpec, StreamingSmoother
-from .timegrid import Granularity, SlotCoord, align, default_weekly_scheme, scheme_from_lags, weekly_plus_yearly_scheme
+from .timegrid import (
+    Granularity,
+    SeasonalityScheme,
+    SlotCoord,
+    align,
+    default_weekly_scheme,
+    scheme_from_lags,
+    weekly_plus_yearly_scheme,
+)
 
 RECORD_COLUMNS = (
     "timestamp",
@@ -414,8 +422,8 @@ def _records_path(base: str, label: str, many: bool) -> str:
 def cmd_evaluate(args) -> int:
     desc = _resolve_descriptor(args, need_test_range=True)
     c = _resolve_c(args)
-    frame = _load_frame(args, desc, args.input[0] if args.input else None)
     methods = _parse_methods(args.method or "qbsd", desc.frequency)
+    frame = _load_frame(args, desc, args.input[0] if args.input else None)
     test_start, _ = desc.test_slot_range
     results: list[_MethodResult] = []
     for label, marker in methods:
@@ -632,11 +640,13 @@ def measure_qbsd_latency(
     buffer_weeks: Sequence[int] = (4, 16),
     seed: int = 0,
     baselines: Sequence[tuple[str, bl.BaselineSpec]] = (),
+    scheme: Optional[SeasonalityScheme] = None,
 ) -> dict[int | str, tuple[float, float]]:
     """Median and p95 per-forecast wall time (seconds) per retained-buffer
     size, and per baseline label, measured call by call over a noisy
     synthetic series. The baselines read the largest buffer, which holds the
-    whole series."""
+    whole series. ``scheme`` defaults to the 4-week scheme with context
+    period ``k``; a buffer shorter than its span raises ``ConfigError``."""
     g = Granularity(86400 // slots_per_day)
     history_weeks = max(buffer_weeks)
     frame = generate_synthetic(
@@ -647,7 +657,9 @@ def measure_qbsd_latency(
             seed=seed,
         )
     )
-    cfg = QbsdConfig(scheme=default_weekly_scheme(4, k, g), c=1.0)
+    if scheme is None:
+        scheme = default_weekly_scheme(4, k, g)
+    cfg = QbsdConfig(scheme=scheme, c=1.0)
     last = frame.last_slot
     targets = [SlotCoord(s, g) for s in range(last - 500, last + 1)]
     fns = {}
@@ -698,11 +710,13 @@ def cmd_bench(args) -> int:
     k = args.k if args.k is not None else 4
     spd = args.slots_per_day or 96
     g = Granularity(86400 // spd)
+    scheme = _parse_scheme(args.scheme or "weekly4", k, g)
     methods = _parse_methods(args.method or "seasonal-naive,persistence,moving-average", g)
 
     stats = measure_qbsd_latency(
         n, k=k, slots_per_day=spd, buffer_weeks=buffer_weeks, seed=args.seed or 0,
         baselines=[(label, spec) for label, spec in methods if spec != "qbsd"],
+        scheme=scheme,
     )
 
     print(f"{'method':<24} {'forecasts':>9} {'median_ms':>11} {'p95_ms':>9}")

@@ -6,11 +6,14 @@ samples strictly inside (Q1, Q3), and two residuals against the observed
 value: the raw difference and the difference normalized by max(IQR, c).
 
 Everything here is a pure function of its inputs. ``quartile_forecast`` is
-the per-slot kernel: it sorts the present samples once and takes Q1, Q3,
-the interior mean and the median fallback from that one sorted list.
-``qbsd_step``, ``compute_quartiles`` and ``forecast_from_subset`` are thin
-callers of the same sorted-list helpers. Subsets are small (6k+3 samples for
-the default weekly scheme), so plain sorted lists beat array round-trips.
+the per-slot kernel: it sorts the present samples once and hands the sorted
+list to ``quartile_forecast_sorted``, which takes Q1, Q3, the interior mean
+and the median fallback from it. ``RollingForecaster`` calls the sorted-input
+kernel directly when it keeps a target's sorted subset up to date from the
+previous target's instead of sorting afresh. ``qbsd_step``,
+``compute_quartiles`` and ``forecast_from_subset`` are thin callers of the
+same sorted-list helpers. Subsets are small (6k+3 samples for the default
+weekly scheme), so plain sorted lists beat array round-trips.
 """
 
 from __future__ import annotations
@@ -63,12 +66,14 @@ class Quartiles:
         return self.q3 - self.q1
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ForecastOutput:
     """One slot's forecast plus its expected operating range.
 
     ``fallback_used`` marks subsets whose strict interior (Q1, Q3) was empty
     (constant or two-valued samples); the forecast is then the subset median.
+    A plain slotted record: cheap to build once per slot, mutable and
+    unhashable.
     """
 
     forecast: float
@@ -79,7 +84,7 @@ class ForecastOutput:
     fallback_used: bool
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Residuals:
     difference: float
     normalized: float
@@ -203,15 +208,23 @@ def quartile_forecast(
     values: Sequence[float], requested_size: int, cfg: QbsdConfig
 ) -> ForecastOutput:
     """Full per-slot computation from the present subset values (in any
-    order): one sort, then quartiles and the interior-mean forecast.
+    order): one sort, then ``quartile_forecast_sorted``.
     ``requested_size`` is the scheme's subset size, for the error message."""
-    present = len(values)
+    return quartile_forecast_sorted(sorted(values), requested_size, cfg)
+
+
+def quartile_forecast_sorted(
+    ordered: Sequence[float], requested_size: int, cfg: QbsdConfig
+) -> ForecastOutput:
+    """Quartiles and the interior-mean forecast of the present subset values
+    in ascending order, as ``sorted()`` returns them."""
+    present = len(ordered)
     if present < cfg.min_samples:
         raise InsufficientHistory(
             f"{present} of {requested_size} subset samples "
             f"present, need at least {cfg.min_samples}"
         )
-    q1, q3, forecast, fallback_used = _forecast_sorted(sorted(values))
+    q1, q3, forecast, fallback_used = _forecast_sorted(ordered)
     return ForecastOutput(
         forecast=forecast,
         q1=q1,

@@ -516,7 +516,7 @@ def get_descriptor(name: str) -> DatasetDescriptor:
     raise ConfigError(f"unknown dataset {name!r}; known: {known}")
 
 
-@dataclass
+@dataclass(slots=True)
 class StepRecord:
     """One test slot's outputs. Forecast fields are None when the slot was
     skipped (warmup or too few present samples)."""

@@ -8,9 +8,17 @@ inserts it, so a value can never influence its own forecast.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from typing import Callable, Iterable, Optional, Sequence
 
-from .core import ForecastOutput, QbsdConfig, Residuals, compute_residuals, quartile_forecast
+from .core import (
+    ForecastOutput,
+    QbsdConfig,
+    Residuals,
+    compute_residuals,
+    quartile_forecast,
+    quartile_forecast_sorted,
+)
 from .errors import ConfigError, GridMisaligned, InsufficientHistory, InsufficientSpan, StaleSlot
 from .timegrid import Granularity, SlotCoord
 
@@ -30,9 +38,12 @@ class SlidingHistory:
     slots without touching them and every insert is O(1). Inserts may arrive
     out of order within the window; slots older than it are rejected. Memory
     is O(capacity) however sparse the series is.
+
+    ``writes`` counts successful inserts and ``last_write`` is the slot of
+    the latest one, so a reader can tell what changed since it last looked.
     """
 
-    __slots__ = ("capacity", "_values", "_ids", "_latest")
+    __slots__ = ("capacity", "_values", "_ids", "_latest", "writes", "last_write")
 
     def __init__(self, capacity_slots: int):
         if capacity_slots < 1:
@@ -41,6 +52,8 @@ class SlidingHistory:
         self._values: list[float] = [0.0] * capacity_slots
         self._ids: list[Optional[int]] = [None] * capacity_slots  # None: never written
         self._latest: Optional[int] = None
+        self.writes = 0
+        self.last_write: Optional[int] = None
 
     @property
     def latest(self) -> Optional[int]:
@@ -58,6 +71,8 @@ class SlidingHistory:
         cell = slot % self.capacity
         self._ids[cell] = slot
         self._values[cell] = value
+        self.writes += 1
+        self.last_write = slot
 
     def get(self, slot: int) -> Optional[float]:
         latest = self._latest
@@ -101,6 +116,17 @@ class RollingForecaster:
     (28 days for the default 4-week scheme). Capacities down to the scheme
     span still support in-order observe streaming; a larger capacity changes
     memory use but never outputs.
+
+    A forecast gathers the target's present subset values from the history
+    and sorts them. On a wide scheme the forecaster also keeps that sorted
+    subset, and when the next target is the slot after the last one it
+    slides the list instead: each lag group's window moves by one slot, so
+    one value leaves it (``bisect_left`` + ``del``) and one enters
+    (``insort``). That costs O(lag groups) list operations, not O(6k+3), and
+    yields exactly ``sorted(gather(...))``, so outputs are unchanged.
+    ``forecast_at`` is still a pure function of the history, but it updates
+    this per-forecaster state: one forecaster must not be called from two
+    threads at once.
     """
 
     def __init__(
@@ -125,6 +151,27 @@ class RollingForecaster:
         self.history = SlidingHistory(capacity_slots)
         self._offsets = scheme.offsets
         self._span = required
+        # Per non-empty lag group, the offsets from the new target of the
+        # slot that leaves the group's window and of the slot that enters it.
+        edges = []
+        for lag in scheme.lags:
+            offsets = lag.resolved_offsets()
+            if offsets:
+                edges.append((offsets[0] - 1, offsets[-1]))
+        # Sliding costs a bisect, a del and an insort per lag group; gathering
+        # and sorting cost about one cell read and compare per sample. In a
+        # sweep of weekly4, weekly6, weekly_plus_yearly and two-lag schemes
+        # (k = 1..16, interleaved runs, Python 3.11 on a shared 2-core x86-64
+        # host) the slide broke even at about 3 samples per group, saved
+        # 5-10% at 4 and 25% or more from 7 (weekly4 k=4: 27 samples in 4
+        # groups); it lost 7-13% at 2-2.5 (weekly4 k=1: 9 in 4). With
+        # capacity == span the write at target - 1 can evict a leaving value
+        # before it is taken out, so such a buffer never slides.
+        slides = len(self._offsets) >= 4 * len(edges) and capacity_slots > required
+        self._edges: Optional[tuple[tuple[int, int], ...]] = tuple(edges) if slides else None
+        self._ordered: list[float] = []  # sorted subset of target self._base
+        self._base: Optional[int] = None  # None: no subset kept
+        self._writes = 0  # history.writes when self._ordered was current
 
     @property
     def latest_slot(self) -> Optional[SlotCoord]:
@@ -157,8 +204,62 @@ class RollingForecaster:
                 f"slot {base} needs history {self._span} slots back, "
                 "which falls before the epoch"
             )
-        values = self.history.gather(base, self._offsets)
-        return quartile_forecast(values, len(self._offsets), self.cfg)
+        if self._edges is None:
+            values = self.history.gather(base, self._offsets)
+            return quartile_forecast(values, len(self._offsets), self.cfg)
+        history = self.history
+        writes = history.writes
+        # Slide only from the previous target, and only if the history is
+        # unchanged since then or its one write is the slot just before
+        # this target (an in-order observe); anything else rebuilds.
+        if not (
+            base - 1 == self._base
+            and (
+                writes == self._writes
+                or (writes == self._writes + 1 and history.last_write == base - 1)
+            )
+            and self._slide(base)
+        ):
+            ordered = self._ordered = sorted(history.gather(base, self._offsets))
+            total = sum(ordered)
+            if total != total or history.latest is None:
+                # keep no subset: a NaN (or +inf with -inf) is present, which
+                # bisect cannot place where sorted() does, or the history is
+                # empty and has no window to slide
+                base = None
+        self._base = base
+        self._writes = writes
+        return quartile_forecast_sorted(self._ordered, len(self._offsets), self.cfg)
+
+    def _slide(self, base: int) -> bool:
+        """Move the sorted subset from target base - 1 to base in place.
+
+        Returns False, leaving the list to be rebuilt, when a value that
+        leaves or enters is a zero or a NaN: bisect treats 0.0 and -0.0 as
+        equal where the stable sort keeps them in gather order, and cannot
+        place a NaN at all. Every other pair of equal floats is bit-identical,
+        so the slid list equals ``sorted(gather(...))`` element by element.
+        """
+        history = self.history
+        ids, values, capacity = history._ids, history._values, history.capacity
+        oldest = history._latest - capacity
+        ordered = self._ordered
+        for leave, enter in self._edges:
+            slot = base + leave
+            cell = slot % capacity
+            if ids[cell] == slot and slot > oldest:
+                value = values[cell]
+                if not (value > 0.0 or value < 0.0):
+                    return False
+                del ordered[bisect_left(ordered, value)]
+            slot = base + enter
+            cell = slot % capacity
+            if ids[cell] == slot and slot > oldest:
+                value = values[cell]
+                if not (value > 0.0 or value < 0.0):
+                    return False
+                insort(ordered, value)
+        return True
 
     def observe(self, t: SlotCoord, value: float) -> tuple[Residuals, ForecastOutput]:
         """Forecast slot t, score the new value against it, then buffer the
@@ -178,7 +279,7 @@ class MultiSeriesEngine:
     """Keyed collection of independent forecasters, created on first use.
 
     No state is shared between series, so disjoint series may be processed
-    from different threads.
+    from different threads; one series must not be.
     """
 
     def __init__(self, factory: Callable[[], RollingForecaster]):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qbsd import cli
 from qbsd.cli import (
     _build_parser,
     _estimate_c,
@@ -21,7 +22,12 @@ from qbsd.core import contingency_constant
 from qbsd.datasets import format_timestamp, parse_timestamp, series_rows
 from qbsd.errors import DataError
 from qbsd.smoothing import smooth
-from qbsd.timegrid import Granularity, align
+from qbsd.timegrid import (
+    Granularity,
+    align,
+    default_weekly_scheme,
+    weekly_plus_yearly_scheme,
+)
 
 
 def run(capsys, *argv):
@@ -385,6 +391,26 @@ class TestSchemeAndMethodFlags:
         assert code == 1
         assert "prophet" in err
 
+    def test_unknown_method_rejected_before_input_is_opened(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        missing = str(tmp_path / "missing.csv")
+        opened = []
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        code, _, err = run(capsys, "evaluate", "--interval", "3600",
+                           "--input", missing, "--method", "prophet",
+                           "--test-start", "1970-01-29T00:00:00",
+                           "--test-end", "1970-02-01T00:00:00")
+        assert code == 1
+        assert "prophet" in err
+        assert opened == []
+
     def test_moving_average_smoother(self, tmp_path, capsys):
         path = tmp_path / "series.csv"
         run(capsys, "synth", "--output", str(path), "--days", "28",
@@ -456,6 +482,43 @@ class TestBench:
     def test_bad_buffer_weeks(self, capsys):
         code, _, err = run(capsys, "bench", "--buffer-weeks", "x,y")
         assert code == 1
+
+    @pytest.mark.parametrize("flags,scheme", [
+        ([], lambda g: default_weekly_scheme(4, 4, g)),
+        (["--scheme", "weekly6", "--k", "2", "--buffer-weeks", "6,8"],
+         lambda g: default_weekly_scheme(6, 2, g)),
+        (["--scheme", "weekly_plus_yearly", "--k", "3", "--buffer-weeks", "53,56"],
+         lambda g: weekly_plus_yearly_scheme(3, g)),
+    ], ids=["default-weekly4", "weekly6", "weekly_plus_yearly"])
+    def test_scheme_flag_is_measured(self, capsys, monkeypatch, flags, scheme):
+        measured = []
+        real = cli.measure_qbsd_latency
+
+        def recording(*args, **kwargs):
+            measured.append(kwargs["scheme"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "measure_qbsd_latency", recording)
+        code, stdout, _ = run(capsys, "bench", "--forecasts", "20",
+                              "--slots-per-day", "24", *flags)
+        assert code == 0
+        assert measured == [scheme(Granularity(3600))]
+        assert any(l.startswith("history scaling:") for l in stdout.splitlines())
+
+    def test_unknown_scheme_exits_1(self, capsys):
+        code, stdout, err = run(capsys, "bench", "--forecasts", "20",
+                                "--scheme", "nonsense")
+        assert code == 1
+        assert "unknown scheme 'nonsense'" in err
+        assert stdout == ""
+
+    def test_buffer_below_scheme_span_exits_1(self, capsys):
+        # the default 4- and 16-week buffers cannot hold a 364-day lag
+        code, stdout, err = run(capsys, "bench", "--forecasts", "20",
+                                "--slots-per-day", "24", "--scheme", "weekly_plus_yearly")
+        assert code == 1
+        assert "below the scheme span" in err
+        assert stdout == ""
 
 
 class TestConfigFile:

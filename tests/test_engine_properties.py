@@ -3,7 +3,10 @@
 ``SlidingHistory`` is checked step by step against a dict that applies the
 eviction rule directly. ``RollingForecaster.forecast_at`` is checked against
 the public reference path: ``resolve_subset_slots`` expanded to a
-``ContextualSubset`` over the retained window, then ``qbsd_step``.
+``ContextualSubset`` over the retained window, then ``qbsd_step``. A second
+property drives long runs of consecutive targets, which slide the kept
+sorted subset on wide schemes, mixed with every call that must rebuild it,
+and compares every float field by ``repr`` so a flipped zero sign shows.
 """
 
 from __future__ import annotations
@@ -11,10 +14,10 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qbsd.core import ContextualSubset, QbsdConfig, qbsd_step
+from qbsd.core import ContextualSubset, QbsdConfig, compute_residuals, qbsd_step
 from qbsd.engine import RollingForecaster, SlidingHistory
 from qbsd.errors import InsufficientHistory, InsufficientSpan, StaleSlot
 from qbsd.timegrid import (
@@ -22,6 +25,7 @@ from qbsd.timegrid import (
     Granularity,
     SlotCoord,
     default_weekly_scheme,
+    scheme_from_lags,
     resolve_subset_slots,
     weekly_plus_yearly_scheme,
 )
@@ -174,3 +178,189 @@ def test_forecast_at_matches_reference_path(
         assert _outcome(lambda: forecaster.forecast_at(back)) == _outcome(
             lambda: _reference(seen, latest, capacity, back, cfg)
         ), f"slot {back.global_slot} after {s}"
+
+
+def _exact(outcome):
+    """An outcome with every float field as its repr: ``0.0 == -0.0`` and
+    ``nan != nan`` would hide a difference that ``repr`` shows."""
+    if isinstance(outcome, type):
+        return outcome
+    fo, residuals = outcome
+    fields = [fo.forecast, fo.q1, fo.q3, fo.iqr]
+    if residuals is not None:
+        fields += [residuals.difference, residuals.normalized]
+    return [repr(v) for v in fields], fo.sample_count, fo.fallback_used
+
+
+SPECIAL_VALUES = (0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 3.0, 7.0)
+RARE_VALUES = (float("nan"), float("inf"), float("-inf"))
+OPS = st.one_of(
+    # long in-order runs: the slide's home ground
+    st.tuples(st.sampled_from(["observe", "forecast", "mixed"]), st.integers(1, 40)),
+    st.tuples(
+        st.sampled_from([
+            "jump", "past", "again", "observe_again", "insert_prev", "insert_near",
+            "insert_stale", "ingest",
+        ]),
+        st.integers(1, 40),
+    ),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@example(  # consecutive targets over an empty history
+    shape="weekly4", k=4, extra_capacity=1, min_samples=3, special_rate=0.0,
+    rare=False, prefill=0, ops=[("forecast", 3), ("observe", 3)], seed=0,
+)
+@given(
+    shape=st.sampled_from(["weekly4", "two_lags", "yearly"]),
+    k=st.integers(0, 10),
+    extra_capacity=st.one_of(st.just(0), st.just(1), st.integers(0, 60)),
+    min_samples=st.integers(3, 8),
+    special_rate=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+    rare=st.booleans(),
+    prefill=st.integers(0, 120),
+    ops=st.lists(OPS, min_size=1, max_size=25),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sliding_subset_matches_reference(
+    shape, k, extra_capacity, min_samples, special_rate, rare, prefill, ops, seed
+):
+    if shape == "yearly":
+        # on a daily grid the lag-0 and 7-day groups overlap above k=3; at
+        # k=3 they touch, so a slot leaves one group as it enters the other
+        k = min(k, 3)
+        g, scheme = DAILY, weekly_plus_yearly_scheme(k, DAILY)
+    elif shape == "two_lags":
+        g = SIX_HOURLY
+        scheme = scheme_from_lags([0, g.slots_per_week], k)
+    else:
+        g, scheme = SIX_HOURLY, default_weekly_scheme(4, k, SIX_HOURLY)
+    cfg = QbsdConfig(scheme=scheme, c=1.0, min_samples=min_samples)
+    span = scheme.span_slots
+    capacity = span + extra_capacity
+    forecaster = RollingForecaster(cfg, g, capacity_slots=capacity)
+    oracle = DictHistory(capacity)
+    rng = random.Random(seed)
+    pool = SPECIAL_VALUES + (RARE_VALUES if rare else ())
+
+    def value():
+        if rng.random() < special_rate:
+            return rng.choice(pool)
+        return rng.gauss(100.0, 20.0)
+
+    def outcome(fn):
+        # a NaN in the subset leaves it unordered, and the kernel's q1 <= q3
+        # check raises ValueError on both paths alike
+        try:
+            return fn()
+        except (InsufficientHistory, InsufficientSpan, ValueError) as exc:
+            return type(exc)
+
+    def expected(slot, actual=None):
+        fo = outcome(
+            lambda: _reference(oracle.values, oracle.latest, capacity, SlotCoord(slot, g), cfg)
+        )
+        if isinstance(fo, type):
+            return fo
+        return fo, None if actual is None else compute_residuals(actual, fo, cfg.c)
+
+    def forecast(slot):
+        t = SlotCoord(slot, g)
+        got = outcome(lambda: (forecaster.forecast_at(t), None))
+        assert _exact(got) == _exact(expected(slot)), f"forecast_at({slot})"
+
+    def observe(slot):
+        actual = value()
+        want = expected(slot, actual)
+        got = outcome(lambda: forecaster.observe(SlotCoord(slot, g), actual)[::-1])
+        assert _exact(got) == _exact(want), f"observe({slot})"
+        if got is not ValueError:  # observe buffers the value unless that raised
+            oracle.insert(slot, actual)
+
+    def insert(slot):
+        actual = value()
+        if oracle.latest is not None and slot <= oracle.latest - capacity:
+            with pytest.raises(StaleSlot):
+                forecaster.history.insert(slot, actual)
+            return
+        forecaster.history.insert(slot, actual)
+        oracle.insert(slot, actual)
+
+    pairs = [(SlotCoord(s, g), value()) for s in range(max(0, span - prefill), span)]
+    forecaster.ingest_history(pairs)
+    for t, actual in pairs:
+        oracle.insert(t.global_slot, actual)
+    cursor = span  # the next target of an in-order run
+    for op, n in ops:
+        if op in ("observe", "forecast", "mixed"):
+            for _ in range(n):
+                if op == "observe" or (op == "mixed" and rng.random() < 0.7):
+                    observe(cursor)
+                else:
+                    forecast(cursor)  # a gap: the slot is forecast, not written
+                cursor += 1
+        elif op == "jump":
+            cursor += n + 1
+        elif op == "past":
+            forecast(max(0, cursor - 1 - rng.randint(1, capacity + span)))
+        elif op == "again":
+            forecast(cursor - 1)
+        elif op == "observe_again":  # a duplicate: the slot is written twice
+            observe(cursor - 1)
+        elif op == "insert_prev":
+            insert(cursor - 1)
+        elif op == "insert_near":  # out of order within the window, or ahead
+            insert(max(0, cursor - 1 + rng.randint(-n, 3)))
+        elif op == "insert_stale":
+            if oracle.latest is not None:
+                insert(oracle.latest - capacity - rng.randint(0, n))
+        else:
+            batch = [
+                (max(0, cursor - 1 + rng.randint(-n, 2)), value()) for _ in range(n % 5 + 1)
+            ]
+            # leave out what would be stale by the end of the batch: it would
+            # raise mid-batch
+            newest = max([s for s, _ in batch] + [oracle.latest or 0])
+            batch = [(s, v) for s, v in batch if s > newest - capacity]
+            forecaster.ingest_history((SlotCoord(s, g), v) for s, v in batch)
+            for s, v in batch:
+                oracle.insert(s, v)
+
+
+@pytest.mark.parametrize("k,slides", [(1, False), (2, False), (3, True), (4, True), (16, True)])
+def test_wide_schemes_slide_on_consecutive_targets(k, slides, monkeypatch):
+    """The kept subset is used on consecutive targets of a wide scheme (6k+3
+    samples in 4 groups: k >= 3) and never on a narrow one."""
+    calls = []
+    real = RollingForecaster._slide
+
+    def counting(self, base):
+        moved = real(self, base)
+        calls.append(moved)
+        return moved
+
+    monkeypatch.setattr(RollingForecaster, "_slide", counting)
+    g = Granularity(3600)
+    scheme = default_weekly_scheme(4, k, g)
+    cfg = QbsdConfig(scheme=scheme, c=1.0)
+    forecaster = RollingForecaster(cfg, g)
+    rng = random.Random(k)
+    for s in range(scheme.span_slots + 200):
+        try:
+            forecaster.observe(SlotCoord(s, g), rng.gauss(50.0, 5.0))
+        except (InsufficientHistory, InsufficientSpan):
+            pass
+    if slides:
+        assert calls.count(True) >= 195
+    else:
+        assert calls == []
+    # with capacity == span a write can evict a leaving value: never slide
+    tight = RollingForecaster(cfg, g, capacity_slots=scheme.span_slots)
+    calls.clear()
+    for s in range(scheme.span_slots + 50):
+        try:
+            tight.observe(SlotCoord(s, g), rng.gauss(50.0, 5.0))
+        except (InsufficientHistory, InsufficientSpan):
+            pass
+    assert calls == []
