@@ -21,7 +21,12 @@ from pathlib import Path
 from typing import Optional, Sequence, TextIO
 
 from . import baselines as bl
-from .core import DEFAULT_C_FLOOR_CONTINUOUS, QbsdConfig, contingency_constant
+from .core import (
+    DEFAULT_C_FLOOR_CONTINUOUS,
+    QbsdConfig,
+    contingency_constant,
+    default_min_samples,
+)
 from .datasets import (
     DatasetDescriptor,
     SeriesFrame,
@@ -659,7 +664,7 @@ def measure_qbsd_latency(
     )
     if scheme is None:
         scheme = default_weekly_scheme(4, k, g)
-    cfg = QbsdConfig(scheme=scheme, c=1.0)
+    cfg = QbsdConfig(scheme=scheme, c=1.0, min_samples=default_min_samples(scheme))
     last = frame.last_slot
     targets = [SlotCoord(s, g) for s in range(last - 500, last + 1)]
     fns = {}

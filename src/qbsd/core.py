@@ -136,6 +136,12 @@ class QbsdConfig:
         return self.scheme.k
 
 
+def default_min_samples(scheme: SeasonalityScheme) -> int:
+    """The default validity threshold, lowered for a scheme that cannot
+    supply that many samples (but never below 3)."""
+    return max(3, min(DEFAULT_MIN_SAMPLES, scheme.subset_size))
+
+
 def _quartiles_sorted(ordered: Sequence[float]) -> tuple[float, float]:
     """Q1/Q3 of an ascending sample as its 25th/75th interpolated
     percentiles."""

@@ -21,7 +21,12 @@ from datetime import date, datetime, timezone
 from typing import Iterable, Iterator, Optional, Union
 
 from .baselines import BaselineSpec, baseline_forecast
-from .core import QbsdConfig, DEFAULT_C_FLOOR_CONTINUOUS, contingency_constant
+from .core import (
+    DEFAULT_C_FLOOR_CONTINUOUS,
+    QbsdConfig,
+    contingency_constant,
+    default_min_samples,
+)
 from .engine import RollingForecaster, SlidingHistory
 from .errors import (
     ConfigError,
@@ -405,8 +410,7 @@ class DatasetDescriptor:
         min_samples: Optional[int] = None,
     ) -> QbsdConfig:
         if min_samples is None:
-            # the default threshold must not exceed what the scheme can supply
-            min_samples = max(3, min(4, self.scheme.subset_size))
+            min_samples = default_min_samples(self.scheme)
         return QbsdConfig(scheme=self.scheme, c=c, min_samples=min_samples)
 
 

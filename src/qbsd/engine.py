@@ -159,14 +159,15 @@ class RollingForecaster:
             if offsets:
                 edges.append((offsets[0] - 1, offsets[-1]))
         # Sliding costs a bisect, a del and an insort per lag group; gathering
-        # and sorting cost about one cell read and compare per sample. In a
-        # sweep of weekly4, weekly6, weekly_plus_yearly and two-lag schemes
+        # and sorting cost about one cell read and compare per sample. In two
+        # sweeps of weekly4, weekly6, weekly_plus_yearly and two-lag schemes
         # (k = 1..16, interleaved runs, Python 3.11 on a shared 2-core x86-64
-        # host) the slide broke even at about 3 samples per group, saved
-        # 5-10% at 4 and 25% or more from 7 (weekly4 k=4: 27 samples in 4
-        # groups); it lost 7-13% at 2-2.5 (weekly4 k=1: 9 in 4). With
-        # capacity == span the write at target - 1 can evict a leaving value
-        # before it is taken out, so such a buffer never slides.
+        # host) the slide cost up to 22% more at 1.5-2.5 samples per group
+        # (weekly4 k=1: 9 in 4), 2-13% less at 3.3-4.7 and 16-28% less at
+        # 5.2-6.8 (weekly4 k=4: 27 in 4); the threshold of 4 keeps a margin
+        # above the break-even near 2.5-3. With capacity == span the write at
+        # target - 1 can evict a leaving value before it is taken out, so
+        # such a buffer never slides.
         slides = len(self._offsets) >= 4 * len(edges) and capacity_slots > required
         self._edges: Optional[tuple[tuple[int, int], ...]] = tuple(edges) if slides else None
         self._ordered: list[float] = []  # sorted subset of target self._base

@@ -505,6 +505,12 @@ class TestBench:
         assert measured == [scheme(Granularity(3600))]
         assert any(l.startswith("history scaling:") for l in stdout.splitlines())
 
+    def test_k0_forecasts_with_the_clipped_threshold(self, capsys):
+        # weekly4 at k=0 has 3 samples, below the default threshold of 4
+        code, stdout, _ = run(capsys, "bench", "--forecasts", "20", "--k", "0")
+        assert code == 0
+        assert any(l.startswith("qbsd (4w buffer)") for l in stdout.splitlines())
+
     def test_unknown_scheme_exits_1(self, capsys):
         code, stdout, err = run(capsys, "bench", "--forecasts", "20",
                                 "--scheme", "nonsense")
