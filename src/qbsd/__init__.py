@@ -15,7 +15,6 @@ from .core import (
     compute_quartiles,
     compute_residuals,
     contingency_constant,
-    forecast_from_subset,
     interpolated_percentile,
     qbsd_step,
 )

@@ -2,7 +2,7 @@
 
 Exit codes are a stable scripting contract: 0 success, 1 usage or
 configuration errors, 2 data or I/O errors. A flat key=value config file can
-supply any long flag's value; flags given on the command line win.
+supply the subcommand's flags; flags given on the command line win.
 """
 
 from __future__ import annotations
@@ -428,7 +428,7 @@ def cmd_evaluate(args) -> int:
     desc = _resolve_descriptor(args, need_test_range=True)
     c = _resolve_c(args)
     methods = _parse_methods(args.method or "qbsd", desc.frequency)
-    frame = _load_frame(args, desc, args.input[0] if args.input else None)
+    frame = _load_frame(args, desc, args.input)
     test_start, _ = desc.test_slot_range
     results: list[_MethodResult] = []
     for label, marker in methods:
@@ -651,8 +651,18 @@ def measure_qbsd_latency(
     size, and per baseline label, measured call by call over a noisy
     synthetic series. The baselines read the largest buffer, which holds the
     whole series. ``scheme`` defaults to the 4-week scheme with context
-    period ``k``; a buffer shorter than its span raises ``ConfigError``."""
+    period ``k``. The targets are the last 501 slots, fewer if the smallest
+    buffer could not hold their whole subsets; one no longer than the scheme
+    span raises ``ConfigError``."""
     g = Granularity(86400 // slots_per_day)
+    if scheme is None:
+        scheme = default_weekly_scheme(4, k, g)
+    capacity, span = min(buffer_weeks) * g.slots_per_week, scheme.span_slots
+    if capacity <= span:
+        raise ConfigError(
+            f"a {min(buffer_weeks)}-week buffer holds no whole subset: its "
+            f"{capacity} slots are at or below the scheme span of {span} slots"
+        )
     history_weeks = max(buffer_weeks)
     frame = generate_synthetic(
         SynthSpec(
@@ -662,11 +672,11 @@ def measure_qbsd_latency(
             seed=seed,
         )
     )
-    if scheme is None:
-        scheme = default_weekly_scheme(4, k, g)
     cfg = QbsdConfig(scheme=scheme, c=1.0, min_samples=default_min_samples(scheme))
     last = frame.last_slot
-    targets = [SlotCoord(s, g) for s in range(last - 500, last + 1)]
+    # a target above last - capacity + span has its whole subset in every buffer
+    first = max(last - 500, last - capacity + span + 1)
+    targets = [SlotCoord(s, g) for s in range(first, last + 1)]
     fns = {}
     for weeks in buffer_weeks:
         forecaster = RollingForecaster(cfg, g, capacity_slots=weeks * g.slots_per_week)
@@ -770,71 +780,82 @@ def cmd_synth(args) -> int:
 # ---------------------------------------------------------------- parser
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="flat key=value file supplying defaults for any flag")
-    p.add_argument("--dataset", help="builtin dataset name (see README) or 'synthetic'")
-    p.add_argument("--input", action="append", help="input CSV path (repeatable)")
-    p.add_argument("--output", help="output path ('-' for stdout)")
-    p.add_argument("--interval", type=int, help="grid interval in seconds for custom CSVs")
-    p.add_argument("--timestamp-column", help="timestamp column name")
-    p.add_argument("--value-column", help="value column name")
+def _add_scheme_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, help="context period in slots")
     p.add_argument(
         "--scheme",
         help="weekly4 | weekly6 | weekly_plus_yearly | custom:<day,day,...>",
     )
+
+
+def _add_series_flags(p: argparse.ArgumentParser) -> None:
+    """Flags of evaluate, forecast and anomaly, all but ``--input``."""
+    p.add_argument("--dataset", help="builtin dataset name (see README) or 'synthetic'")
+    p.add_argument("--output", help="output path ('-' for stdout)")
+    p.add_argument("--interval", type=int, help="grid interval in seconds for custom CSVs")
+    p.add_argument("--timestamp-column", help="timestamp column name")
+    p.add_argument("--value-column", help="value column name")
+    _add_scheme_flags(p)
     p.add_argument("--c", type=float, help="contingency constant (overrides estimation)")
     p.add_argument("--c-floor", type=float, help="floor used when estimating c")
     p.add_argument("--min-samples", type=int, help="validity threshold (default 4, "
                    "clipped to the scheme's subset size)")
     p.add_argument("--train-window", type=int, help="moving training window in days")
-    p.add_argument("--seed", type=int, help="seed for synthetic data")
-    p.add_argument("--noise-std", type=float, help="synthetic noise sigma")
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="qbsd", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_eval = sub.add_parser("evaluate", help="moving-window evaluation with metrics")
-    _add_common_flags(p_eval)
+    def command(name: str, summary: str, func) -> argparse.ArgumentParser:
+        # no abbreviations: "--c" must not stand for "--config" on synth
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
+        p.add_argument("--config", help="flat key=value file supplying this command's flags")
+        p.set_defaults(func=func)
+        return p
+
+    p_eval = command("evaluate", "moving-window evaluation with metrics", cmd_evaluate)
+    _add_series_flags(p_eval)
+    p_eval.add_argument("--input", help="input CSV path (the last one given wins)")
+    p_eval.add_argument("--seed", type=int, help="seed for the synthetic dataset")
+    p_eval.add_argument("--noise-std", type=float, help="synthetic dataset noise sigma")
     p_eval.add_argument("--method", help="comma-separated: qbsd,seasonal-naive,...")
     p_eval.add_argument("--test-start", help="test range start (custom datasets)")
     p_eval.add_argument("--test-end", help="test range end (custom datasets)")
     p_eval.add_argument("--format", choices=["table", "csv", "json"], default="table")
     p_eval.add_argument("--report", help="write the machine-readable report here")
-    p_eval.set_defaults(func=cmd_evaluate)
 
-    p_fc = sub.add_parser("forecast", help="stream per-slot forecast records")
-    _add_common_flags(p_fc)
+    p_fc = command("forecast", "stream per-slot forecast records", cmd_forecast)
+    _add_series_flags(p_fc)
+    p_fc.add_argument("--input", action="append", help="input CSV path (repeatable)")
     p_fc.add_argument("--smoother", help="sg:<window>:<polyorder> | ma:<window> | none")
-    p_fc.set_defaults(func=cmd_forecast)
 
-    p_an = sub.add_parser("anomaly", help="flag |normalized residual| above a threshold")
-    _add_common_flags(p_an)
+    p_an = command("anomaly", "flag |normalized residual| above a threshold", cmd_anomaly)
+    _add_series_flags(p_an)
+    p_an.add_argument("--input", action="append", help="input CSV path (repeatable)")
     p_an.add_argument("--smoother", help="sg:<window>:<polyorder> | ma:<window> | none")
     p_an.add_argument("--threshold", type=float, default=3.0,
                       help="anomaly threshold on |normalized residual|")
-    p_an.set_defaults(func=cmd_anomaly)
 
-    p_bench = sub.add_parser("bench", help="per-forecast latency measurements")
-    _add_common_flags(p_bench)
+    p_bench = command("bench", "per-forecast latency measurements", cmd_bench)
+    _add_scheme_flags(p_bench)
+    p_bench.add_argument("--seed", type=int, help="seed for the synthetic series")
     p_bench.add_argument("--forecasts", type=int, default=10000,
                          help="forecasts per measurement")
     p_bench.add_argument("--buffer-weeks", help="retained-buffer sizes, e.g. 4,16")
     p_bench.add_argument("--slots-per-day", type=int, help="grid density")
     p_bench.add_argument("--method", help="baselines to include alongside qbsd")
-    p_bench.set_defaults(func=cmd_bench)
 
-    p_synth = sub.add_parser("synth", help="generate a synthetic KPI-like CSV")
-    _add_common_flags(p_synth)
+    p_synth = command("synth", "generate a synthetic KPI-like CSV", cmd_synth)
+    p_synth.add_argument("--output", help="output CSV path")
+    p_synth.add_argument("--seed", type=int, help="noise seed")
+    p_synth.add_argument("--noise-std", type=float, help="noise sigma")
     p_synth.add_argument("--days", type=int, default=56)
     p_synth.add_argument("--slots-per-day", type=int, help="grid density")
     p_synth.add_argument("--weekday-scale", type=float, default=1.0)
     p_synth.add_argument("--weekend-scale", type=float, default=0.6)
     p_synth.add_argument("--anomalies", help="injections as slot:magnitude,...")
     p_synth.add_argument("--start", default="0", help="timestamp of the first row")
-    p_synth.set_defaults(func=cmd_synth)
 
     return parser
 

@@ -10,10 +10,10 @@ the per-slot kernel: it sorts the present samples once and hands the sorted
 list to ``quartile_forecast_sorted``, which takes Q1, Q3, the interior mean
 and the median fallback from it. ``RollingForecaster`` calls the sorted-input
 kernel directly when it keeps a target's sorted subset up to date from the
-previous target's instead of sorting afresh. ``qbsd_step``,
-``compute_quartiles`` and ``forecast_from_subset`` are thin callers of the
-same sorted-list helpers. Subsets are small (6k+3 samples for the default
-weekly scheme), so plain sorted lists beat array round-trips.
+previous target's instead of sorting afresh. ``qbsd_step`` and
+``compute_quartiles`` are thin callers of the same sorted-list helpers.
+Subsets are small (6k+3 samples for the default weekly scheme), so plain
+sorted lists beat array round-trips.
 """
 
 from __future__ import annotations
@@ -174,15 +174,6 @@ def compute_quartiles(values: Sequence[float]) -> Quartiles:
         raise EmptyInput("quartiles of an empty sample")
     q1, q3 = _quartiles_sorted(sorted(values))
     return Quartiles(q1=q1, q3=q3)
-
-
-def forecast_from_subset(values: Sequence[float]) -> tuple[float, bool]:
-    """Mean of the samples strictly between Q1 and Q3, or the median with a
-    fallback marker when that interior is empty."""
-    if len(values) == 0:
-        raise EmptyInput("forecast from an empty sample")
-    _, _, forecast, fallback_used = _forecast_sorted(sorted(values))
-    return forecast, fallback_used
 
 
 def compute_residuals(actual: float, fo: ForecastOutput, c: float) -> Residuals:

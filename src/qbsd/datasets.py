@@ -234,10 +234,6 @@ class SeriesFrame:
         return dict(zip(self.slots, self.values))
 
     @property
-    def first_slot(self) -> int:
-        return self.slots[0]
-
-    @property
     def last_slot(self) -> int:
         return self.slots[-1]
 
@@ -250,30 +246,29 @@ def load_csv(
 ) -> SeriesFrame:
     """Read a headered CSV into a SeriesFrame.
 
-    Rows are sorted by slot; duplicate timestamps are rejected; rows with an
-    empty or non-finite value cell are treated as gaps.
+    Rows are sorted by slot; duplicate timestamps are rejected; a row with an
+    empty or non-finite value cell is a gap, once its timestamp is checked.
     """
     rows: list[tuple[int, float]] = []
     with series_rows(path, timestamp_column, value_column) as cells:
         for number, raw_ts, value, bad_value in cells:
-            if value is None and not bad_value:
-                continue  # gap
             try:
                 epoch = parse_timestamp(raw_ts)
             except (ParseError, GridMisaligned) as exc:
                 raise type(exc)(
                     f"{path}:{number}: column {timestamp_column!r}: {exc}"
                 ) from exc
-            if value is None:
-                raise ParseError(
-                    f"{path}:{number}: column {value_column!r}: "
-                    f"bad value {bad_value!r}"
-                )
             try:
                 coord = align(epoch, granularity)
             except GridMisaligned as exc:
                 raise GridMisaligned(f"{path}:{number}: {exc}") from exc
-            rows.append((coord.global_slot, value))
+            if bad_value:
+                raise ParseError(
+                    f"{path}:{number}: column {value_column!r}: "
+                    f"bad value {bad_value!r}"
+                )
+            if value is not None:  # None: a gap
+                rows.append((coord.global_slot, value))
     rows.sort(key=lambda item: item[0])
     for (a, _), (b, _) in zip(rows, rows[1:]):
         if a == b:

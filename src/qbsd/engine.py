@@ -174,15 +174,9 @@ class RollingForecaster:
         self._base: Optional[int] = None  # None: no subset kept
         self._writes = 0  # history.writes when self._ordered was current
 
-    @property
-    def latest_slot(self) -> Optional[SlotCoord]:
-        latest = self.history.latest
-        if latest is None:
-            return None
-        return SlotCoord(latest, self.granularity)
-
     def _check_aligned(self, t: SlotCoord) -> None:
-        if t.granularity != self.granularity:
+        # identity first: it is nearly always this forecaster's grid; == builds tuples
+        if t.granularity is not self.granularity and t.granularity != self.granularity:
             raise GridMisaligned(
                 f"slot on a {t.granularity.interval_seconds} s grid fed to a "
                 f"{self.granularity.interval_seconds} s forecaster"

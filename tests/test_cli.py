@@ -1,3 +1,4 @@
+import argparse
 import builtins
 import contextlib
 import csv
@@ -518,6 +519,47 @@ class TestBench:
         assert "unknown scheme 'nonsense'" in err
         assert stdout == ""
 
+    @pytest.mark.parametrize("flags", [
+        ["--k", "0", "--slots-per-day", "24"],
+        ["--scheme", "weekly_plus_yearly", "--k", "3", "--slots-per-day", "24",
+         "--buffer-weeks", "53,54"],
+    ], ids=["weekly4-k0-hourly", "weekly_plus_yearly-53-54"])
+    def test_small_buffer_forecasts_every_target(self, capsys, flags):
+        code, stdout, _ = run(capsys, "bench", "--forecasts", "200", *flags)
+        assert code == 0
+        assert any(l.startswith("history scaling:") for l in stdout.splitlines())
+
+    @pytest.mark.parametrize("slots_per_day,n_targets", [(24, 168), (96, 501)])
+    def test_smallest_buffer_holds_every_whole_subset(
+        self, capsys, monkeypatch, slots_per_day, n_targets
+    ):
+        timed = []
+        real = cli._time_calls
+
+        def recording(fns, targets, n_calls):
+            timed.append((fns[0], targets))
+            return real(fns, targets, n_calls)
+
+        monkeypatch.setattr(cli, "_time_calls", recording)
+        code, _, _ = run(capsys, "bench", "--forecasts", str(n_targets),
+                         "--slots-per-day", str(slots_per_day), "--method", "persistence")
+        assert code == 0
+        [(forecast_at, targets)] = timed
+        g = Granularity(86400 // slots_per_day)
+        assert forecast_at.__self__.history.capacity == 4 * g.slots_per_week
+        # criterion 08's default keeps all 501 targets
+        assert len(targets) == n_targets
+        size = default_weekly_scheme(4, 4, g).subset_size
+        assert [forecast_at(t).sample_count for t in targets] == [size] * n_targets
+
+    def test_buffer_at_scheme_span_exits_1(self, capsys):
+        # weekly4 at k=0 spans exactly 3 weeks: no target has a whole subset
+        code, stdout, err = run(capsys, "bench", "--forecasts", "20", "--k", "0",
+                                "--buffer-weeks", "3,4")
+        assert code == 1
+        assert "holds no whole subset" in err
+        assert stdout == ""
+
     def test_buffer_below_scheme_span_exits_1(self, capsys):
         # the default 4- and 16-week buffers cannot hold a 364-day lag
         code, stdout, err = run(capsys, "bench", "--forecasts", "20",
@@ -546,6 +588,143 @@ class TestConfigFile:
         code, _, err = run(capsys, "evaluate", "--config", str(conf))
         assert code == 1
         assert "key=value" in err
+
+
+    def test_command_line_input_overrides_config(self, tmp_path, capsys):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        for path, seed in ((a, "1"), (b, "2")):
+            run(capsys, "synth", "--output", str(path), "--days", "35",
+                "--slots-per-day", "24", "--noise-std", "5", "--seed", seed)
+        settings = (f"interval=3600\nk=1\nmethod=persistence\nformat=json\n"
+                    f"test-start={28 * 86400}\ntest-end={35 * 86400 - 3600}\n")
+        reports = {}
+        for path in (a, b):
+            conf = tmp_path / f"{path.stem}.conf"
+            conf.write_text(f"input={path}\n" + settings)
+            code, reports[path.stem], _ = run(capsys, "evaluate", "--config", str(conf))
+            assert code == 0
+        assert reports["a"] != reports["b"]
+        code, stdout, _ = run(capsys, "evaluate", "--config", str(tmp_path / "a.conf"),
+                              "--input", str(b))
+        assert code == 0
+        assert stdout == reports["b"]
+
+
+SERIES_FLAGS = {
+    "--config", "--dataset", "--input", "--output", "--interval", "--timestamp-column",
+    "--value-column", "--k", "--scheme", "--c", "--c-floor", "--min-samples",
+    "--train-window",
+}
+ACCEPTED_FLAGS = {
+    "evaluate": SERIES_FLAGS | {"--seed", "--noise-std", "--method", "--test-start",
+                                "--test-end", "--format", "--report"},
+    "forecast": SERIES_FLAGS | {"--smoother"},
+    "anomaly": SERIES_FLAGS | {"--smoother", "--threshold"},
+    "bench": {"--config", "--k", "--scheme", "--seed", "--forecasts", "--buffer-weeks",
+              "--slots-per-day", "--method"},
+    "synth": {"--config", "--output", "--seed", "--noise-std", "--days", "--slots-per-day",
+              "--weekday-scale", "--weekend-scale", "--anomalies", "--start"},
+}
+# every subcommand used to take these; each now takes only those it reads
+FORMER_COMMON_FLAGS = SERIES_FLAGS | {"--seed", "--noise-std"}
+REMOVED_FLAGS = [
+    (command, flag)
+    for command, accepted in ACCEPTED_FLAGS.items()
+    for flag in sorted(FORMER_COMMON_FLAGS - accepted)
+]
+FLAG_VALUES = {
+    "--dataset": "synthetic", "--interval": "3600", "--timestamp-column": "timestamp",
+    "--value-column": "value", "--k": "1", "--scheme": "weekly4", "--c": "1",
+    "--c-floor": "1", "--min-samples": "4", "--train-window": "28", "--seed": "5",
+    "--noise-std": "1",
+}
+
+
+def base_argv(command: str, series: Path, out: Path) -> list[str]:
+    """A run of ``command`` that exits 0, writing ``out`` where it writes a file."""
+    return {
+        "forecast": ["forecast", "--input", str(series), "--interval", "3600",
+                     "--k", "1", "--output", str(out)],
+        "anomaly": ["anomaly", "--input", str(series), "--interval", "3600",
+                    "--k", "1", "--threshold", "3", "--output", str(out)],
+        "bench": ["bench", "--forecasts", "20", "--slots-per-day", "24",
+                  "--method", "persistence"],
+        "synth": ["synth", "--output", str(out), "--days", "2", "--slots-per-day", "24"],
+    }[command]
+
+
+class TestAcceptedFlags:
+    def test_each_command_accepts_only_the_flags_it_reads(self):
+        [commands] = [action for action in _build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction)]
+        accepted = {
+            name: {option for action in parser._actions for option in action.option_strings
+                   if option.startswith("--")} - {"--help"}
+            for name, parser in commands.choices.items()
+        }
+        assert accepted == ACCEPTED_FLAGS
+        assert sum(len(flags) for flags in accepted.values()) == 67
+        assert len(REMOVED_FLAGS) == 26
+
+    @pytest.mark.parametrize("command", ["forecast", "anomaly", "bench", "synth"])
+    def test_base_runs_exit_0(self, tmp_path, capsys, command):
+        series = tmp_path / "series.csv"
+        run(capsys, "synth", "--output", str(series), "--days", "2", "--slots-per-day", "24")
+        out = tmp_path / "out.csv"
+        code, stdout, _ = run(capsys, *base_argv(command, series, out))
+        assert code == 0
+        assert out.exists() or (command == "bench" and stdout)
+
+    @pytest.mark.parametrize("via", ["argv", "config"])
+    @pytest.mark.parametrize("command,flag", REMOVED_FLAGS,
+                             ids=[f"{c}{f}" for c, f in REMOVED_FLAGS])
+    def test_removed_flag_exits_1_before_any_file(
+        self, tmp_path, capsys, monkeypatch, command, flag, via
+    ):
+        series = tmp_path / "series.csv"
+        run(capsys, "synth", "--output", str(series), "--days", "2", "--slots-per-day", "24")
+        out = tmp_path / "out.csv"
+        value = {"--input": str(series), "--output": str(out)}.get(flag) or FLAG_VALUES[flag]
+        if via == "argv":
+            extra = [flag, value]
+        else:
+            conf = tmp_path / "run.conf"
+            conf.write_text(f"{flag[2:]}={value}\n")
+            extra = ["--config", str(conf)]
+        opened = []
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        code, stdout, err = run(capsys, *base_argv(command, series, out), *extra)
+        assert code == 1
+        assert err.split("unrecognized arguments:")[1].split()[0] == flag
+        assert stdout == ""
+        assert opened == []
+        assert not out.exists()
+
+
+def test_gap_rows_follow_one_rule_in_every_command(tmp_path, capsys):
+    """A gap row's timestamp is parsed and aligned like any other row's, so
+    the same file fails the same way in evaluate, forecast and anomaly."""
+    cases = {
+        "timestamp,value\n0,1\n3600,2\nnot-a-time,\n7200,3\n": 4,
+        "timestamp,value\n0,1\n1800,\n3600,2\n": 3,
+        "timestamp,value\n0,1\n3600,nan\n7200,oops\n": 4,
+    }
+    for number, (text, line) in enumerate(cases.items()):
+        path = tmp_path / f"gaps{number}.csv"
+        path.write_text(text)
+        common = ["--input", str(path), "--interval", "3600", "--k", "0"]
+        for argv in (["evaluate", *common, "--test-start", "0", "--test-end", "7200"],
+                     ["forecast", *common, "--output", str(tmp_path / "fc.csv")],
+                     ["anomaly", *common, "--output", str(tmp_path / "an.csv")]):
+            code, _, err = run(capsys, *argv)
+            assert code == 2, (text, argv[0])
+            assert f"{path}:{line}:" in err, (text, argv[0])
 
 
 @pytest.mark.parametrize("flag", [["--c", "-1"], ["--c-floor", "0"]], ids=["c", "c-floor"])

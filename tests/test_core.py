@@ -12,9 +12,9 @@ from qbsd.core import (
     compute_quartiles,
     compute_residuals,
     contingency_constant,
-    forecast_from_subset,
     interpolated_percentile,
     qbsd_step,
+    quartile_forecast,
 )
 from qbsd.errors import ConfigError, EmptyInput, InsufficientHistory, InvalidConstant
 from qbsd.timegrid import DAILY, SlotCoord, default_weekly_scheme
@@ -83,30 +83,34 @@ class TestQuartiles:
 
 
 class TestForecastFromSubset:
+    """The forecast of ``quartile_forecast`` over a subset's values."""
+
+    CFG = QbsdConfig(scheme=SCHEME, c=1.0, min_samples=3)
+
     def test_interior_mean(self):
-        forecast, fallback = forecast_from_subset(list(range(1, 10)))
-        assert forecast == 5.0
-        assert fallback is False
+        fo = quartile_forecast(list(range(1, 10)), 9, self.CFG)
+        assert fo.forecast == 5.0
+        assert fo.fallback_used is False
 
     def test_constant_falls_back_to_median(self):
-        forecast, fallback = forecast_from_subset([7.5] * 6)
-        assert forecast == 7.5
-        assert fallback is True
+        fo = quartile_forecast([7.5] * 6, 6, self.CFG)
+        assert fo.forecast == 7.5
+        assert fo.fallback_used is True
 
     def test_four_point_interior(self):
-        forecast, fallback = forecast_from_subset([1, 2, 3, 4])
-        assert forecast == 2.5
-        assert fallback is False
-
-    def test_empty_rejected(self):
-        with pytest.raises(EmptyInput):
-            forecast_from_subset([])
+        fo = quartile_forecast([1, 2, 3, 4], 4, self.CFG)
+        assert fo.forecast == 2.5
+        assert fo.fallback_used is False
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=60))
     def test_forecast_bounded_by_sample_extremes(self, values):
-        forecast, _ = forecast_from_subset(values)
-        assert min(values) <= forecast <= max(values)
+        if len(values) < self.CFG.min_samples:
+            with pytest.raises(InsufficientHistory):
+                quartile_forecast(values, 60, self.CFG)
+            return
+        fo = quartile_forecast(values, 60, self.CFG)
+        assert min(values) <= fo.forecast <= max(values)
 
 
 class TestResiduals:
