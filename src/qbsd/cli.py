@@ -43,7 +43,7 @@ from .datasets import (
     series_rows,
     skipped_count,
 )
-from .engine import RollingForecaster
+from .engine import RollingForecaster, default_capacity
 from .errors import (
     ConfigError,
     DataError,
@@ -143,6 +143,11 @@ def _parse_methods(text: str, g: Granularity) -> list[tuple[str, object]]:
         if not token:
             continue
         name, _, arg = token.partition(":")
+        if arg and name in ("qbsd", "persistence"):
+            raise ConfigError(
+                f"method {token!r}: {name} takes no argument; only seasonal-naive "
+                "and moving-average take :<slots>"
+            )
         if arg:
             try:
                 arg_slots = int(arg)
@@ -205,6 +210,8 @@ def _load_config_flags(path: str) -> list[str]:
         if not sep:
             raise ConfigError(f"{path}:{number}: expected key=value, got {line!r}")
         flag = "--" + key.strip().replace("_", "-")
+        if flag == "--config":
+            raise ConfigError(f"{path}:{number}: a config file cannot name another one")
         value = value.strip()
         if value.lower() == "true":
             flags.append(flag)
@@ -217,18 +224,18 @@ def _load_config_flags(path: str) -> list[str]:
 
 def _inject_config(argv: list[str]) -> list[str]:
     """Splice config-file entries right after the subcommand so that flags
-    typed on the command line override them."""
-    path = None
+    typed on the command line override them. A run reads one config file."""
+    paths = []
     for i, token in enumerate(argv):
         if token == "--config" and i + 1 < len(argv):
-            path = argv[i + 1]
-            break
-        if token.startswith("--config="):
-            path = token.split("=", 1)[1]
-            break
-    if path is None or not argv:
+            paths.append(argv[i + 1])
+        elif token.startswith("--config="):
+            paths.append(token.split("=", 1)[1])
+    if len(paths) > 1:
+        raise ConfigError(f"one --config per run, got {len(paths)}: {', '.join(paths)}")
+    if not paths:
         return argv
-    return argv[:1] + _load_config_flags(path) + argv[1:]
+    return argv[:1] + _load_config_flags(paths[0]) + argv[1:]
 
 
 class RecordWriter:
@@ -360,7 +367,6 @@ def _resolve_descriptor(args, need_test_range: bool) -> DatasetDescriptor:
     g = Granularity(args.interval)
     k = args.k if args.k is not None else 4
     scheme = _parse_scheme(args.scheme or "weekly4", k, g)
-    train_days = args.train_window if args.train_window is not None else 28
     if need_test_range:
         if args.test_start is None or args.test_end is None:
             raise ConfigError(
@@ -374,7 +380,11 @@ def _resolve_descriptor(args, need_test_range: bool) -> DatasetDescriptor:
         frequency=g,
         timestamp_column=args.timestamp_column or "timestamp",
         target_column=args.value_column or "value",
-        train_window_seconds=train_days * 86400,
+        train_window_seconds=(
+            args.train_window * 86400
+            if args.train_window is not None
+            else default_capacity(scheme, g) * g.interval_seconds
+        ),
         k_seconds=k * g.interval_seconds,
         scheme=scheme,
         test_range=test_range,
@@ -511,7 +521,7 @@ def _write_report(handle: TextIO, fmt: str, payload: dict) -> None:
 def _render_evaluation(args, desc: DatasetDescriptor, results: list[_MethodResult]) -> None:
     rows = _evaluation_rows(results)
     payload = {"dataset": desc.name, "methods": rows}
-    fmt = args.format or "table"
+    fmt = args.format
     if fmt != "table":
         _write_report(sys.stdout, fmt, payload)
     else:
@@ -576,14 +586,13 @@ def _stream_one(args, desc: DatasetDescriptor, cfg: QbsdConfig, smoother: Smooth
     the rows of the first scheme-span while it estimates c from them. Memory
     stays bounded by the retained window and those rows."""
     g = desc.frequency
-    capacity = desc.train_window_slots if args.train_window is not None else None
     with series_rows(input_path, desc.timestamp_column, desc.target_column) as rows:
         points = _points(rows, input_path, g)
         if threshold is not None and args.c is None:
             c, held = _estimate_c(points, desc.scheme.span_slots, cfg.c)
             cfg = replace(cfg, c=c)
             points = chain(held, points)
-        forecaster = RollingForecaster(cfg, g, capacity_slots=capacity)
+        forecaster = RollingForecaster(cfg, g, capacity_slots=desc.train_window_slots)
         writer = RecordWriter(out_handle, smoother=smoother, threshold=threshold)
         for record in replay(forecaster, points):
             writer.write(record)
@@ -628,10 +637,8 @@ def cmd_forecast(args) -> int:
 
 
 def cmd_anomaly(args) -> int:
-    if args.threshold is None or args.threshold <= 0:
-        raise ConfigError(
-            f"--threshold must be > 0, got {args.threshold}"
-        )
+    if args.threshold <= 0:
+        raise ConfigError(f"--threshold must be > 0, got {args.threshold}")
     return _run_streaming_command(args, threshold=args.threshold)
 
 
@@ -723,8 +730,8 @@ def cmd_bench(args) -> int:
     if n < 1:
         raise ConfigError("--forecasts must be >= 1")
     k = args.k if args.k is not None else 4
-    spd = args.slots_per_day or 96
-    g = Granularity(86400 // spd)
+    spd = args.slots_per_day
+    g = SynthSpec(slots_per_day=spd).granularity  # checks spd before the grid is built
     scheme = _parse_scheme(args.scheme or "weekly4", k, g)
     methods = _parse_methods(args.method or "seasonal-naive,persistence,moving-average", g)
 
@@ -756,7 +763,7 @@ def cmd_synth(args) -> int:
         raise ConfigError("--output is required")
     spec = SynthSpec(
         days=args.days,
-        slots_per_day=args.slots_per_day or 96,
+        slots_per_day=args.slots_per_day,
         noise_std=args.noise_std or 0.0,
         weekday_scale=args.weekday_scale,
         weekend_scale=args.weekend_scale,
@@ -843,7 +850,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--forecasts", type=int, default=10000,
                          help="forecasts per measurement")
     p_bench.add_argument("--buffer-weeks", help="retained-buffer sizes, e.g. 4,16")
-    p_bench.add_argument("--slots-per-day", type=int, help="grid density")
+    p_bench.add_argument("--slots-per-day", type=int, default=96, help="grid density")
     p_bench.add_argument("--method", help="baselines to include alongside qbsd")
 
     p_synth = command("synth", "generate a synthetic KPI-like CSV", cmd_synth)
@@ -851,7 +858,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--seed", type=int, help="noise seed")
     p_synth.add_argument("--noise-std", type=float, help="noise sigma")
     p_synth.add_argument("--days", type=int, default=56)
-    p_synth.add_argument("--slots-per-day", type=int, help="grid density")
+    p_synth.add_argument("--slots-per-day", type=int, default=96, help="grid density")
     p_synth.add_argument("--weekday-scale", type=float, default=1.0)
     p_synth.add_argument("--weekend-scale", type=float, default=0.6)
     p_synth.add_argument("--anomalies", help="injections as slot:magnitude,...")

@@ -310,9 +310,10 @@ class SynthSpec:
     def __post_init__(self) -> None:
         if self.days < 1:
             raise ConfigError(f"days must be >= 1, got {self.days}")
-        if SECONDS_PER_DAY % self.slots_per_day:
+        if self.slots_per_day < 1 or SECONDS_PER_DAY % self.slots_per_day:
             raise ConfigError(
-                f"slots_per_day must divide {SECONDS_PER_DAY}, got {self.slots_per_day}"
+                f"slots_per_day must be a positive divisor of {SECONDS_PER_DAY}, "
+                f"got {self.slots_per_day}"
             )
         if self.profile is not None and len(self.profile) != self.slots_per_day:
             raise ConfigError(

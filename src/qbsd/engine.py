@@ -20,12 +20,19 @@ from .core import (
     quartile_forecast_sorted,
 )
 from .errors import ConfigError, GridMisaligned, InsufficientHistory, InsufficientSpan, StaleSlot
-from .timegrid import Granularity, SlotCoord
+from .timegrid import Granularity, SeasonalityScheme, SlotCoord
 
 # Not called by the forecast path; importable from this module because
 # perfbench/tracer.py looks them up here by name.
 from .core import qbsd_step  # noqa: F401
 from .timegrid import resolve_subset_slots  # noqa: F401
+
+
+def default_capacity(scheme: SeasonalityScheme, granularity: Granularity) -> int:
+    """The retained window, in slots, when none is given: the scheme's
+    deepest lag plus one week (28 days for the 4-week scheme), or plus
+    k + 1 slots if that is longer."""
+    return scheme.max_lag_slots + max(granularity.slots_per_week, scheme.k + 1)
 
 
 class SlidingHistory:
@@ -112,10 +119,9 @@ class SlidingHistory:
 class RollingForecaster:
     """Rolling QBSD state for one series.
 
-    The buffer capacity defaults to the scheme's deepest lag plus one week
-    (28 days for the default 4-week scheme). Capacities down to the scheme
-    span still support in-order observe streaming; a larger capacity changes
-    memory use but never outputs.
+    The buffer capacity defaults to ``default_capacity(scheme, granularity)``.
+    Capacities down to the scheme span still support in-order observe
+    streaming; a larger capacity changes memory use but never outputs.
 
     A forecast gathers the target's present subset values from the history
     and sorts them. On a wide scheme the forecaster also keeps that sorted
@@ -138,9 +144,7 @@ class RollingForecaster:
         scheme = cfg.scheme
         required = scheme.span_slots
         if capacity_slots is None:
-            capacity_slots = scheme.max_lag_slots + max(
-                granularity.slots_per_week, scheme.k + 1
-            )
+            capacity_slots = default_capacity(scheme, granularity)
         elif capacity_slots < required:
             raise ConfigError(
                 f"capacity {capacity_slots} is below the scheme span of "

@@ -95,9 +95,9 @@ def smooth(series: Sequence[float], spec: SmootherSpec) -> np.ndarray:
 class StreamingSmoother:
     """Centered smoothing one value at a time, in memory bounded by the window.
 
-    push() returns the smoothed values that became final, oldest first;
-    finish() returns the rest, or raises `SeriesTooShort` when fewer values
-    than the window were pushed.
+    push() returns the smoothed values that became final, oldest first,
+    and nothing until a full window is in; finish() returns the rest, or
+    raises `SeriesTooShort` when fewer values than the window were pushed.
 
     Savitzky-Golay dots the weights with each full window, and the first and
     last half windows come from the polynomial fitted to the first and last
@@ -129,16 +129,15 @@ class StreamingSmoother:
         self._ring[pos] = self._ring[pos + n] = value
         pos = self._pos = (pos + 1) % n
         count = self._count = self._count + 1
-        if self._weights is None:
-            if count <= self._lag:
-                return []
-            # the value lag positions back: its window is clipped only at
-            # the head, so it is the last min(count, n) values
-            size = min(count, n)
-            return [sum(self._ring[pos + n - size : pos + n].tolist()) / size]
         if count < n:
             return []
         window = self._ring[pos : pos + n]
+        if self._weights is None:
+            values = window.tolist()
+            if count == n:
+                # the first n - lag values, windows clipped at the head
+                return [sum(values[:size]) / size for size in range(self._lag + 1, n + 1)]
+            return [sum(values) / n]
         out = _edge_fit(window, self._polyorder, range(self._lag)) if count == n else []
         out.append(float(np.dot(self._weights, window)))
         return out

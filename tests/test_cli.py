@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from qbsd import cli
 from qbsd.cli import (
+    RecordWriter,
     _build_parser,
     _estimate_c,
     _parse_smoother,
@@ -20,11 +21,13 @@ from qbsd.cli import (
     main,
 )
 from qbsd.core import contingency_constant
-from qbsd.datasets import format_timestamp, parse_timestamp, series_rows
+from qbsd.datasets import StepRecord, format_timestamp, parse_timestamp, series_rows
+from qbsd.engine import RollingForecaster, default_capacity
 from qbsd.errors import DataError
-from qbsd.smoothing import smooth
+from qbsd.smoothing import MovingAverage, smooth
 from qbsd.timegrid import (
     Granularity,
+    SlotCoord,
     align,
     default_weekly_scheme,
     weekly_plus_yearly_scheme,
@@ -80,6 +83,17 @@ class TestSynth:
                            str(tmp_path / "no" / "dir.csv"))
         assert code == 2
         assert "no" in err
+
+    @pytest.mark.parametrize("command", ["synth", "bench"])
+    @pytest.mark.parametrize("slots_per_day", ["0", "-24", "7"])
+    def test_bad_slots_per_day_exits_1(self, tmp_path, capsys, command, slots_per_day):
+        out = tmp_path / "z.csv"
+        flags = ["--output", str(out)] if command == "synth" else ["--forecasts", "20"]
+        code, stdout, err = run(capsys, command, "--slots-per-day", slots_per_day, *flags)
+        assert code == 1
+        assert f"slots_per_day must be a positive divisor of 86400, got {slots_per_day}" in err
+        assert stdout == ""
+        assert not out.exists()
 
 
 class TestForecast:
@@ -350,6 +364,39 @@ class TestEvaluate:
         qbsd_line = [l for l in stdout.splitlines() if l.startswith("qbsd")][0]
         assert "0.00" in qbsd_line
 
+    @pytest.mark.parametrize("scheme,interval,k,days,train_days", [
+        ("weekly6", 3600, 2, 56, 42),
+        ("weekly_plus_yearly", 86400, 2, 420, 371),
+        ("custom:0,7,14,21,28,35", 3600, 1, 56, 42),
+    ], ids=["weekly6", "weekly_plus_yearly", "custom-6-weeks"])
+    def test_custom_csv_keeps_the_default_window(
+        self, tmp_path, capsys, scheme, interval, k, days, train_days
+    ):
+        """Without --train-window a custom CSV keeps the forecaster's default
+        window (the deepest lag plus one week) in every command."""
+        path = tmp_path / "series.csv"
+        run(capsys, "synth", "--output", str(path), "--days", str(days),
+            "--slots-per-day", str(86400 // interval), "--noise-std", "5", "--seed", "3")
+        test_start = format_timestamp((train_days + 1) * 86400)
+        test_end = format_timestamp(days * 86400 - interval)
+        commands = {
+            "forecast": ["forecast"],
+            "anomaly": ["anomaly", "--smoother", "ma:4"],
+            "evaluate": ["evaluate", "--format", "json",
+                         "--test-start", test_start, "--test-end", test_end],
+        }
+        for name, argv in commands.items():
+            outputs = []
+            for window in ([], ["--train-window", str(train_days)]):
+                out = tmp_path / f"{name}{len(window)}.csv"
+                code, stdout, err = run(capsys, *argv, "--input", str(path),
+                                        "--interval", str(interval), "--k", str(k),
+                                        "--scheme", scheme, "--output", str(out), *window)
+                assert code == 0, (name, err)
+                outputs.append((stdout, out.read_bytes()))
+            assert outputs[0] == outputs[1], name
+            assert any(row["forecast"] for row in read_rows(out)), name
+
     def test_custom_needs_test_range(self, tmp_path, capsys):
         path = tmp_path / "series.csv"
         run(capsys, "synth", "--output", str(path), "--days", "56")
@@ -385,6 +432,19 @@ class TestSchemeAndMethodFlags:
         assert code == 0
         line = [l for l in stdout.splitlines() if l.startswith("seasonal-naive")][0]
         assert "0.00" in line  # one week of 15-min slots: exact on periodic data
+
+    @pytest.mark.parametrize("argv,token", [
+        (["evaluate", "--dataset", "synthetic", "--method", "qbsd:3,persistence:9"],
+         "qbsd:3"),
+        (["evaluate", "--dataset", "synthetic", "--method", "qbsd,persistence:9"],
+         "persistence:9"),
+        (["bench", "--forecasts", "20", "--method", "persistence:5"], "persistence:5"),
+    ], ids=["evaluate-qbsd", "evaluate-persistence", "bench-persistence"])
+    def test_argument_to_a_method_without_one_exits_1(self, capsys, argv, token):
+        code, stdout, err = run(capsys, *argv)
+        assert code == 1
+        assert repr(token) in err
+        assert stdout == ""
 
     def test_unknown_method(self, capsys):
         code, _, err = run(capsys, "evaluate", "--dataset", "synthetic",
@@ -459,6 +519,20 @@ class TestSchemeAndMethodFlags:
             for column in ("q1", "q3"):
                 want = smooth([float(r[column]) for r in seg], spec)
                 assert [r[column + "_smooth"] for r in seg] == [repr(v) for v in want.tolist()]
+
+    def test_short_moving_average_segment_is_written_unsmoothed(self):
+        out = io.StringIO()
+        writer = RecordWriter(out, smoother=MovingAverage(4))
+        g = Granularity(3600)
+        # a 3-row segment, a warmup row, then a 4-row segment
+        for slot, q1 in enumerate([1.0, 2.0, 3.0, None, 1.0, 2.0, 4.0, 8.0]):
+            q3 = None if q1 is None else q1 + 1.0
+            writer.write(StepRecord(slot=SlotCoord(slot, g), actual=1.0, q1=q1, q3=q3))
+        writer.close()
+        rows = list(csv.DictReader(io.StringIO(out.getvalue())))
+        assert [r["q1_smooth"] + r["q3_smooth"] for r in rows[:4]] == [""] * 4
+        want = smooth([1.0, 2.0, 4.0, 8.0], MovingAverage(4))
+        assert [r["q1_smooth"] for r in rows[4:]] == [repr(v) for v in want.tolist()]
 
     def test_bad_smoother(self, tmp_path, capsys):
         code, _, err = run(capsys, "forecast", "--input", "x.csv",
@@ -581,6 +655,35 @@ class TestConfigFile:
                               "--format", "csv")
         assert code == 0
         assert stdout.startswith("method,")
+
+    @pytest.mark.parametrize("spelling", ["--config {}", "--config={}"])
+    def test_second_config_file_exits_1_before_it_is_read(
+        self, tmp_path, capsys, spelling
+    ):
+        one, two = tmp_path / "one.conf", tmp_path / "two.conf"
+        one.write_text("format=json\n")
+        two.write_text("format=csv\n")
+        report = tmp_path / "report.json"
+        flags = [f for path in (one, two) for f in spelling.format(path).split()]
+        code, stdout, err = run(capsys, "evaluate", "--dataset", "synthetic",
+                                "--method", "persistence", "--report", str(report), *flags)
+        assert code == 1
+        assert "one --config per run" in err
+        assert stdout == ""
+        assert not report.exists()
+
+    def test_config_key_in_config_file_exits_1(self, tmp_path, capsys):
+        one, two = tmp_path / "one.conf", tmp_path / "two.conf"
+        one.write_text("format=json\nconfig=two.conf\n")
+        two.write_text("format=csv\n")
+        report = tmp_path / "report.json"
+        code, stdout, err = run(capsys, "evaluate", "--dataset", "synthetic",
+                                "--method", "persistence", "--report", str(report),
+                                "--config", str(one))
+        assert code == 1
+        assert f"{one}:2: a config file cannot name another one" in err
+        assert stdout == ""
+        assert not report.exists()
 
     def test_malformed_config(self, tmp_path, capsys):
         conf = tmp_path / "bad.conf"
@@ -705,6 +808,26 @@ class TestAcceptedFlags:
         assert stdout == ""
         assert opened == []
         assert not out.exists()
+
+
+def test_one_default_window():
+    """A custom CSV's window is the forecaster's own default: the deepest
+    lag plus one week, or plus k + 1 slots where that is longer."""
+    cases = [
+        ("weekly4", 900, 4, 28), ("weekly4", 3600, 1, 28), ("weekly4", 86400, 2, 28),
+        ("weekly6", 3600, 2, 42), ("weekly6", 86400, 0, 42),
+        ("weekly_plus_yearly", 3600, 16, 371), ("weekly_plus_yearly", 86400, 2, 371),
+        ("custom:0,7,14,21,28,35", 900, 8, 42), ("custom:0,7,14,21,28,35", 86400, 1, 42),
+        ("custom:0,21", 86400, 10, 32),
+    ]
+    for scheme, interval, k, days in cases:
+        g = Granularity(interval)
+        argv = ["forecast", "--interval", str(interval), "--k", str(k), "--scheme", scheme]
+        desc = _resolve_descriptor(_build_parser().parse_args(argv), need_test_range=False)
+        capacity = default_capacity(desc.scheme, g)
+        assert capacity == days * g.slots_per_day, scheme
+        assert RollingForecaster(desc.qbsd_config(), g).history.capacity == capacity
+        assert desc.train_window_slots == capacity
 
 
 def test_gap_rows_follow_one_rule_in_every_command(tmp_path, capsys):
