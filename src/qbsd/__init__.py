@@ -7,7 +7,6 @@ fit stage: model state is just a FIFO history window.
 """
 
 from .core import (
-    ContextualSubset,
     ForecastOutput,
     QbsdConfig,
     Quartiles,

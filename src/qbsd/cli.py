@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import statistics
 import sys
 import time
@@ -25,7 +26,6 @@ from .core import (
     DEFAULT_C_FLOOR_CONTINUOUS,
     QbsdConfig,
     contingency_constant,
-    default_min_samples,
 )
 from .datasets import (
     DatasetDescriptor,
@@ -153,20 +153,16 @@ def _parse_methods(text: str, g: Granularity) -> list[tuple[str, object]]:
                 arg_slots = int(arg)
             except ValueError:
                 raise ConfigError(f"bad method argument in {token!r}; expected slots")
-        else:
-            arg_slots = None
+        else:  # the baselines' defaults: one week's season, one day's window
+            arg_slots = g.slots_per_week if name == "seasonal-naive" else g.slots_per_day
         if name == "qbsd":
             methods.append(("qbsd", "qbsd"))
         elif name == "seasonal-naive":
-            methods.append(
-                (token, bl.SeasonalNaive(arg_slots or g.slots_per_week))
-            )
+            methods.append((token, bl.SeasonalNaive(arg_slots)))
         elif name == "persistence":
             methods.append((token, bl.Persistence()))
         elif name == "moving-average":
-            methods.append(
-                (token, bl.MovingAverage(arg_slots or g.slots_per_day))
-            )
+            methods.append((token, bl.MovingAverage(arg_slots)))
         else:
             raise ConfigError(
                 f"unknown method {name!r}; use qbsd, seasonal-naive[:slots], "
@@ -372,7 +368,10 @@ def _resolve_descriptor(args, need_test_range: bool) -> DatasetDescriptor:
             raise ConfigError(
                 "--test-start and --test-end are required for custom datasets"
             )
-        test_range = (parse_timestamp(args.test_start), parse_timestamp(args.test_end))
+        test_range = (
+            _flag_timestamp("--test-start", args.test_start, g),
+            _flag_timestamp("--test-end", args.test_end, g),
+        )
     else:
         test_range = (0, 0)
     return DatasetDescriptor(
@@ -391,6 +390,17 @@ def _resolve_descriptor(args, need_test_range: bool) -> DatasetDescriptor:
     )
 
 
+def _flag_timestamp(flag: str, text: str, g: Granularity) -> int:
+    """Epoch seconds of a timestamp flag value on grid g; an unparseable or
+    off-grid value is a usage error."""
+    try:
+        timestamp = parse_timestamp(text)
+        align(timestamp, g)
+    except DataError as exc:
+        raise ConfigError(f"{flag}: {exc}") from exc
+    return timestamp
+
+
 def _load_frame(args, desc: DatasetDescriptor, input_path: Optional[str]) -> SeriesFrame:
     if desc.name == "synthetic" and input_path is None:
         return generate_synthetic(
@@ -405,14 +415,14 @@ def _load_frame(args, desc: DatasetDescriptor, input_path: Optional[str]) -> Ser
 
 def _resolve_c(args) -> float:
     """``--c`` when given, else the ``--c-floor`` that an estimate of c is
-    floored at; either must be > 0."""
+    floored at; either must be finite and > 0."""
     if args.c is not None:
-        if args.c <= 0:
-            raise ConfigError(f"--c must be > 0, got {args.c}")
+        if not 0 < args.c < math.inf:
+            raise ConfigError(f"--c must be finite and > 0, got {args.c}")
         return args.c
     floor = args.c_floor if args.c_floor is not None else DEFAULT_C_FLOOR_CONTINUOUS
-    if floor <= 0:
-        raise ConfigError(f"--c-floor must be > 0, got {floor}")
+    if not 0 < floor < math.inf:
+        raise ConfigError(f"--c-floor must be finite and > 0, got {floor}")
     return floor
 
 
@@ -637,8 +647,8 @@ def cmd_forecast(args) -> int:
 
 
 def cmd_anomaly(args) -> int:
-    if args.threshold <= 0:
-        raise ConfigError(f"--threshold must be > 0, got {args.threshold}")
+    if not 0 < args.threshold < math.inf:
+        raise ConfigError(f"--threshold must be finite and > 0, got {args.threshold}")
     return _run_streaming_command(args, threshold=args.threshold)
 
 
@@ -679,7 +689,7 @@ def measure_qbsd_latency(
             seed=seed,
         )
     )
-    cfg = QbsdConfig(scheme=scheme, c=1.0, min_samples=default_min_samples(scheme))
+    cfg = QbsdConfig(scheme=scheme, c=1.0)
     last = frame.last_slot
     # a target above last - capacity + span has its whole subset in every buffer
     first = max(last - 500, last - capacity + span + 1)
@@ -724,6 +734,8 @@ def cmd_bench(args) -> int:
         buffer_weeks = tuple(int(w) for w in (args.buffer_weeks or "4,16").split(","))
     except ValueError:
         raise ConfigError(f"bad --buffer-weeks {args.buffer_weeks!r}")
+    if len(set(buffer_weeks)) < len(buffer_weeks):
+        raise ConfigError(f"--buffer-weeks repeats a size: {args.buffer_weeks!r}")
     if len(buffer_weeks) < 2:
         raise ConfigError("--buffer-weeks needs at least two sizes, e.g. 4,16")
     n = args.forecasts
@@ -770,9 +782,8 @@ def cmd_synth(args) -> int:
         anomalies=_parse_anomalies(args.anomalies),
         seed=args.seed or 0,
     )
+    start = _flag_timestamp("--start", args.start, spec.granularity)
     frame = generate_synthetic(spec)
-    start = parse_timestamp(args.start)
-    align(start, frame.granularity)  # validates the offset stays on the grid
     interval = frame.granularity.interval_seconds
     with open(args.output, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")

@@ -25,7 +25,6 @@ from .core import (
     DEFAULT_C_FLOOR_CONTINUOUS,
     QbsdConfig,
     contingency_constant,
-    default_min_samples,
 )
 from .engine import RollingForecaster, SlidingHistory
 from .errors import (
@@ -320,8 +319,16 @@ class SynthSpec:
                 f"profile has {len(self.profile)} entries for "
                 f"{self.slots_per_day} slots per day"
             )
-        if self.noise_std < 0:
-            raise ConfigError("noise_std must be >= 0")
+        if not 0 <= self.noise_std < math.inf:
+            raise ConfigError(f"noise_std must be finite and >= 0, got {self.noise_std}")
+        n = self.days * self.slots_per_day
+        seen = set()
+        for slot, _ in self.anomalies:
+            if not 0 <= slot < n:
+                raise ConfigError(f"anomaly slot {slot} is outside [0, {n})")
+            if slot in seen:
+                raise ConfigError(f"anomaly slot {slot} is given twice")
+            seen.add(slot)
 
     @property
     def granularity(self) -> Granularity:
@@ -385,7 +392,7 @@ class DatasetDescriptor:
         if start > end:
             raise ConfigError(f"{self.name}: empty test range")
         if start % interval or end % interval:
-            raise GridMisaligned(f"{self.name}: test range is off the grid")
+            raise ConfigError(f"{self.name}: test range is off the grid")
 
     @property
     def k_slots(self) -> int:
@@ -405,8 +412,6 @@ class DatasetDescriptor:
         c: float = 1.0,
         min_samples: Optional[int] = None,
     ) -> QbsdConfig:
-        if min_samples is None:
-            min_samples = default_min_samples(self.scheme)
         return QbsdConfig(scheme=self.scheme, c=c, min_samples=min_samples)
 
 

@@ -16,15 +16,13 @@ from .core import (
     QbsdConfig,
     Residuals,
     compute_residuals,
-    quartile_forecast,
-    quartile_forecast_sorted,
+    qbsd_step,
 )
 from .errors import ConfigError, GridMisaligned, InsufficientHistory, InsufficientSpan, StaleSlot
 from .timegrid import Granularity, SeasonalityScheme, SlotCoord
 
 # Not called by the forecast path; importable from this module because
-# perfbench/tracer.py looks them up here by name.
-from .core import qbsd_step  # noqa: F401
+# perfbench/tracer.py looks it up here by name.
 from .timegrid import resolve_subset_slots  # noqa: F401
 
 
@@ -204,8 +202,8 @@ class RollingForecaster:
                 "which falls before the epoch"
             )
         if self._edges is None:
-            values = self.history.gather(base, self._offsets)
-            return quartile_forecast(values, len(self._offsets), self.cfg)
+            ordered = sorted(self.history.gather(base, self._offsets))
+            return qbsd_step(ordered, len(self._offsets), self.cfg)
         history = self.history
         writes = history.writes
         # Slide only from the previous target, and only if the history is
@@ -228,7 +226,7 @@ class RollingForecaster:
                 base = None
         self._base = base
         self._writes = writes
-        return quartile_forecast_sorted(self._ordered, len(self._offsets), self.cfg)
+        return qbsd_step(self._ordered, len(self._offsets), self.cfg)
 
     def _slide(self, base: int) -> bool:
         """Move the sorted subset from target base - 1 to base in place.

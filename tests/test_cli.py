@@ -95,6 +95,25 @@ class TestSynth:
         assert stdout == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--noise-std", "nan"], "noise_std must be finite and >= 0, got nan"),
+        (["--noise-std", "inf"], "noise_std must be finite and >= 0, got inf"),
+        (["--anomalies", "999999:500"], "anomaly slot 999999 is outside [0, 168)"),
+        (["--anomalies=-3:100"], "anomaly slot -3 is outside [0, 168)"),
+        (["--anomalies", "50:+500,50:-500"], "anomaly slot 50 is given twice"),
+        (["--start", "5"], "--start: timestamp 5 is not a multiple of 3600 s"),
+        (["--start", "garbage"], "--start: unparseable timestamp 'garbage'"),
+    ], ids=["noise-nan", "noise-inf", "anomaly-past-end", "anomaly-negative",
+            "anomaly-repeated", "start-off-grid", "start-garbage"])
+    def test_ignored_or_non_finite_input_exits_1(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "z.csv"
+        code, stdout, err = run(capsys, "synth", "--output", str(out), "--days", "7",
+                                "--slots-per-day", "24", *flags)
+        assert code == 1
+        assert message in err
+        assert stdout == ""
+        assert not out.exists()
+
 
 class TestForecast:
     @pytest.fixture
@@ -250,6 +269,13 @@ class TestAnomaly:
         assert code == 1
         assert "threshold" in err
 
+    @pytest.mark.parametrize("threshold", ["nan", "inf"])
+    def test_non_finite_threshold_rejected(self, tmp_path, capsys, threshold):
+        code, _, err = run(capsys, "anomaly", "--input", str(tmp_path / "unread.csv"),
+                           "--interval", "900", "--threshold", threshold)
+        assert code == 1
+        assert f"--threshold must be finite and > 0, got {threshold}" in err
+
     def test_clean_series_no_anomalies(self, tmp_path, capsys):
         path = tmp_path / "series.csv"
         run(capsys, "synth", "--output", str(path), "--days", "56")
@@ -397,6 +423,20 @@ class TestEvaluate:
             assert outputs[0] == outputs[1], name
             assert any(row["forecast"] for row in read_rows(out)), name
 
+    @pytest.mark.parametrize("test_start,message", [
+        ("garbage", "--test-start: unparseable timestamp 'garbage'"),
+        ("1970-01-29T00:00:05",
+         "--test-start: timestamp 2419205 is not a multiple of 900 s"),
+    ], ids=["unparseable", "off-grid"])
+    def test_bad_test_start_exits_1(self, tmp_path, capsys, test_start, message):
+        code, stdout, err = run(capsys, "evaluate", "--interval", "900",
+                                "--input", str(tmp_path / "unread.csv"),
+                                "--test-start", test_start,
+                                "--test-end", "1970-02-01T00:00:00")
+        assert code == 1
+        assert message in err
+        assert stdout == ""
+
     def test_custom_needs_test_range(self, tmp_path, capsys):
         path = tmp_path / "series.csv"
         run(capsys, "synth", "--output", str(path), "--days", "56")
@@ -444,6 +484,17 @@ class TestSchemeAndMethodFlags:
         code, stdout, err = run(capsys, *argv)
         assert code == 1
         assert repr(token) in err
+        assert stdout == ""
+
+    @pytest.mark.parametrize("token,message", [
+        ("seasonal-naive:0", "season_slots must be >= 1, got 0"),
+        ("moving-average:0", "window_slots must be >= 1, got 0"),
+    ], ids=["seasonal-naive", "moving-average"])
+    def test_zero_method_argument_exits_1(self, capsys, token, message):
+        code, stdout, err = run(capsys, "evaluate", "--dataset", "synthetic",
+                                "--method", f"qbsd,{token}")
+        assert code == 1
+        assert message in err
         assert stdout == ""
 
     def test_unknown_method(self, capsys):
@@ -557,6 +608,14 @@ class TestBench:
     def test_bad_buffer_weeks(self, capsys):
         code, _, err = run(capsys, "bench", "--buffer-weeks", "x,y")
         assert code == 1
+
+    @pytest.mark.parametrize("weeks", ["4,4", "4,16,16"])
+    def test_repeated_buffer_size_exits_1(self, capsys, weeks):
+        code, stdout, err = run(capsys, "bench", "--forecasts", "20",
+                                "--buffer-weeks", weeks)
+        assert code == 1
+        assert f"--buffer-weeks repeats a size: {weeks!r}" in err
+        assert stdout == ""
 
     @pytest.mark.parametrize("flags,scheme", [
         ([], lambda g: default_weekly_scheme(4, 4, g)),
@@ -850,7 +909,10 @@ def test_gap_rows_follow_one_rule_in_every_command(tmp_path, capsys):
             assert f"{path}:{line}:" in err, (text, argv[0])
 
 
-@pytest.mark.parametrize("flag", [["--c", "-1"], ["--c-floor", "0"]], ids=["c", "c-floor"])
+@pytest.mark.parametrize("flag", [
+    ["--c", "-1"], ["--c-floor", "0"],
+    ["--c", "nan"], ["--c", "inf"], ["--c-floor", "nan"], ["--c-floor", "inf"],
+], ids=["c", "c-floor", "c-nan", "c-inf", "c-floor-nan", "c-floor-inf"])
 @pytest.mark.parametrize("command", [
     ["forecast", "--interval", "3600"],
     ["anomaly", "--interval", "3600", "--threshold", "3"],

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbsd.core import (
-    ContextualSubset,
     ForecastOutput,
     QbsdConfig,
     compute_quartiles,
@@ -14,10 +13,9 @@ from qbsd.core import (
     contingency_constant,
     interpolated_percentile,
     qbsd_step,
-    quartile_forecast,
 )
 from qbsd.errors import ConfigError, EmptyInput, InsufficientHistory, InvalidConstant
-from qbsd.timegrid import DAILY, SlotCoord, default_weekly_scheme
+from qbsd.timegrid import DAILY, default_weekly_scheme
 
 
 def ref_percentile(values, fraction):
@@ -33,11 +31,10 @@ def ref_percentile(values, fraction):
     return ordered[lo] * (hi - pos) + ordered[hi] * (pos - lo)
 
 
-def make_subset(values, start_slot=10_000):
-    samples = tuple(
-        (SlotCoord(start_slot + i, DAILY), float(v)) for i, v in enumerate(values)
-    )
-    return ContextualSubset(samples=samples, requested_size=len(values) + 2)
+def step(values, cfg):
+    """``qbsd_step`` over the values sorted as floats, from a subset two
+    samples larger than the values present."""
+    return qbsd_step(sorted(float(v) for v in values), len(values) + 2, cfg)
 
 
 SCHEME = default_weekly_scheme(4, 1, DAILY)
@@ -83,22 +80,22 @@ class TestQuartiles:
 
 
 class TestForecastFromSubset:
-    """The forecast of ``quartile_forecast`` over a subset's values."""
+    """The forecast of ``qbsd_step`` over a subset's sorted values."""
 
     CFG = QbsdConfig(scheme=SCHEME, c=1.0, min_samples=3)
 
     def test_interior_mean(self):
-        fo = quartile_forecast(list(range(1, 10)), 9, self.CFG)
+        fo = qbsd_step(list(range(1, 10)), 9, self.CFG)
         assert fo.forecast == 5.0
         assert fo.fallback_used is False
 
     def test_constant_falls_back_to_median(self):
-        fo = quartile_forecast([7.5] * 6, 6, self.CFG)
+        fo = qbsd_step([7.5] * 6, 6, self.CFG)
         assert fo.forecast == 7.5
         assert fo.fallback_used is True
 
     def test_four_point_interior(self):
-        fo = quartile_forecast([1, 2, 3, 4], 4, self.CFG)
+        fo = qbsd_step([1, 2, 3, 4], 4, self.CFG)
         assert fo.forecast == 2.5
         assert fo.fallback_used is False
 
@@ -107,9 +104,9 @@ class TestForecastFromSubset:
     def test_forecast_bounded_by_sample_extremes(self, values):
         if len(values) < self.CFG.min_samples:
             with pytest.raises(InsufficientHistory):
-                quartile_forecast(values, 60, self.CFG)
+                qbsd_step(sorted(values), 60, self.CFG)
             return
-        fo = quartile_forecast(values, 60, self.CFG)
+        fo = qbsd_step(sorted(values), 60, self.CFG)
         assert min(values) <= fo.forecast <= max(values)
 
 
@@ -159,17 +156,17 @@ class TestContingencyConstant:
 class TestQbsdStep:
     def test_full_subset(self):
         cfg = QbsdConfig(scheme=SCHEME, c=1.0, min_samples=4)
-        out = qbsd_step(make_subset(range(1, 10)), cfg)
+        out = step(range(1, 10), cfg)
         assert out == ForecastOutput(5.0, 3.0, 7.0, 4.0, 9, False)
 
     def test_below_threshold(self):
         cfg = QbsdConfig(scheme=SCHEME, c=1.0, min_samples=4)
         with pytest.raises(InsufficientHistory):
-            qbsd_step(make_subset([1.0, 2.0]), cfg)
+            step([1.0, 2.0], cfg)
 
     def test_constant_subset(self):
         cfg = QbsdConfig(scheme=SCHEME, c=1.0, min_samples=4)
-        out = qbsd_step(make_subset([3.25] * 7), cfg)
+        out = step([3.25] * 7, cfg)
         assert out == ForecastOutput(3.25, 3.25, 3.25, 0.0, 7, True)
 
     def test_config_validation(self):
@@ -179,17 +176,6 @@ class TestQbsdStep:
             QbsdConfig(scheme=SCHEME, min_samples=2)
         assert QbsdConfig(scheme=SCHEME).k == 1
 
-    def test_subset_validation(self):
-        with pytest.raises(ValueError):
-            ContextualSubset(
-                samples=((SlotCoord(1, DAILY), 1.0), (SlotCoord(1, DAILY), 2.0)),
-                requested_size=5,
-            )
-        with pytest.raises(ValueError):
-            ContextualSubset(
-                samples=((SlotCoord(1, DAILY), 1.0),),
-                requested_size=0,
-            )
 
 
 # Equivariance is exact over the reals; the strategies stick to domains where
@@ -204,8 +190,8 @@ class TestQbsdStep:
 )
 def test_shift_equivariance(values, shift):
     cfg = QbsdConfig(scheme=SCHEME, c=1.0, min_samples=4)
-    base = qbsd_step(make_subset(values), cfg)
-    moved = qbsd_step(make_subset([v + shift for v in values]), cfg)
+    base = step(values, cfg)
+    moved = step([v + shift for v in values], cfg)
     assert moved.forecast == pytest.approx(base.forecast + shift, abs=1e-7)
     assert moved.q1 == pytest.approx(base.q1 + shift, abs=1e-9)
     assert moved.q3 == pytest.approx(base.q3 + shift, abs=1e-9)
@@ -222,8 +208,8 @@ def test_shift_equivariance(values, shift):
 def test_scale_equivariance(values, log2_scale, actual):
     scale = 2.0**log2_scale
     cfg = QbsdConfig(scheme=SCHEME, c=1.0, min_samples=4)
-    base = qbsd_step(make_subset(values), cfg)
-    scaled = qbsd_step(make_subset([v * scale for v in values]), cfg)
+    base = step(values, cfg)
+    scaled = step([v * scale for v in values], cfg)
     assert scaled.forecast == base.forecast * scale
     assert scaled.q1 == base.q1 * scale
     assert scaled.q3 == base.q3 * scale

@@ -182,6 +182,11 @@ class TestDescriptors:
                 test_range=(0, 86400),
             )
 
+    def test_off_grid_test_range_is_config_error(self):
+        start, end = get_descriptor("synthetic").test_range
+        with pytest.raises(ConfigError, match="test range is off the grid"):
+            synthetic_descriptor(test_range=(start + 5, end))
+
 
 def synthetic_descriptor(**overrides):
     base = get_descriptor("synthetic")

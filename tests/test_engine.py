@@ -38,6 +38,17 @@ def make_forecaster(g, k=1, n_weeks=4, min_samples=4, c=1.0, capacity=None):
     return RollingForecaster(cfg, g, capacity_slots=capacity)
 
 
+def test_min_samples_defaults_to_what_the_scheme_supplies():
+    assert QbsdConfig(scheme=default_weekly_scheme(4, 1, DAILY)).min_samples == 4
+    # k = 0 keeps one sample per week: 3 in all, below the usual threshold
+    cfg = QbsdConfig(scheme=default_weekly_scheme(4, 0, DAILY))
+    assert cfg.min_samples == 3
+    f = RollingForecaster(cfg, DAILY)
+    f.ingest_history((SlotCoord(s, DAILY), float(s)) for s in range(28))
+    fo = f.forecast_at(SlotCoord(28, DAILY))
+    assert (fo.forecast, fo.sample_count, fo.fallback_used) == (14.0, 3, False)
+
+
 class TestSlidingHistory:
     def test_insert_and_get(self):
         h = SlidingHistory(10)

@@ -2,8 +2,8 @@
 
 ``SlidingHistory`` is checked step by step against a dict that applies the
 eviction rule directly. ``RollingForecaster.forecast_at`` is checked against
-the public reference path: ``resolve_subset_slots`` expanded to a
-``ContextualSubset`` over the retained window, then ``qbsd_step``. A second
+the public reference path: ``resolve_subset_slots`` expanded over the
+retained window, then ``qbsd_step`` over the sorted values. A second
 property drives long runs of consecutive targets, which slide the kept
 sorted subset on wide schemes, mixed with every call that must rebuild it,
 and compares every float field by ``repr`` so a flipped zero sign shows.
@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qbsd.core import ContextualSubset, QbsdConfig, compute_residuals, qbsd_step
+from qbsd.core import QbsdConfig, compute_residuals, qbsd_step
 from qbsd.engine import RollingForecaster, SlidingHistory
 from qbsd.errors import InsufficientHistory, InsufficientSpan, StaleSlot
 from qbsd.timegrid import (
@@ -105,12 +105,12 @@ def _reference(values: dict[int, float], latest: int | None, capacity: int,
                t: SlotCoord, cfg: QbsdConfig):
     """The forecast from the public reference path over the retained window."""
     oldest = -1 if latest is None else latest - capacity
-    samples = []
+    present = []
     for coord in resolve_subset_slots(t, cfg.scheme):
         value = values.get(coord.global_slot)
         if value is not None and coord.global_slot > oldest:
-            samples.append((coord, value))
-    return qbsd_step(ContextualSubset(tuple(samples), cfg.scheme.subset_size), cfg)
+            present.append(value)
+    return qbsd_step(sorted(present), cfg.scheme.subset_size, cfg)
 
 
 def _outcome(fn):
