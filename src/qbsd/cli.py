@@ -270,7 +270,7 @@ class RecordWriter:
     def write(self, record: StepRecord) -> None:
         norm = record.norm_residual
         head = ",".join((
-            format_timestamp(record.timestamp),
+            format_timestamp(record.global_slot * record.granularity.interval_seconds),
             "" if record.actual is None else repr(record.actual),
             "" if record.forecast is None else repr(record.forecast),
             "" if record.q1 is None else repr(record.q1),
@@ -413,6 +413,20 @@ def _load_frame(args, desc: DatasetDescriptor, input_path: Optional[str]) -> Ser
     )
 
 
+def _qbsd_config(args, desc: DatasetDescriptor) -> QbsdConfig:
+    """The run's QBSD configuration from ``--c``/``--c-floor`` (see
+    ``_resolve_c``) and ``--min-samples``, which must not exceed the
+    scheme's subset size: no slot could ever be forecast."""
+    cfg = desc.qbsd_config(c=_resolve_c(args), min_samples=args.min_samples)
+    size = desc.scheme.subset_size
+    if args.min_samples is not None and args.min_samples > size:
+        raise ConfigError(
+            f"--min-samples {args.min_samples} is above the scheme's subset size "
+            f"of {size} samples, so no slot could be forecast"
+        )
+    return cfg
+
+
 def _resolve_c(args) -> float:
     """``--c`` when given, else the ``--c-floor`` that an estimate of c is
     floored at; either must be finite and > 0."""
@@ -446,18 +460,16 @@ def _records_path(base: str, label: str, many: bool) -> str:
 
 def cmd_evaluate(args) -> int:
     desc = _resolve_descriptor(args, need_test_range=True)
-    c = _resolve_c(args)
+    cfg = _qbsd_config(args, desc)
     methods = _parse_methods(args.method or "qbsd", desc.frequency)
     frame = _load_frame(args, desc, args.input)
     test_start, _ = desc.test_slot_range
     results: list[_MethodResult] = []
     for label, marker in methods:
         if marker == "qbsd":
+            method = cfg
             if args.c is None:
-                method_c = estimate_contingency(frame, test_start, c)
-            else:
-                method_c = c
-            method = desc.qbsd_config(c=method_c, min_samples=args.min_samples)
+                method = replace(cfg, c=estimate_contingency(frame, test_start, cfg.c))
         else:
             method = marker
         report, records = rolling_evaluate(frame, method, desc)
@@ -557,16 +569,20 @@ def _render_evaluation(args, desc: DatasetDescriptor, results: list[_MethodResul
 
 
 def _points(rows, input_path: str, g: Granularity):
-    """``series_rows`` rows as ``(slot, value)``; a malformed row raises with
-    its ``path:line``."""
+    """``series_rows`` rows as ``(global slot, value)``; a malformed row
+    raises with its ``path:line``."""
+    interval = g.interval_seconds
     for number, raw_ts, value, bad_value in rows:
         try:
-            t = align(parse_timestamp(raw_ts), g)
+            epoch = parse_timestamp(raw_ts)
+            slot, rem = divmod(epoch, interval)
+            if rem or slot < 0:
+                align(epoch, g)  # raises: before the epoch or off the grid
         except DataError as exc:
             raise type(exc)(f"{input_path}:{number}: {exc}") from exc
         if bad_value:
             raise ParseError(f"{input_path}:{number}: bad value {bad_value!r}")
-        yield t, value
+        yield slot, value
 
 
 def _estimate_c(points, span: int, floor: float) -> tuple[float, list]:
@@ -578,12 +594,12 @@ def _estimate_c(points, span: int, floor: float) -> tuple[float, list]:
     first = None
     for point in points:
         held.append(point)
-        t, value = point
+        slot, value = point
         if value is None:
             continue
         if first is None:
-            first = t.global_slot
-        elif t.global_slot >= first + span:
+            first = slot
+        elif slot >= first + span:
             break
         values.append(value)
     return (contingency_constant(values, floor) if values else floor), held
@@ -616,7 +632,7 @@ def _run_streaming_command(args, threshold: Optional[float]) -> int:
     if not inputs:
         raise ConfigError("--input is required")
     # every flag is checked before any input is opened
-    cfg = desc.qbsd_config(c=_resolve_c(args), min_samples=args.min_samples)
+    cfg = _qbsd_config(args, desc)
     smoother = _parse_smoother(args.smoother)
     many = len(inputs) > 1  # several inputs are streamed in turn, one file each
     if many:

@@ -249,6 +249,7 @@ def load_csv(
     empty or non-finite value cell is a gap, once its timestamp is checked.
     """
     rows: list[tuple[int, float]] = []
+    interval = granularity.interval_seconds
     with series_rows(path, timestamp_column, value_column) as cells:
         for number, raw_ts, value, bad_value in cells:
             try:
@@ -257,17 +258,19 @@ def load_csv(
                 raise type(exc)(
                     f"{path}:{number}: column {timestamp_column!r}: {exc}"
                 ) from exc
-            try:
-                coord = align(epoch, granularity)
-            except GridMisaligned as exc:
-                raise GridMisaligned(f"{path}:{number}: {exc}") from exc
+            slot, rem = divmod(epoch, interval)
+            if rem or slot < 0:
+                try:
+                    align(epoch, granularity)  # raises: before the epoch or off the grid
+                except GridMisaligned as exc:
+                    raise GridMisaligned(f"{path}:{number}: {exc}") from exc
             if bad_value:
                 raise ParseError(
                     f"{path}:{number}: column {value_column!r}: "
                     f"bad value {bad_value!r}"
                 )
             if value is not None:  # None: a gap
-                rows.append((coord.global_slot, value))
+                rows.append((slot, value))
     rows.sort(key=lambda item: item[0])
     for (a, _), (b, _) in zip(rows, rows[1:]):
         if a == b:
@@ -321,13 +324,21 @@ class SynthSpec:
             )
         if not 0 <= self.noise_std < math.inf:
             raise ConfigError(f"noise_std must be finite and >= 0, got {self.noise_std}")
+        for name in ("base", "amplitude", "weekday_scale", "weekend_scale"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        for value in self.profile or ():
+            if not math.isfinite(value):
+                raise ConfigError(f"profile entries must be finite, got {value}")
         n = self.days * self.slots_per_day
         seen = set()
-        for slot, _ in self.anomalies:
+        for slot, magnitude in self.anomalies:
             if not 0 <= slot < n:
                 raise ConfigError(f"anomaly slot {slot} is outside [0, {n})")
             if slot in seen:
                 raise ConfigError(f"anomaly slot {slot} is given twice")
+            if not math.isfinite(magnitude):
+                raise ConfigError(f"anomaly at slot {slot} must be finite, got {magnitude}")
             seen.add(slot)
 
     @property
@@ -350,6 +361,8 @@ def generate_synthetic(spec: SynthSpec) -> SeriesFrame:
         if spec.noise_std:
             value += rng.gauss(0.0, spec.noise_std)
         value += injections.get(slot, 0.0)
+        if not math.isfinite(value):  # finite parameters, but their product overflows
+            raise ConfigError(f"synthetic value at slot {slot} overflows to {value}")
         values.append(value)
     return SeriesFrame(
         granularity=spec.granularity,
@@ -523,10 +536,12 @@ def get_descriptor(name: str) -> DatasetDescriptor:
 
 @dataclass(slots=True)
 class StepRecord:
-    """One test slot's outputs. Forecast fields are None when the slot was
-    skipped (warmup or too few present samples)."""
+    """One test slot's outputs, at ``global_slot`` on grid ``granularity``.
+    Forecast fields are None when the slot was skipped (warmup or too few
+    present samples)."""
 
-    slot: SlotCoord
+    global_slot: int
+    granularity: Granularity
     actual: Optional[float] = None
     forecast: Optional[float] = None
     q1: Optional[float] = None
@@ -538,8 +553,13 @@ class StepRecord:
     fallback_used: Optional[bool] = None
 
     @property
+    def slot(self) -> SlotCoord:
+        return SlotCoord(self.global_slot, self.granularity)
+
+    @property
     def timestamp(self) -> int:
-        return self.slot.timestamp
+        """Epoch seconds of the slot boundary."""
+        return self.global_slot * self.granularity.interval_seconds
 
 
 Method = Union[QbsdConfig, BaselineSpec]
@@ -558,31 +578,30 @@ def estimate_contingency(
 
 def replay(
     forecaster: RollingForecaster,
-    points: Iterable[tuple[SlotCoord, Optional[float]]],
+    points: Iterable[tuple[int, Optional[float]]],
 ) -> Iterator[StepRecord]:
-    """One record per ``(slot, actual)`` point, in order.
+    """One record per ``(global slot, actual)`` point, in order; the slots
+    are on the forecaster's grid.
 
     A present actual is observed (forecast, scored, then buffered); a gap
     (None) is only forecast. Slots that cannot be forecast yet (warmup, too
     few present samples) keep their forecast fields None; ``observe`` has
     still buffered their actual.
     """
-    for t, actual in points:
-        record = StepRecord(slot=t, actual=actual)
+    g = forecaster.granularity
+    for slot, actual in points:
         try:
             if actual is None:
-                fo = forecaster.forecast_at(t)
+                fo = forecaster.forecast_at(slot)
+                diff = norm = None
             else:
-                residuals, fo = forecaster.observe(t, actual)
-                record.diff_residual = residuals.difference
-                record.norm_residual = residuals.normalized
-            record.forecast = fo.forecast
-            record.q1, record.q3, record.iqr = fo.q1, fo.q3, fo.iqr
-            record.sample_count = fo.sample_count
-            record.fallback_used = fo.fallback_used
+                residuals, fo = forecaster.observe(slot, actual)
+                diff, norm = residuals.difference, residuals.normalized
         except (InsufficientHistory, InsufficientSpan):
-            pass
-        yield record
+            yield StepRecord(slot, g, actual)
+            continue
+        yield StepRecord(slot, g, actual, fo.forecast, fo.q1, fo.q3, fo.iqr,
+                         diff, norm, fo.sample_count, fo.fallback_used)
 
 
 def rolling_evaluate(
@@ -619,21 +638,21 @@ def rolling_evaluate(
 
     test_slots = range(test_start, test_end + 1)
     if qbsd:
-        points = ((SlotCoord(slot, g), actuals.get(slot)) for slot in test_slots)
+        points = ((slot, actuals.get(slot)) for slot in test_slots)
         records = list(replay(forecaster, points))
     else:
         records = []
         for slot in test_slots:
-            record = StepRecord(slot=SlotCoord(slot, g), actual=actuals.get(slot))
+            actual = actuals.get(slot)
             try:
-                record.forecast = baseline_forecast(history, slot, method)
-                if record.actual is not None:
-                    record.diff_residual = record.actual - record.forecast
+                forecast = baseline_forecast(history, slot, method)
             except InsufficientHistory:
-                pass
-            if record.actual is not None:
-                history.insert(slot, record.actual)
-            records.append(record)
+                records.append(StepRecord(slot, g, actual))
+            else:
+                diff = None if actual is None else actual - forecast
+                records.append(StepRecord(slot, g, actual, forecast, diff_residual=diff))
+            if actual is not None:
+                history.insert(slot, actual)
 
     scored = [
         (r.actual, r.forecast)

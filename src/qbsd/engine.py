@@ -9,7 +9,7 @@ inserts it, so a value can never influence its own forecast.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .core import (
     ForecastOutput,
@@ -24,6 +24,10 @@ from .timegrid import Granularity, SeasonalityScheme, SlotCoord
 # Not called by the forecast path; importable from this module because
 # perfbench/tracer.py looks it up here by name.
 from .timegrid import resolve_subset_slots  # noqa: F401
+
+# A target slot: a plain int global slot, taken to be on the forecaster's
+# grid, or a SlotCoord, whose grid is checked.
+Slot = Union[SlotCoord, int]
 
 
 def default_capacity(scheme: SeasonalityScheme, granularity: Granularity) -> int:
@@ -121,6 +125,10 @@ class RollingForecaster:
     Capacities down to the scheme span still support in-order observe
     streaming; a larger capacity changes memory use but never outputs.
 
+    A target slot is a ``SlotCoord``, whose grid must be this forecaster's,
+    or a plain int global slot, taken to be on this grid without a check;
+    the CLI's row loops pass ints.
+
     A forecast gathers the target's present subset values from the history
     and sorts them. On a wide scheme the forecaster also keeps that sorted
     subset, and when the next target is the slot after the last one it
@@ -176,27 +184,35 @@ class RollingForecaster:
         self._base: Optional[int] = None  # None: no subset kept
         self._writes = 0  # history.writes when self._ordered was current
 
-    def _check_aligned(self, t: SlotCoord) -> None:
-        # identity first: it is nearly always this forecaster's grid; == builds tuples
-        if t.granularity is not self.granularity and t.granularity != self.granularity:
+    def _on_grid(self, t: SlotCoord) -> int:
+        """The global slot of t, once t's grid is checked to equal this one.
+        Callers first test identity, inline: it is nearly always this
+        forecaster's own grid object, and == builds tuples."""
+        if t.granularity != self.granularity:
             raise GridMisaligned(
                 f"slot on a {t.granularity.interval_seconds} s grid fed to a "
                 f"{self.granularity.interval_seconds} s forecaster"
             )
+        return t.global_slot
 
-    def ingest_history(self, batch: Iterable[tuple[SlotCoord, float]]) -> None:
+    def ingest_history(self, batch: Iterable[tuple[Slot, float]]) -> None:
         """Insert observed values; newest write wins on duplicate slots and
         anything pushed out of the window is evicted."""
+        insert = self.history.insert
         for t, value in batch:
-            self._check_aligned(t)
-            self.history.insert(t.global_slot, value)
+            if isinstance(t, SlotCoord):
+                t = t.global_slot if t.granularity is self.granularity else self._on_grid(t)
+            insert(t, value)
 
-    def forecast_at(self, t: SlotCoord) -> ForecastOutput:
+    def forecast_at(self, t: Slot) -> ForecastOutput:
         """Forecast for slot t from history alone. The output is identical
         whether or not a value at t (or later) has been observed."""
-        self._check_aligned(t)
-        base = t.global_slot
+        if isinstance(t, SlotCoord):
+            t = t.global_slot if t.granularity is self.granularity else self._on_grid(t)
+        base = t
         if base < self._span:
+            if base < 0:
+                raise ValueError(f"global_slot must be >= 0, got {base}")
             raise InsufficientSpan(
                 f"slot {base} needs history {self._span} slots back, "
                 "which falls before the epoch"
@@ -258,17 +274,19 @@ class RollingForecaster:
                 insort(ordered, value)
         return True
 
-    def observe(self, t: SlotCoord, value: float) -> tuple[Residuals, ForecastOutput]:
+    def observe(self, t: Slot, value: float) -> tuple[Residuals, ForecastOutput]:
         """Forecast slot t, score the new value against it, then buffer the
         value. During warmup the value is still buffered before the error
         propagates."""
+        if isinstance(t, SlotCoord):
+            t = t.global_slot if t.granularity is self.granularity else self._on_grid(t)
         try:
-            fo = self.forecast_at(t)  # also checks that t is on this grid
+            fo = self.forecast_at(t)
         except (InsufficientHistory, InsufficientSpan):
-            self.history.insert(t.global_slot, value)
+            self.history.insert(t, value)
             raise
         residuals = compute_residuals(value, fo, self.cfg.c)
-        self.history.insert(t.global_slot, value)
+        self.history.insert(t, value)
         return residuals, fo
 
 
@@ -290,11 +308,11 @@ class MultiSeriesEngine:
             self._series[series_id] = f
         return f
 
-    def forecast_at(self, series_id: str, t: SlotCoord) -> ForecastOutput:
+    def forecast_at(self, series_id: str, t: Slot) -> ForecastOutput:
         return self.forecaster(series_id).forecast_at(t)
 
     def observe(
-        self, series_id: str, t: SlotCoord, value: float
+        self, series_id: str, t: Slot, value: float
     ) -> tuple[Residuals, ForecastOutput]:
         return self.forecaster(series_id).observe(t, value)
 

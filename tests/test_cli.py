@@ -27,7 +27,6 @@ from qbsd.errors import DataError
 from qbsd.smoothing import MovingAverage, smooth
 from qbsd.timegrid import (
     Granularity,
-    SlotCoord,
     align,
     default_weekly_scheme,
     weekly_plus_yearly_scheme,
@@ -103,8 +102,14 @@ class TestSynth:
         (["--anomalies", "50:+500,50:-500"], "anomaly slot 50 is given twice"),
         (["--start", "5"], "--start: timestamp 5 is not a multiple of 3600 s"),
         (["--start", "garbage"], "--start: unparseable timestamp 'garbage'"),
+        (["--weekday-scale", "nan"], "weekday_scale must be finite, got nan"),
+        (["--weekend-scale", "inf"], "weekend_scale must be finite, got inf"),
+        (["--anomalies", "5:nan,6:inf"], "anomaly at slot 5 must be finite, got nan"),
+        (["--anomalies", "5:1,6:-inf"], "anomaly at slot 6 must be finite, got -inf"),
+        (["--weekday-scale", "1e308"], "synthetic value at slot 0 overflows to inf"),
     ], ids=["noise-nan", "noise-inf", "anomaly-past-end", "anomaly-negative",
-            "anomaly-repeated", "start-off-grid", "start-garbage"])
+            "anomaly-repeated", "start-off-grid", "start-garbage", "weekday-scale-nan",
+            "weekend-scale-inf", "anomaly-nan", "anomaly-inf", "scale-overflow"])
     def test_ignored_or_non_finite_input_exits_1(self, tmp_path, capsys, flags, message):
         out = tmp_path / "z.csv"
         code, stdout, err = run(capsys, "synth", "--output", str(out), "--days", "7",
@@ -578,7 +583,7 @@ class TestSchemeAndMethodFlags:
         # a 3-row segment, a warmup row, then a 4-row segment
         for slot, q1 in enumerate([1.0, 2.0, 3.0, None, 1.0, 2.0, 4.0, 8.0]):
             q3 = None if q1 is None else q1 + 1.0
-            writer.write(StepRecord(slot=SlotCoord(slot, g), actual=1.0, q1=q1, q3=q3))
+            writer.write(StepRecord(slot, g, actual=1.0, q1=q1, q3=q3))
         writer.close()
         rows = list(csv.DictReader(io.StringIO(out.getvalue())))
         assert [r["q1_smooth"] + r["q3_smooth"] for r in rows[:4]] == [""] * 4
@@ -907,6 +912,45 @@ def test_gap_rows_follow_one_rule_in_every_command(tmp_path, capsys):
             code, _, err = run(capsys, *argv)
             assert code == 2, (text, argv[0])
             assert f"{path}:{line}:" in err, (text, argv[0])
+
+
+@pytest.mark.parametrize("command", [
+    ["forecast"], ["anomaly"],
+    ["evaluate", "--test-start", "0", "--test-end", "3600"],
+    ["evaluate", "--test-start", "0", "--test-end", "3600", "--method", "persistence"],
+], ids=["forecast", "anomaly", "evaluate-qbsd", "evaluate-persistence"])
+def test_min_samples_above_subset_size_exits_1_before_input(tmp_path, capsys, command):
+    """weekly4 at k=1 draws 9 samples; a threshold of 100 could never be met."""
+    missing = tmp_path / "absent.csv"
+    code, stdout, err = run(capsys, *command, "--input", str(missing), "--interval",
+                            "3600", "--k", "1", "--min-samples", "100")
+    assert code == 1
+    assert err == ("error: --min-samples 100 is above the scheme's subset size "
+                   "of 9 samples, so no slot could be forecast\n")
+    assert stdout == ""
+
+
+@pytest.mark.parametrize("text,message", [
+    ("timestamp,value\n0,1\n1970-01-01T00:15:05,2\n",
+     ":3: timestamp 905 is not a multiple of 900 s (off by 5 s)"),
+    ("timestamp,value\n-900,1\n0,2\n",
+     ":2: timestamp -900 is before the epoch; the grid starts at 0"),
+], ids=["off-grid", "before-epoch"])
+@pytest.mark.parametrize("command", ["evaluate", "forecast", "anomaly"])
+def test_row_off_the_grid_exits_2_naming_its_line(tmp_path, capsys, command, text, message):
+    """evaluate reads the file through load_csv, forecast and anomaly stream
+    it; each reports the row's path:line and the alignment error."""
+    path = tmp_path / "series.csv"
+    path.write_text(text)
+    argv = [command, "--input", str(path), "--interval", "900", "--k", "0"]
+    if command == "evaluate":
+        argv += ["--test-start", "0", "--test-end", "900"]
+    else:
+        argv += ["--output", str(tmp_path / "out.csv")]
+    code, stdout, err = run(capsys, *argv)
+    assert code == 2
+    assert err == f"error: {path}{message}\n"
+    assert stdout == ""
 
 
 @pytest.mark.parametrize("flag", [

@@ -32,7 +32,7 @@ from qbsd.datasets import (
 )
 from qbsd.errors import GridMisaligned, ParseError, SeriesTooShort
 from qbsd.smoothing import StreamingSmoother
-from qbsd.timegrid import Granularity, SlotCoord
+from qbsd.timegrid import Granularity
 
 # ------------------------------------------------------------ row reader
 
@@ -363,7 +363,8 @@ def records(draw):
     for _ in range(draw(st.integers(0, 40))):
         slot += draw(st.integers(1, 200))
         record = StepRecord(
-            slot=SlotCoord(slot, GRID),
+            slot,
+            GRID,
             actual=draw(ANY_NUMBER),
             forecast=draw(ANY_NUMBER),
             diff_residual=draw(ANY_NUMBER),

@@ -137,6 +137,16 @@ class TestSynthetic:
         with pytest.raises(ConfigError):
             SynthSpec(profile=(1.0, 2.0), slots_per_day=24)
 
+    @pytest.mark.parametrize("field,value", [
+        ("base", float("nan")), ("amplitude", float("inf")),
+        ("weekday_scale", float("nan")), ("weekend_scale", float("-inf")),
+        ("profile", (1.0, float("nan"), 2.0)), ("anomalies", ((1, float("inf")),)),
+    ], ids=["base", "amplitude", "weekday_scale", "weekend_scale", "profile", "anomalies"])
+    def test_non_finite_input_is_config_error(self, field, value):
+        """A non-finite parameter would put nan or inf cells in the series."""
+        with pytest.raises(ConfigError, match="must be finite"):
+            SynthSpec(days=1, slots_per_day=3, **{field: value})
+
 
 class TestDescriptors:
     def test_builtin_catalog(self):

@@ -7,6 +7,8 @@ retained window, then ``qbsd_step`` over the sorted values. A second
 property drives long runs of consecutive targets, which slide the kept
 sorted subset on wide schemes, mixed with every call that must rebuild it,
 and compares every float field by ``repr`` so a flipped zero sign shows.
+The int-slot path (``replay`` over ``(slot, actual)`` ints, ``forecast_at``
+of an int) is checked against the same calls with ``SlotCoord``s.
 """
 
 from __future__ import annotations
@@ -18,8 +20,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qbsd.core import QbsdConfig, compute_residuals, qbsd_step
+from qbsd.datasets import StepRecord, replay
 from qbsd.engine import RollingForecaster, SlidingHistory
-from qbsd.errors import InsufficientHistory, InsufficientSpan, StaleSlot
+from qbsd.errors import GridMisaligned, InsufficientHistory, InsufficientSpan, StaleSlot
 from qbsd.timegrid import (
     DAILY,
     Granularity,
@@ -364,3 +367,125 @@ def test_wide_schemes_slide_on_consecutive_targets(k, slides, monkeypatch):
         except (InsufficientHistory, InsufficientSpan):
             pass
     assert calls == []
+
+
+# ------------------------------------------------ int slots and SlotCoords
+
+def _twin_forecasters(slide: bool, k: int, extra_capacity: int, min_samples: int):
+    """Two identical forecasters on the slide path (weekly4 with k >= 3 and
+    room beyond the span) or on the rebuild path (k <= 2, or a buffer of
+    exactly the span, never slides)."""
+    g = SIX_HOURLY
+    scheme = default_weekly_scheme(4, k, g)
+    cfg = QbsdConfig(scheme=scheme, c=1.0, min_samples=min(min_samples, scheme.subset_size))
+    capacity = scheme.span_slots + (extra_capacity if slide or k <= 2 else 0)
+    twins = [RollingForecaster(cfg, g, capacity_slots=capacity) for _ in range(2)]
+    assert all((f._edges is not None) == slide for f in twins)
+    return twins
+
+
+def _points(seed: int, n: int, gap_rate: float, jump_rate: float, ties: bool):
+    """``(slot, actual)`` points from slot 0, so the first span is warmup:
+    mostly consecutive slots, some jumps, some gaps (None)."""
+    rng = random.Random(seed)
+    slot, points = 0, []
+    for _ in range(n):
+        actual = None
+        if rng.random() >= gap_rate:
+            actual = float(rng.randint(-1, 2)) if ties else rng.gauss(100.0, 20.0)
+        points.append((slot, actual))
+        slot += rng.randint(2, 60) if rng.random() < jump_rate else 1
+    return points
+
+
+def _reference_records(forecaster: RollingForecaster, points):
+    """The record loop over SlotCoords, each record filled field by field."""
+    g = forecaster.granularity
+    records = []
+    for slot, actual in points:
+        t = SlotCoord(slot, g)
+        record = StepRecord(slot, g, actual)
+        try:
+            if actual is None:
+                fo = forecaster.forecast_at(t)
+            else:
+                residuals, fo = forecaster.observe(t, actual)
+                record.diff_residual = residuals.difference
+                record.norm_residual = residuals.normalized
+            record.forecast = fo.forecast
+            record.q1, record.q3, record.iqr = fo.q1, fo.q3, fo.iqr
+            record.sample_count = fo.sample_count
+            record.fallback_used = fo.fallback_used
+        except (InsufficientHistory, InsufficientSpan):
+            pass
+        records.append(record)
+    return records
+
+
+INT_PATH_CASES = dict(
+    k=st.integers(0, 6),
+    extra_capacity=st.integers(1, 40),
+    min_samples=st.integers(3, 27),
+    gap_rate=st.sampled_from([0.0, 0.1, 0.5, 0.9]),
+    jump_rate=st.sampled_from([0.0, 0.05, 0.3]),
+    ties=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+@pytest.mark.parametrize("slide", [False, True], ids=["rebuild", "slide"])
+@settings(max_examples=60, deadline=None)
+@given(**INT_PATH_CASES)
+def test_replay_over_int_slots_matches_slotcoord_loop(
+    slide, k, extra_capacity, min_samples, gap_rate, jump_rate, ties, seed
+):
+    k = max(k, 3) if slide else k
+    ints, coords = _twin_forecasters(slide, k, extra_capacity, min_samples)
+    points = _points(seed, 150 + ints._span, gap_rate, jump_rate, ties)
+    got = list(replay(ints, points))
+    want = _reference_records(coords, points)
+    assert got == want
+    assert repr(got) == repr(want)  # a flipped zero sign shows in repr only
+    assert all(type(r.global_slot) is int for r in got)
+    assert [r.slot for r in got] == [SlotCoord(s, ints.granularity) for s, _ in points]
+
+
+@pytest.mark.parametrize("slide", [False, True], ids=["rebuild", "slide"])
+@settings(max_examples=60, deadline=None)
+@given(**INT_PATH_CASES)
+def test_forecast_at_int_equals_forecast_at_slotcoord(
+    slide, k, extra_capacity, min_samples, gap_rate, jump_rate, ties, seed
+):
+    k = max(k, 3) if slide else k
+    ints, coords = _twin_forecasters(slide, k, extra_capacity, min_samples)
+    g = ints.granularity
+    points = _points(seed, 150 + ints._span, gap_rate, jump_rate, ties)
+    history = [(s, v) for s, v in points[: len(points) // 2] if v is not None]
+    ints.ingest_history(history)
+    coords.ingest_history((SlotCoord(s, g), v) for s, v in history)
+    # consecutive targets over the written half and past it, then a jump back
+    targets = [s for s, _ in points] + [0, ints._span, points[-1][0] + 5]
+    for slot in targets:
+        got = _outcome(lambda: _exact((ints.forecast_at(slot), None)))
+        want = _outcome(lambda: _exact((coords.forecast_at(SlotCoord(slot, g)), None)))
+        assert got == want, f"forecast_at({slot})"
+
+
+@pytest.mark.parametrize("slide", [False, True], ids=["rebuild", "slide"])
+def test_slotcoord_on_another_grid_raises_and_buffers_nothing(slide):
+    f, _ = _twin_forecasters(slide, 4 if slide else 1, 10, 3)
+    g, other = f.granularity, Granularity(3600)
+    f.ingest_history(_points(1, f._span + 30, 0.0, 0.0, False))
+    target = f._span + 30
+    before = (f.history.writes, f.history.latest, f.forecast_at(target))
+    with pytest.raises(GridMisaligned):
+        f.forecast_at(SlotCoord(target, other))
+    with pytest.raises(GridMisaligned):
+        f.observe(SlotCoord(target, other), 1.0)
+    with pytest.raises(GridMisaligned):
+        f.ingest_history([(SlotCoord(target, other), 1.0)])
+    # an int below the grid's start is rejected as SlotCoord(-1, g) is
+    with pytest.raises(ValueError, match="global_slot must be >= 0"):
+        f.observe(-1, 1.0)
+    assert (f.history.writes, f.history.latest, f.forecast_at(target)) == before
+    assert f.forecast_at(SlotCoord(target, g)) == before[2]
