@@ -38,6 +38,7 @@ from .datasets import (
     get_descriptor,
     load_csv,
     parse_timestamp,
+    points,
     replay,
     rolling_evaluate,
     series_rows,
@@ -47,7 +48,6 @@ from .engine import RollingForecaster, default_capacity
 from .errors import (
     ConfigError,
     DataError,
-    ParseError,
     SeriesTooShort,
     TooFewPairs,
 )
@@ -55,6 +55,7 @@ from .metrics import MetricsReport, wilcoxon_signed_rank
 from .smoothing import MovingAverage as SmoothingMA
 from .smoothing import DEFAULT_SAVGOL, SavitzkyGolay, SmootherSpec, StreamingSmoother
 from .timegrid import (
+    GRID_END,
     Granularity,
     SeasonalityScheme,
     SlotCoord,
@@ -334,8 +335,18 @@ class RecordWriter:
 def _resolve_descriptor(args, need_test_range: bool) -> DatasetDescriptor:
     """Build the run's descriptor either from a builtin name or from the
     generic-CSV flags; every parameter is validated before any data work."""
-    if args.dataset:
-        base = get_descriptor(args.dataset)
+    base = get_descriptor(args.dataset) if args.dataset else None
+    generated = base is not None and base.name == "synthetic" and not args.input
+    for flag, unused, reason in (
+        ("--interval", base, "a builtin dataset has its own grid"),
+        ("--test-start", base, "a builtin dataset has its own test range"),
+        ("--test-end", base, "a builtin dataset has its own test range"),
+        ("--seed", not generated, "only the generated synthetic series is seeded"),
+        ("--noise-std", not generated, "only the generated synthetic series is noised"),
+    ):
+        if unused and getattr(args, flag[2:].replace("-", "_"), None) is not None:
+            raise ConfigError(f"{flag} does not apply to this run: {reason}")
+    if base is not None:
         g = base.frequency
         k = args.k if args.k is not None else base.k_slots
         if args.scheme:
@@ -415,14 +426,21 @@ def _load_frame(args, desc: DatasetDescriptor, input_path: Optional[str]) -> Ser
 
 def _qbsd_config(args, desc: DatasetDescriptor) -> QbsdConfig:
     """The run's QBSD configuration from ``--c``/``--c-floor`` (see
-    ``_resolve_c``) and ``--min-samples``, which must not exceed the
-    scheme's subset size: no slot could ever be forecast."""
+    ``_resolve_c``) and ``--min-samples``. Its min_samples, given or
+    default, must not exceed the scheme's subset size: no slot could ever be
+    forecast."""
     cfg = desc.qbsd_config(c=_resolve_c(args), min_samples=args.min_samples)
     size = desc.scheme.subset_size
-    if args.min_samples is not None and args.min_samples > size:
+    if cfg.min_samples > size:
+        if args.min_samples is not None:
+            raise ConfigError(
+                f"--min-samples {args.min_samples} is above the scheme's subset size "
+                f"of {size} samples, so no slot could be forecast"
+            )
         raise ConfigError(
-            f"--min-samples {args.min_samples} is above the scheme's subset size "
-            f"of {size} samples, so no slot could be forecast"
+            f"the default min_samples of {cfg.min_samples} is above the scheme's "
+            f"subset size of {size} samples, so no slot could be forecast; "
+            "use a larger --k or a scheme with more lags"
         )
     return cfg
 
@@ -568,23 +586,6 @@ def _render_evaluation(args, desc: DatasetDescriptor, results: list[_MethodResul
 # ---------------------------------------------------------------- forecast
 
 
-def _points(rows, input_path: str, g: Granularity):
-    """``series_rows`` rows as ``(global slot, value)``; a malformed row
-    raises with its ``path:line``."""
-    interval = g.interval_seconds
-    for number, raw_ts, value, bad_value in rows:
-        try:
-            epoch = parse_timestamp(raw_ts)
-            slot, rem = divmod(epoch, interval)
-            if rem or slot < 0:
-                align(epoch, g)  # raises: before the epoch or off the grid
-        except DataError as exc:
-            raise type(exc)(f"{input_path}:{number}: {exc}") from exc
-        if bad_value:
-            raise ParseError(f"{input_path}:{number}: bad value {bad_value!r}")
-        yield slot, value
-
-
 def _estimate_c(points, span: int, floor: float) -> tuple[float, list]:
     """c from the first scheme-span of a stream: |P1| of the values before
     the first value ``span`` or more slots after the first value, floored.
@@ -613,14 +614,14 @@ def _stream_one(args, desc: DatasetDescriptor, cfg: QbsdConfig, smoother: Smooth
     stays bounded by the retained window and those rows."""
     g = desc.frequency
     with series_rows(input_path, desc.timestamp_column, desc.target_column) as rows:
-        points = _points(rows, input_path, g)
+        stream = points(rows, input_path, g)
         if threshold is not None and args.c is None:
-            c, held = _estimate_c(points, desc.scheme.span_slots, cfg.c)
+            c, held = _estimate_c(stream, desc.scheme.span_slots, cfg.c)
             cfg = replace(cfg, c=c)
-            points = chain(held, points)
+            stream = chain(held, stream)
         forecaster = RollingForecaster(cfg, g, capacity_slots=desc.train_window_slots)
         writer = RecordWriter(out_handle, smoother=smoother, threshold=threshold)
-        for record in replay(forecaster, points):
+        for record in replay(forecaster, stream):
             writer.write(record)
     writer.close()
     return writer.anomaly_count
@@ -799,8 +800,14 @@ def cmd_synth(args) -> int:
         seed=args.seed or 0,
     )
     start = _flag_timestamp("--start", args.start, spec.granularity)
+    interval = spec.granularity.interval_seconds
+    last = start + (spec.days * spec.slots_per_day - 1) * interval
+    if last >= GRID_END:
+        raise ConfigError(
+            f"--start {args.start}: the last row, {last}, is in year 10000 or "
+            f"later; the grid ends at {GRID_END}"
+        )
     frame = generate_synthetic(spec)
-    interval = frame.granularity.interval_seconds
     with open(args.output, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["timestamp", "value"])

@@ -29,6 +29,7 @@ from .core import (
 from .engine import RollingForecaster, SlidingHistory
 from .errors import (
     ConfigError,
+    DataError,
     DuplicateTimestamp,
     GridMisaligned,
     InsufficientHistory,
@@ -38,6 +39,7 @@ from .errors import (
 from .metrics import EvalPairs, MetricsReport, evaluate
 from .timegrid import (
     DAILY,
+    GRID_END,
     Granularity,
     HOURLY,
     QUARTER_HOURLY,
@@ -237,6 +239,25 @@ class SeriesFrame:
         return self.slots[-1]
 
 
+def points(
+    rows: Iterable[tuple[int, str, Optional[float], str]], path: str, g: Granularity
+) -> Iterator[tuple[int, Optional[float]]]:
+    """``series_rows`` rows as ``(global slot, value)`` points on grid g, the
+    value None for a gap. A malformed row raises with its ``path:line``."""
+    interval = g.interval_seconds
+    for number, raw_ts, value, bad_value in rows:
+        try:
+            epoch = parse_timestamp(raw_ts)
+            slot, rem = divmod(epoch, interval)
+            if rem or slot < 0 or epoch >= GRID_END:
+                align(epoch, g)  # raises: off the grid or outside its years
+        except DataError as exc:
+            raise type(exc)(f"{path}:{number}: {exc}") from exc
+        if bad_value:
+            raise ParseError(f"{path}:{number}: bad value {bad_value!r}")
+        yield slot, value
+
+
 def load_csv(
     path: str,
     timestamp_column: str,
@@ -248,29 +269,8 @@ def load_csv(
     Rows are sorted by slot; duplicate timestamps are rejected; a row with an
     empty or non-finite value cell is a gap, once its timestamp is checked.
     """
-    rows: list[tuple[int, float]] = []
-    interval = granularity.interval_seconds
     with series_rows(path, timestamp_column, value_column) as cells:
-        for number, raw_ts, value, bad_value in cells:
-            try:
-                epoch = parse_timestamp(raw_ts)
-            except (ParseError, GridMisaligned) as exc:
-                raise type(exc)(
-                    f"{path}:{number}: column {timestamp_column!r}: {exc}"
-                ) from exc
-            slot, rem = divmod(epoch, interval)
-            if rem or slot < 0:
-                try:
-                    align(epoch, granularity)  # raises: before the epoch or off the grid
-                except GridMisaligned as exc:
-                    raise GridMisaligned(f"{path}:{number}: {exc}") from exc
-            if bad_value:
-                raise ParseError(
-                    f"{path}:{number}: column {value_column!r}: "
-                    f"bad value {bad_value!r}"
-                )
-            if value is not None:  # None: a gap
-                rows.append((slot, value))
+        rows = [p for p in points(cells, path, granularity) if p[1] is not None]
     rows.sort(key=lambda item: item[0])
     for (a, _), (b, _) in zip(rows, rows[1:]):
         if a == b:

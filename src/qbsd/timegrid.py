@@ -14,6 +14,8 @@ from functools import cached_property
 from .errors import ConfigError, GridMisaligned, InsufficientSpan, InvalidScheme
 
 SECONDS_PER_DAY = 86400
+# the grid ends where four-digit years do: 10000-01-01T00:00:00Z
+GRID_END = 253402300800
 
 PAST = "past"
 SYMMETRIC = "symmetric"
@@ -73,17 +75,20 @@ class SlotCoord:
         """Epoch seconds of the slot boundary."""
         return self.global_slot * self.granularity.interval_seconds
 
-    def shifted(self, offset_slots: int) -> "SlotCoord":
-        return SlotCoord(self.global_slot + offset_slots, self.granularity)
-
 
 def align(timestamp_epoch_seconds: int, g: Granularity) -> SlotCoord:
     """Map an epoch timestamp onto the grid; misaligned timestamps are rejected,
-    never snapped (snapping would silently corrupt day-of-week alignment)."""
+    never snapped (snapping would silently corrupt day-of-week alignment), and
+    so are timestamps outside ``[0, GRID_END)``."""
     if timestamp_epoch_seconds < 0:
         raise GridMisaligned(
             f"timestamp {timestamp_epoch_seconds} is before the epoch; "
             "the grid starts at 0"
+        )
+    if timestamp_epoch_seconds >= GRID_END:
+        raise GridMisaligned(
+            f"timestamp {timestamp_epoch_seconds} is in year 10000 or later; "
+            f"the grid ends at {GRID_END}"
         )
     slot, rem = divmod(timestamp_epoch_seconds, g.interval_seconds)
     if rem:

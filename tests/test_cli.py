@@ -10,13 +10,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qbsd import cli
+from qbsd import cli, datasets
 from qbsd.cli import (
     RecordWriter,
     _build_parser,
     _estimate_c,
     _parse_smoother,
-    _points,
     _resolve_descriptor,
     main,
 )
@@ -107,9 +106,13 @@ class TestSynth:
         (["--anomalies", "5:nan,6:inf"], "anomaly at slot 5 must be finite, got nan"),
         (["--anomalies", "5:1,6:-inf"], "anomaly at slot 6 must be finite, got -inf"),
         (["--weekday-scale", "1e308"], "synthetic value at slot 0 overflows to inf"),
+        (["--start", "253402300800"], "--start: timestamp 253402300800 is in year 10000"),
+        (["--start", "9999-12-31T00:00:00"],
+         "--start 9999-12-31T00:00:00: the last row, 253402815600, is in year 10000"),
     ], ids=["noise-nan", "noise-inf", "anomaly-past-end", "anomaly-negative",
             "anomaly-repeated", "start-off-grid", "start-garbage", "weekday-scale-nan",
-            "weekend-scale-inf", "anomaly-nan", "anomaly-inf", "scale-overflow"])
+            "weekend-scale-inf", "anomaly-nan", "anomaly-inf", "scale-overflow",
+            "start-year-10000", "last-row-year-10000"])
     def test_ignored_or_non_finite_input_exits_1(self, tmp_path, capsys, flags, message):
         out = tmp_path / "z.csv"
         code, stdout, err = run(capsys, "synth", "--output", str(out), "--days", "7",
@@ -118,6 +121,13 @@ class TestSynth:
         assert message in err
         assert stdout == ""
         assert not out.exists()
+
+    def test_last_row_may_end_year_9999(self, tmp_path, capsys):
+        out = tmp_path / "z.csv"
+        code, _, _ = run(capsys, "synth", "--output", str(out), "--days", "7",
+                         "--slots-per-day", "24", "--start", "9999-12-25T00:00:00")
+        assert code == 0
+        assert read_rows(out)[-1]["timestamp"] == "9999-12-31T23:00:00"
 
 
 class TestForecast:
@@ -906,12 +916,15 @@ def test_gap_rows_follow_one_rule_in_every_command(tmp_path, capsys):
         path = tmp_path / f"gaps{number}.csv"
         path.write_text(text)
         common = ["--input", str(path), "--interval", "3600", "--k", "0"]
+        errors = set()
         for argv in (["evaluate", *common, "--test-start", "0", "--test-end", "7200"],
                      ["forecast", *common, "--output", str(tmp_path / "fc.csv")],
                      ["anomaly", *common, "--output", str(tmp_path / "an.csv")]):
             code, _, err = run(capsys, *argv)
             assert code == 2, (text, argv[0])
-            assert f"{path}:{line}:" in err, (text, argv[0])
+            assert err.startswith(f"error: {path}:{line}: "), (text, argv[0])
+            errors.add(err)
+        assert len(errors) == 1, (text, errors)
 
 
 @pytest.mark.parametrize("command", [
@@ -930,16 +943,111 @@ def test_min_samples_above_subset_size_exits_1_before_input(tmp_path, capsys, co
     assert stdout == ""
 
 
+@pytest.mark.parametrize("command", [
+    ["forecast"], ["anomaly"],
+    ["evaluate", "--test-start", "0", "--test-end", "3600"],
+    ["evaluate", "--test-start", "0", "--test-end", "3600", "--method", "persistence"],
+], ids=["forecast", "anomaly", "evaluate-qbsd", "evaluate-persistence"])
+@pytest.mark.parametrize("scheme,size", [("weekly_plus_yearly", 2), ("custom:0,7", 1)])
+def test_default_min_samples_above_subset_size_exits_1_before_input(
+    tmp_path, capsys, command, scheme, size
+):
+    """At k=0 these schemes draw fewer samples than the default threshold of
+    3, the least any threshold may be."""
+    missing = tmp_path / "absent.csv"
+    code, stdout, err = run(capsys, *command, "--input", str(missing), "--interval",
+                            "3600", "--k", "0", "--scheme", scheme)
+    assert code == 1
+    assert err == ("error: the default min_samples of 3 is above the scheme's subset "
+                   f"size of {size} samples, so no slot could be forecast; use a larger "
+                   "--k or a scheme with more lags\n")
+    assert stdout == ""
+
+
+# (run, flag, value, reason): flags that the run's data source makes meaningless
+DATASET_MISFITS = [
+    (["evaluate", "--dataset", "synthetic"], "--interval", "3600", "its own grid"),
+    (["evaluate", "--dataset", "synthetic"], "--test-start", "2419200",
+     "its own test range"),
+    (["evaluate", "--dataset", "synthetic"], "--test-end", "2422800", "its own test range"),
+    (["forecast", "--dataset", "synthetic", "--input", "{series}"], "--interval", "3600",
+     "its own grid"),
+    (["anomaly", "--dataset", "synthetic", "--input", "{series}"], "--interval", "3600",
+     "its own grid"),
+    (["evaluate", "--dataset", "synthetic", "--input", "{series}"], "--seed", "5",
+     "is seeded"),
+    (["evaluate", "--dataset", "synthetic", "--input", "{series}"], "--noise-std", "3",
+     "is noised"),
+    (["evaluate", "--input", "{series}", "--interval", "3600", "--test-start", "2419200",
+      "--test-end", "2422800"], "--seed", "5", "is seeded"),
+    (["evaluate", "--input", "{series}", "--interval", "3600", "--test-start", "2419200",
+      "--test-end", "2422800"], "--noise-std", "3", "is noised"),
+]
+
+
+@pytest.mark.parametrize("via", ["argv", "config"])
+@pytest.mark.parametrize("argv,flag,value,reason", DATASET_MISFITS, ids=[
+    f"{argv[0]}-{'dataset' if '--dataset' in argv else 'csv'}{flag}"
+    for argv, flag, *_ in DATASET_MISFITS
+])
+def test_flag_the_data_source_ignores_exits_1_before_any_file(
+    tmp_path, capsys, monkeypatch, argv, flag, value, reason, via
+):
+    """A builtin dataset fixes the grid and the test range; only the
+    generated synthetic series takes a seed and a noise level."""
+    series = tmp_path / "series.csv"
+    run(capsys, "synth", "--output", str(series), "--days", "35", "--slots-per-day", "24")
+    out = tmp_path / "out.csv"
+    argv = [a.format(series=series) for a in argv] + ["--output", str(out)]
+    if via == "argv":
+        argv += [flag, value]
+    else:
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"{flag[2:]}={value}\n")
+        argv += ["--config", str(conf)]
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    code, stdout, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith(f"error: {flag} does not apply to this run: ")
+    assert reason in err
+    assert stdout == ""
+    assert opened == []
+    assert not out.exists()
+    monkeypatch.undo()
+    assert run(capsys, *argv[:-2])[0] == 0  # the same run without the flag
+
+
+def test_generated_synthetic_series_takes_seed_and_noise(capsys):
+    base = ["evaluate", "--dataset", "synthetic", "--method", "persistence"]
+    code, plain, _ = run(capsys, *base)
+    assert code == 0
+    code, noisy, _ = run(capsys, *base, "--seed", "5", "--noise-std", "3")
+    assert code == 0
+    assert noisy != plain
+
+
 @pytest.mark.parametrize("text,message", [
     ("timestamp,value\n0,1\n1970-01-01T00:15:05,2\n",
      ":3: timestamp 905 is not a multiple of 900 s (off by 5 s)"),
     ("timestamp,value\n-900,1\n0,2\n",
      ":2: timestamp -900 is before the epoch; the grid starts at 0"),
-], ids=["off-grid", "before-epoch"])
+    ("timestamp,value\n0,1\n253402300800,2\n",
+     ":3: timestamp 253402300800 is in year 10000 or later; the grid ends at 253402300800"),
+    ("timestamp,value\n0,1\nabc,2\n", ":3: unparseable timestamp 'abc'"),
+    ("timestamp,value\n0,1\n900,oops\n", ":3: bad value 'oops'"),
+], ids=["off-grid", "before-epoch", "year-10000", "unparseable-timestamp", "bad-value"])
 @pytest.mark.parametrize("command", ["evaluate", "forecast", "anomaly"])
 def test_row_off_the_grid_exits_2_naming_its_line(tmp_path, capsys, command, text, message):
     """evaluate reads the file through load_csv, forecast and anomaly stream
-    it; each reports the row's path:line and the alignment error."""
+    it; each reports the malformed row's path:line and its error in the same
+    words."""
     path = tmp_path / "series.csv"
     path.write_text(text)
     argv = [command, "--input", str(path), "--interval", "900", "--k", "0"]
@@ -1045,7 +1153,7 @@ def test_in_stream_c_matches_two_pass_estimate(tmp_path_factory, rows, floor):
     expected = reference_prefix_c(str(path), desc, floor)
 
     with series_rows(str(path), "timestamp", "value") as stream:
-        points = _points(stream, str(path), g)
+        points = datasets.points(stream, str(path), g)
         c, held = _estimate_c(points, desc.scheme.span_slots, floor)
         rest = list(points)
     assert c == expected

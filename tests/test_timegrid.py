@@ -1,3 +1,5 @@
+from datetime import datetime, timezone
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from qbsd.errors import GridMisaligned, InsufficientSpan, InvalidScheme
 from qbsd.timegrid import (
     DAILY,
+    GRID_END,
     QUARTER_HOURLY,
     Granularity,
     LagSpec,
@@ -37,6 +40,15 @@ def test_align_examples():
         align(420, QUARTER_HOURLY)
     with pytest.raises(GridMisaligned):
         align(-900, QUARTER_HOURLY)
+
+
+def test_grid_ends_before_year_10000():
+    last_day = datetime(9999, 12, 31, tzinfo=timezone.utc)
+    assert GRID_END == last_day.timestamp() + 86400  # 10000-01-01T00:00:00Z
+    assert align(GRID_END - 900, QUARTER_HOURLY).global_slot == GRID_END // 900 - 1
+    for epoch in (GRID_END, GRID_END + 86400):
+        with pytest.raises(GridMisaligned, match="year 10000 or later"):
+            align(epoch, QUARTER_HOURLY)
 
 
 def test_align_roundtrip():
