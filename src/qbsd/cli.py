@@ -26,6 +26,7 @@ from .core import (
     DEFAULT_C_FLOOR_CONTINUOUS,
     QbsdConfig,
     contingency_constant,
+    default_min_samples,
 )
 from .datasets import (
     DatasetDescriptor,
@@ -137,7 +138,8 @@ def _parse_smoother(text: Optional[str]) -> SmootherSpec:
 
 def _parse_methods(text: str, g: Granularity) -> list[tuple[str, object]]:
     """Comma-separated method list -> (label, marker) pairs; the marker is
-    the string "qbsd" or a baseline spec."""
+    the string "qbsd" or a baseline spec. A method named twice, once the
+    defaults are applied, is rejected."""
     methods: list[tuple[str, object]] = []
     for token in text.split(","):
         token = token.strip().lower()
@@ -157,18 +159,24 @@ def _parse_methods(text: str, g: Granularity) -> list[tuple[str, object]]:
         else:  # the baselines' defaults: one week's season, one day's window
             arg_slots = g.slots_per_week if name == "seasonal-naive" else g.slots_per_day
         if name == "qbsd":
-            methods.append(("qbsd", "qbsd"))
+            marker = "qbsd"
         elif name == "seasonal-naive":
-            methods.append((token, bl.SeasonalNaive(arg_slots)))
+            marker = bl.SeasonalNaive(arg_slots)
         elif name == "persistence":
-            methods.append((token, bl.Persistence()))
+            marker = bl.Persistence()
         elif name == "moving-average":
-            methods.append((token, bl.MovingAverage(arg_slots)))
+            marker = bl.MovingAverage(arg_slots)
         else:
             raise ConfigError(
                 f"unknown method {name!r}; use qbsd, seasonal-naive[:slots], "
                 "persistence or moving-average[:slots]"
             )
+        for label, earlier in methods:
+            if earlier == marker:
+                raise ConfigError(
+                    f"--method names one method twice: {label!r} and {token!r}"
+                )
+        methods.append((token, marker))
     if not methods:
         raise ConfigError("no methods given")
     return methods
@@ -426,23 +434,30 @@ def _load_frame(args, desc: DatasetDescriptor, input_path: Optional[str]) -> Ser
 
 def _qbsd_config(args, desc: DatasetDescriptor) -> QbsdConfig:
     """The run's QBSD configuration from ``--c``/``--c-floor`` (see
-    ``_resolve_c``) and ``--min-samples``. Its min_samples, given or
-    default, must not exceed the scheme's subset size: no slot could ever be
-    forecast."""
+    ``_resolve_c``) and ``--min-samples`` (see ``_check_min_samples``)."""
     cfg = desc.qbsd_config(c=_resolve_c(args), min_samples=args.min_samples)
-    size = desc.scheme.subset_size
-    if cfg.min_samples > size:
-        if args.min_samples is not None:
-            raise ConfigError(
-                f"--min-samples {args.min_samples} is above the scheme's subset size "
-                f"of {size} samples, so no slot could be forecast"
-            )
-        raise ConfigError(
-            f"the default min_samples of {cfg.min_samples} is above the scheme's "
-            f"subset size of {size} samples, so no slot could be forecast; "
-            "use a larger --k or a scheme with more lags"
-        )
+    _check_min_samples(desc.scheme, args.min_samples)
     return cfg
+
+
+def _check_min_samples(scheme: SeasonalityScheme, given: Optional[int]) -> None:
+    """Reject a min_samples above the scheme's subset size, with which no
+    slot could ever be forecast: ``given`` from ``--min-samples``, or the
+    scheme's default when it is None."""
+    size = scheme.subset_size
+    if given is None:
+        default = default_min_samples(scheme)
+        if default > size:
+            raise ConfigError(
+                f"the default min_samples of {default} is above the scheme's "
+                f"subset size of {size} samples, so no slot could be forecast; "
+                "use a larger --k or a scheme with more lags"
+            )
+    elif given > size:
+        raise ConfigError(
+            f"--min-samples {given} is above the scheme's subset size "
+            f"of {size} samples, so no slot could be forecast"
+        )
 
 
 def _resolve_c(args) -> float:
@@ -477,6 +492,11 @@ def _records_path(base: str, label: str, many: bool) -> str:
 
 
 def cmd_evaluate(args) -> int:
+    if args.output == "-":
+        raise ConfigError(
+            "--output -: evaluate prints its report to stdout; "
+            "--output takes a path for the records CSV"
+        )
     desc = _resolve_descriptor(args, need_test_range=True)
     cfg = _qbsd_config(args, desc)
     methods = _parse_methods(args.method or "qbsd", desc.frequency)
@@ -762,6 +782,7 @@ def cmd_bench(args) -> int:
     spd = args.slots_per_day
     g = SynthSpec(slots_per_day=spd).granularity  # checks spd before the grid is built
     scheme = _parse_scheme(args.scheme or "weekly4", k, g)
+    _check_min_samples(scheme, None)
     methods = _parse_methods(args.method or "seasonal-naive,persistence,moving-average", g)
 
     stats = measure_qbsd_latency(
@@ -830,9 +851,9 @@ def _add_scheme_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_series_flags(p: argparse.ArgumentParser) -> None:
-    """Flags of evaluate, forecast and anomaly, all but ``--input``."""
+    """Flags of evaluate, forecast and anomaly, all but ``--input`` and
+    ``--output``."""
     p.add_argument("--dataset", help="builtin dataset name (see README) or 'synthetic'")
-    p.add_argument("--output", help="output path ('-' for stdout)")
     p.add_argument("--interval", type=int, help="grid interval in seconds for custom CSVs")
     p.add_argument("--timestamp-column", help="timestamp column name")
     p.add_argument("--value-column", help="value column name")
@@ -857,6 +878,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_eval = command("evaluate", "moving-window evaluation with metrics", cmd_evaluate)
     _add_series_flags(p_eval)
+    p_eval.add_argument("--output", help="write the records CSV here; with several "
+                        "methods, one file per method, <stem>.<method><suffix>")
     p_eval.add_argument("--input", help="input CSV path (the last one given wins)")
     p_eval.add_argument("--seed", type=int, help="seed for the synthetic dataset")
     p_eval.add_argument("--noise-std", type=float, help="synthetic dataset noise sigma")
@@ -868,11 +891,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_fc = command("forecast", "stream per-slot forecast records", cmd_forecast)
     _add_series_flags(p_fc)
+    p_fc.add_argument("--output", help="output path ('-' for stdout)")
     p_fc.add_argument("--input", action="append", help="input CSV path (repeatable)")
     p_fc.add_argument("--smoother", help="sg:<window>:<polyorder> | ma:<window> | none")
 
     p_an = command("anomaly", "flag |normalized residual| above a threshold", cmd_anomaly)
     _add_series_flags(p_an)
+    p_an.add_argument("--output", help="output path ('-' for stdout)")
     p_an.add_argument("--input", action="append", help="input CSV path (repeatable)")
     p_an.add_argument("--smoother", help="sg:<window>:<polyorder> | ma:<window> | none")
     p_an.add_argument("--threshold", type=float, default=3.0,

@@ -40,26 +40,28 @@ def default_capacity(scheme: SeasonalityScheme, granularity: Granularity) -> int
 class SlidingHistory:
     """Bounded slot -> value map retaining the most recent ``capacity`` slots.
 
-    A ring of ``capacity`` preallocated cells indexed by ``slot % capacity``:
-    each cell holds a value and the slot id it was written for. A slot is
-    present when its cell carries its id and it lies in the retained window
-    ``(latest - capacity, latest]``, so advancing the window evicts older
-    slots without touching them and every insert is O(1). Inserts may arrive
-    out of order within the window; slots older than it are rejected. Memory
-    is O(capacity) however sparse the series is.
+    One ring of ``capacity`` preallocated cells indexed by ``slot % capacity``.
+    Every cell belongs to the one slot of the retained window
+    ``(latest - capacity, latest]`` that maps to it and holds that slot's
+    value, or None when the slot is absent. An insert that moves ``latest``
+    forward by more than one slot clears the cells of the slots it skips, so
+    every insert is O(1) amortised, and a slot is present exactly when it
+    lies in the window and its cell is not None. Inserts may arrive out of
+    order within the window; slots older than it are rejected. Any float,
+    NaN included, can be stored. Memory is O(capacity) however sparse the
+    series is.
 
     ``writes`` counts successful inserts and ``last_write`` is the slot of
     the latest one, so a reader can tell what changed since it last looked.
     """
 
-    __slots__ = ("capacity", "_values", "_ids", "_latest", "writes", "last_write")
+    __slots__ = ("capacity", "_values", "_latest", "writes", "last_write")
 
     def __init__(self, capacity_slots: int):
         if capacity_slots < 1:
             raise ConfigError(f"capacity must be >= 1 slot, got {capacity_slots}")
         self.capacity = capacity_slots
-        self._values: list[float] = [0.0] * capacity_slots
-        self._ids: list[Optional[int]] = [None] * capacity_slots  # None: never written
+        self._values: list[Optional[float]] = [None] * capacity_slots
         self._latest: Optional[int] = None
         self.writes = 0
         self.last_write: Optional[int] = None
@@ -70,25 +72,31 @@ class SlidingHistory:
 
     def insert(self, slot: int, value: float) -> None:
         latest = self._latest
-        if latest is None or slot > latest:
+        capacity = self.capacity
+        if latest is None:
             self._latest = slot
-        elif slot <= latest - self.capacity:
+        elif slot > latest:
+            if slot > latest + 1:
+                # clear the skipped slots' cells; a jump of a whole capacity
+                # or more clears every cell but the new slot's
+                values = self._values
+                for skipped in range(max(latest, slot - capacity) + 1, slot):
+                    values[skipped % capacity] = None
+            self._latest = slot
+        elif slot <= latest - capacity:
             raise StaleSlot(
                 f"slot {slot} is older than the retained window "
-                f"(oldest kept: {latest - self.capacity + 1})"
+                f"(oldest kept: {latest - capacity + 1})"
             )
-        cell = slot % self.capacity
-        self._ids[cell] = slot
-        self._values[cell] = value
+        self._values[slot % capacity] = value
         self.writes += 1
         self.last_write = slot
 
     def get(self, slot: int) -> Optional[float]:
         latest = self._latest
-        cell = slot % self.capacity
-        if self._ids[cell] == slot and latest - self.capacity < slot <= latest:
-            return self._values[cell]
-        return None
+        if latest is None or not latest - self.capacity < slot <= latest:
+            return None
+        return self._values[slot % self.capacity]
 
     def gather(self, base: int, offsets: Sequence[int]) -> list[float]:
         """Values present at ``base + offset`` for each offset, in offset
@@ -96,15 +104,15 @@ class SlidingHistory:
         latest = self._latest
         if latest is None:
             return []
-        oldest = latest - self.capacity
-        capacity, ids, values = self.capacity, self._ids, self._values
+        capacity, values = self.capacity, self._values
+        oldest = latest - capacity
         out = []
         for offset in offsets:
             slot = base + offset
-            cell = slot % capacity
-            # a stored id is never above latest, so only the lower edge is checked
-            if ids[cell] == slot and slot > oldest:
-                out.append(values[cell])
+            if oldest < slot <= latest:
+                value = values[slot % capacity]
+                if value is not None:
+                    out.append(value)
         return out
 
     def __contains__(self, slot: int) -> bool:
@@ -112,10 +120,7 @@ class SlidingHistory:
 
     def __len__(self) -> int:
         """Number of retained slots; O(capacity)."""
-        if self._latest is None:
-            return 0
-        oldest = self._latest - self.capacity
-        return sum(1 for slot in self._ids if slot is not None and slot > oldest)
+        return self.capacity - self._values.count(None)
 
 
 class RollingForecaster:
@@ -254,21 +259,20 @@ class RollingForecaster:
         so the slid list equals ``sorted(gather(...))`` element by element.
         """
         history = self.history
-        ids, values, capacity = history._ids, history._values, history.capacity
-        oldest = history._latest - capacity
+        values, capacity = history._values, history.capacity
+        latest = history._latest
+        oldest = latest - capacity
         ordered = self._ordered
         for leave, enter in self._edges:
             slot = base + leave
-            cell = slot % capacity
-            if ids[cell] == slot and slot > oldest:
-                value = values[cell]
+            value = values[slot % capacity] if oldest < slot <= latest else None
+            if value is not None:
                 if not (value > 0.0 or value < 0.0):
                     return False
                 del ordered[bisect_left(ordered, value)]
             slot = base + enter
-            cell = slot % capacity
-            if ids[cell] == slot and slot > oldest:
-                value = values[cell]
+            value = values[slot % capacity] if oldest < slot <= latest else None
+            if value is not None:
                 if not (value > 0.0 or value < 0.0):
                     return False
                 insort(ordered, value)

@@ -349,6 +349,21 @@ class TestEvaluate:
         assert code == 2
         assert "gone.csv" in err
 
+    @pytest.mark.parametrize("source", [
+        ["--dataset", "synthetic"],
+        ["--input", "absent.csv", "--interval", "3600", "--test-start", "0",
+         "--test-end", "3600"],
+    ], ids=["synthetic", "csv"])
+    def test_output_dash_exits_1_before_input(self, tmp_path, capsys, monkeypatch,
+                                              source):
+        """stdout carries the report, so the records CSV needs a path."""
+        monkeypatch.chdir(tmp_path)
+        code, stdout, err = run(capsys, "evaluate", *source, "--output", "-")
+        assert code == 1
+        assert err.startswith("error: --output -: ")
+        assert stdout == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_dataset_exit_1(self, capsys):
         code, _, err = run(capsys, "evaluate", "--dataset", "wat")
         assert code == 1
@@ -518,6 +533,37 @@ class TestSchemeAndMethodFlags:
         assert code == 1
         assert "prophet" in err
 
+    @pytest.mark.parametrize("methods,first,second", [
+        ("qbsd,qbsd", "qbsd", "qbsd"),
+        ("seasonal-naive,persistence,seasonal-naive:168", "seasonal-naive",
+         "seasonal-naive:168"),
+        ("moving-average:24,qbsd,moving-average", "moving-average:24", "moving-average"),
+        ("persistence,Persistence", "persistence", "persistence"),
+    ], ids=["qbsd", "seasonal-naive-default", "moving-average-default", "case"])
+    @pytest.mark.parametrize("command", [
+        ["evaluate", "--input", "absent.csv", "--interval", "3600", "--test-start", "0",
+         "--test-end", "3600"],
+        ["bench", "--forecasts", "20", "--slots-per-day", "24"],
+    ], ids=["evaluate", "bench"])
+    def test_method_named_twice_exits_1_before_input(
+        self, capsys, monkeypatch, command, methods, first, second
+    ):
+        """On an hourly grid seasonal-naive defaults to 168 slots and
+        moving-average to 24; a second run of one method would only repeat
+        the first, and evaluate would write its records file twice."""
+        monkeypatch.setattr(cli, "measure_qbsd_latency", None)  # bench never times
+        code, stdout, err = run(capsys, *command, "--method", methods)
+        assert code == 1
+        assert err == f"error: --method names one method twice: {first!r} and {second!r}\n"
+        assert stdout == ""
+
+    def test_same_method_with_other_arguments_runs(self, capsys):
+        code, stdout, _ = run(capsys, "evaluate", "--dataset", "synthetic",
+                              "--method", "seasonal-naive,seasonal-naive:96")
+        assert code == 0
+        assert [l.split()[0] for l in stdout.splitlines()[2:]] == [
+            "seasonal-naive", "seasonal-naive:96"]
+
     def test_unknown_method_rejected_before_input_is_opened(
         self, tmp_path, capsys, monkeypatch
     ):
@@ -665,6 +711,21 @@ class TestBench:
                                 "--scheme", "nonsense")
         assert code == 1
         assert "unknown scheme 'nonsense'" in err
+        assert stdout == ""
+
+    @pytest.mark.parametrize("scheme,size", [("weekly_plus_yearly", 2), ("custom:0,7", 1)])
+    def test_default_min_samples_above_subset_size_exits_1(
+        self, capsys, monkeypatch, scheme, size
+    ):
+        """The same check and message as forecast, anomaly and evaluate,
+        before any series is built or any buffer compared with the span."""
+        monkeypatch.setattr(cli, "measure_qbsd_latency", None)
+        code, stdout, err = run(capsys, "bench", "--forecasts", "200", "--k", "0",
+                                "--slots-per-day", "24", "--scheme", scheme)
+        assert code == 1
+        assert err == ("error: the default min_samples of 3 is above the scheme's subset "
+                       f"size of {size} samples, so no slot could be forecast; use a larger "
+                       "--k or a scheme with more lags\n")
         assert stdout == ""
 
     @pytest.mark.parametrize("flags", [

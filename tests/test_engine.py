@@ -1,4 +1,6 @@
+import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -84,6 +86,53 @@ class TestSlidingHistory:
         h.insert(3, 3.0)
         h.insert(9, 9.0)
         assert h.get(3) == 3.0 and h.get(5) == 5.0 and h.get(9) == 9.0
+
+    def test_nan_is_stored(self):
+        h = SlidingHistory(10)
+        h.insert(4, 1.0)
+        h.insert(5, math.nan)
+        assert math.isnan(h.get(5))
+        assert 5 in h and len(h) == 2
+        gathered = h.gather(5, [-1, 0])
+        assert gathered[0] == 1.0 and math.isnan(gathered[1])
+
+    @pytest.mark.parametrize("jump", [2, 4, 5, 6, 15])
+    def test_jump_then_out_of_order_leaves_written_slots(self, jump):
+        capacity = 5
+        h = SlidingHistory(capacity)
+        written = {}
+        # in order, a jump, then two late slots within the new window
+        for slot in [*range(10), 9 + jump, 8 + jump, 6 + jump]:
+            h.insert(slot, float(slot))
+            written[slot] = float(slot)
+        latest = 9 + jump
+        kept = {s: v for s, v in written.items() if s > latest - capacity}
+        # cells of slots above latest hold older in-window values: not present
+        assert {s for s in range(latest + capacity + 1) if s in h} == set(kept)
+        assert len(h) == len(kept)
+        assert h.gather(latest, range(-2 * capacity, capacity)) == [
+            kept[s] for s in sorted(kept)
+        ]
+
+
+def test_retained_cell_costs_one_list_slot():
+    """The ring keeps one list of values and no per-cell slot id: at most
+    16 B per retained cell beyond the values themselves (a boxed int id per
+    cell would add 32 B)."""
+    capacity = 10_000
+    first = 10**6  # far above the interpreter's cache of small ints
+    values = [float(i) + 0.5 for i in range(capacity)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        h = SlidingHistory(capacity)
+        for i, value in enumerate(values):
+            h.insert(first + i, value)
+        used = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(h) == capacity
+    assert used <= 16 * capacity, used / capacity
 
 
 class TestIngest:
