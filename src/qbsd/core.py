@@ -19,7 +19,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import ConfigError, EmptyInput, InsufficientHistory, InvalidConstant
+from .errors import ConfigError, DataError, EmptyInput, InsufficientHistory, InvalidConstant
 from .timegrid import SeasonalityScheme
 
 DEFAULT_MIN_SAMPLES = 4
@@ -172,7 +172,9 @@ def qbsd_step(
     q1 = _percentile_sorted(ordered, 0.25)
     q3 = _percentile_sorted(ordered, 0.75)
     if q1 > q3:
-        raise ValueError(f"q1 ({q1}) must not exceed q3 ({q3})")
+        # values near the float limit overflow the interpolation; a NaN
+        # leaves the subset unordered
+        raise DataError(f"q1 ({q1}) must not exceed q3 ({q3})")
     lo = bisect_right(ordered, q1)
     hi = bisect_left(ordered, q3, lo)
     if lo < hi:

@@ -600,6 +600,8 @@ def replay(
         except (InsufficientHistory, InsufficientSpan):
             yield StepRecord(slot, g, actual)
             continue
+        except DataError as exc:
+            raise type(exc)(f"{format_timestamp(slot * g.interval_seconds)}: {exc}") from exc
         yield StepRecord(slot, g, actual, fo.forecast, fo.q1, fo.q3, fo.iqr,
                          diff, norm, fo.sample_count, fo.fallback_used)
 

@@ -6,23 +6,14 @@ out for plotting, never to values feeding forecasts or metrics.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache, reduce
 from typing import Sequence, Union
 
-import numpy as np
-
 from .errors import InvalidWindow, SeriesTooShort
-
-
-def _check_savgol(window_length: int, polyorder: int) -> None:
-    if window_length < 3 or window_length % 2 == 0:
-        raise InvalidWindow(
-            f"window_length must be an odd integer >= 3, got {window_length}"
-        )
-    if not 0 <= polyorder < window_length:
-        raise InvalidWindow(
-            f"polyorder must satisfy 0 <= polyorder < window_length, got {polyorder}"
-        )
 
 
 @dataclass(frozen=True)
@@ -31,7 +22,11 @@ class SavitzkyGolay:
     polyorder: int
 
     def __post_init__(self) -> None:
-        _check_savgol(self.window_length, self.polyorder)
+        n, p = self.window_length, self.polyorder
+        if n < 3 or n % 2 == 0:
+            raise InvalidWindow(f"window_length must be an odd integer >= 3, got {n}")
+        if not 0 <= p < n:
+            raise InvalidWindow(f"polyorder must satisfy 0 <= polyorder < window_length, got {p}")
 
 
 @dataclass(frozen=True)
@@ -51,45 +46,57 @@ SmootherSpec = Union[SavitzkyGolay, MovingAverage, None]
 DEFAULT_SAVGOL = SavitzkyGolay(window_length=11, polyorder=3)
 
 
-def savgol_coefficients(window_length: int, polyorder: int) -> np.ndarray:
-    """Least-squares polynomial-fit weights for a centered window.
-
-    Args:
-        window_length: odd number of samples in the window.
-        polyorder: degree of the fitted polynomial, < window_length.
-
-    Returns:
-        Weights to dot with the window values in time order; they sum to 1.
-    """
-    _check_savgol(window_length, polyorder)
+@lru_cache(maxsize=None)
+def _weight_rows(window_length: int, polyorder: int) -> tuple[tuple[float, ...], ...]:
+    """The window's least-squares hat matrix, each weight exact and then
+    rounded once to a float: row p dotted with a window is the value at
+    position p of the polynomial of degree <= polyorder fitted to it."""
     half = window_length // 2
-    offsets = np.arange(-half, half + 1, dtype=float)
-    design = np.vander(offsets, polyorder + 1, increasing=True)
-    # row 0 of the pseudo-inverse is the fitted value at the window center
-    return np.linalg.pinv(design)[0]
+    xs = range(-half, half + 1)
+    # Gram-Schmidt on the monomials over xs, symmetric about 0, is the
+    # recurrence q' = x q - (|q|^2 / |q_prev|^2) q_prev
+    basis = []  # each q scaled to integers
+    prev, q, prev_norm = [0] * window_length, [Fraction(1)] * window_length, 1
+    for _ in range(polyorder + 1):
+        scale = math.lcm(*(v.denominator for v in q))
+        basis.append([int(v * scale) for v in q])
+        norm = sum(v * v for v in q)
+        beta, prev_norm = norm / prev_norm, norm
+        prev, q = q, [x * v - beta * w for x, v, w in zip(xs, q, prev)]
+    # H[p][j] = sum over k of q_k[p] q_k[j] / |q_k|^2 as int / int, correctly
+    # rounded; a mirrored window has the mirrored fit: H[n-1-p][n-1-j] == H[p][j]
+    norms = [sum(v * v for v in q) for q in basis]
+    den = math.lcm(*norms)
+    rows = []
+    for p in range(half + 1):
+        coefs = [q[p] * (den // norm) for q, norm in zip(basis, norms)]
+        rows.append(tuple(sum(map(operator.mul, coefs, col)) / den for col in zip(*basis)))
+    return tuple(rows + [row[::-1] for row in reversed(rows[:half])])
 
 
-def _edge_fit(window: np.ndarray, polyorder: int, positions: range) -> list[float]:
-    """The polynomial fitted to a full window, evaluated at ``positions``
-    (indices into that window)."""
-    xs = np.arange(len(window), dtype=float)
-    fit = np.polynomial.Polynomial.fit(xs, window, polyorder)
-    return fit(np.array(positions, dtype=float)).tolist()
+def _dot(row: Sequence[float], window: Sequence[float]) -> float:
+    """The dot product correctly rounded: one float whatever the term order."""
+    try:
+        return math.fsum(map(operator.mul, row, window))
+    except (OverflowError, ValueError):  # a partial sum overflowed, or inf met -inf
+        return reduce(operator.add, map(operator.mul, row, window))  # left to right
 
 
-def smooth(series: Sequence[float], spec: SmootherSpec) -> np.ndarray:
+def savgol_coefficients(window_length: int, polyorder: int) -> list[float]:
+    """Least-squares polynomial-fit weights for a centered window, to dot
+    with its values in time order: the exact weights rounded to floats."""
+    SavitzkyGolay(window_length, polyorder)  # validates
+    return list(_weight_rows(window_length, polyorder)[window_length // 2])
+
+
+def smooth(series: Sequence[float], spec: SmootherSpec) -> list[float]:
     """Smooth a series without changing its length: every value pushed
     through a `StreamingSmoother`, then its tail, so the result equals the
     smoothed columns the CLI writes. ``spec=None`` returns a copy."""
-    values = np.array(series, dtype=float)
     if spec is None:
-        return values
+        return [float(v) for v in series]
     streamer = StreamingSmoother(spec)
-    out: list[float] = []
-    for value in values.tolist():
-        out.extend(streamer.push(value))
-    out.extend(streamer.finish())
-    return np.array(out)
+    return [y for v in series for y in streamer.push(float(v))] + streamer.finish()
 
 
 class StreamingSmoother:
@@ -99,28 +106,23 @@ class StreamingSmoother:
     and nothing until a full window is in; finish() returns the rest, or
     raises `SeriesTooShort` when fewer values than the window were pushed.
 
-    Savitzky-Golay dots the weights with each full window, and the first and
-    last half windows come from the polynomial fitted to the first and last
-    full window, so any polynomial of degree <= polyorder passes through
-    unchanged. The moving average clips its window at either end of the
-    series, each value the mean of the values it covers.
+    Savitzky-Golay dots a row of the hat matrix with each full window: the
+    centre row, and at either end the rows that evaluate the fit to the first
+    and last full window (Gorry, Anal. Chem. 62(6), 1990). The moving average
+    clips its window at either end, each value the mean of those it covers.
     """
 
     def __init__(self, spec: Union[SavitzkyGolay, MovingAverage]):
-        if isinstance(spec, SavitzkyGolay):
-            n = spec.window_length
-            self._polyorder = spec.polyorder
-            self._weights = savgol_coefficients(n, spec.polyorder)
-        else:
-            n = spec.window
-            self._weights = None
+        sg = isinstance(spec, SavitzkyGolay)
+        n = spec.window_length if sg else spec.window
+        self._rows = _weight_rows(n, spec.polyorder) if sg else None
         self._n = n
         # a smoothed value is final once this many later values are in
         self._lag = (n - 1) // 2
         self._count = 0
         # every value is written at i and i + n, so the last n values are
         # always one contiguous slice, oldest first
-        self._ring = np.zeros(2 * n)
+        self._ring = [0.0] * (2 * n)
         self._pos = 0
 
     def push(self, value: float) -> list[float]:
@@ -132,15 +134,14 @@ class StreamingSmoother:
         if count < n:
             return []
         window = self._ring[pos : pos + n]
-        if self._weights is None:
-            values = window.tolist()
+        if self._rows is None:
             if count == n:
                 # the first n - lag values, windows clipped at the head
-                return [sum(values[:size]) / size for size in range(self._lag + 1, n + 1)]
-            return [sum(values) / n]
-        out = _edge_fit(window, self._polyorder, range(self._lag)) if count == n else []
-        out.append(float(np.dot(self._weights, window)))
-        return out
+                return [sum(window[:size]) / size for size in range(self._lag + 1, n + 1)]
+            return [sum(window) / n]
+        if count == n:
+            return [_dot(row, window) for row in self._rows[: self._lag + 1]]
+        return [_dot(self._rows[self._lag], window)]
 
     def finish(self) -> list[float]:
         n = self._n
@@ -149,8 +150,7 @@ class StreamingSmoother:
                 f"series of {self._count} points is shorter than window {n}"
             )
         window = self._ring[self._pos : self._pos + n]
-        if self._weights is None:
-            values = window.tolist()
+        if self._rows is None:
             # the last lag values, windows clipped at the tail
-            return [sum(values[i:]) / (n - i) for i in range(1, self._lag + 1)]
-        return _edge_fit(window, self._polyorder, range(n - self._lag, n))
+            return [sum(window[i:]) / (n - i) for i in range(1, self._lag + 1)]
+        return [_dot(row, window) for row in self._rows[self._lag + 1 :]]

@@ -4,6 +4,10 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -630,7 +634,7 @@ class TestSchemeAndMethodFlags:
         for seg in full:
             for column in ("q1", "q3"):
                 want = smooth([float(r[column]) for r in seg], spec)
-                assert [r[column + "_smooth"] for r in seg] == [repr(v) for v in want.tolist()]
+                assert [r[column + "_smooth"] for r in seg] == [repr(v) for v in want]
 
     def test_short_moving_average_segment_is_written_unsmoothed(self):
         out = io.StringIO()
@@ -644,7 +648,7 @@ class TestSchemeAndMethodFlags:
         rows = list(csv.DictReader(io.StringIO(out.getvalue())))
         assert [r["q1_smooth"] + r["q3_smooth"] for r in rows[:4]] == [""] * 4
         want = smooth([1.0, 2.0, 4.0, 8.0], MovingAverage(4))
-        assert [r["q1_smooth"] for r in rows[4:]] == [repr(v) for v in want.tolist()]
+        assert [r["q1_smooth"] for r in rows[4:]] == [repr(v) for v in want]
 
     def test_bad_smoother(self, tmp_path, capsys):
         code, _, err = run(capsys, "forecast", "--input", "x.csv",
@@ -1239,3 +1243,61 @@ def test_malformed_row_in_prefix_fails_before_any_record(tmp_path, capsys):
     assert code == 2
     assert f"{path}:5: bad value 'oops'" in err
     assert stdout == ""
+
+
+@pytest.mark.parametrize("command", ["forecast", "anomaly", "evaluate"])
+def test_overflowing_quartiles_exit_2_naming_the_slot(tmp_path, capsys, command):
+    """Daily values alternating -1e308 and 1e308: the Q1 interpolation of the
+    first forecastable slot overflows to inf, above Q3. Every command reports
+    it as a data error naming that slot, not as a traceback."""
+    path = tmp_path / "extremes.csv"
+    path.write_text("timestamp,value\n" + "".join(
+        f"{day * 86400},{1e308 if day % 2 else -1e308}\n" for day in range(60)))
+    argv = [command, "--input", str(path), "--interval", "86400", "--k", "0"]
+    if command == "evaluate":
+        argv += ["--test-start", "1970-01-23T00:00:00", "--test-end", "1970-02-20T00:00:00"]
+    else:
+        argv += ["--output", str(tmp_path / "out.csv")]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err == "error: 1970-01-23T00:00:00: q1 (inf) must not exceed q3 (1e+308)\n"
+
+
+def test_interpolating_savgol_writes_the_bounds_unchanged(tmp_path, capsys):
+    """sg:21:20 fits a degree-20 polynomial through 21 points, so every row
+    of its weight table is a unit vector and each smoothed cell is its
+    bound, edges included."""
+    path = tmp_path / "series.csv"
+    run(capsys, "synth", "--output", str(path), "--days", "42",
+        "--slots-per-day", "24", "--noise-std", "5", "--seed", "3")
+    out = tmp_path / "fc.csv"
+    code, _, _ = run(capsys, "forecast", "--input", str(path), "--interval", "3600",
+                     "--k", "1", "--smoother", "sg:21:20", "--output", str(out))
+    assert code == 0
+    rows = [r for r in read_rows(out) if r["q1"]]
+    assert len(rows) > 21
+    assert [r["q1_smooth"] for r in rows] == [r["q1"] for r in rows]
+    assert [r["q3_smooth"] for r in rows] == [r["q3"] for r in rows]
+
+
+def test_runtime_never_imports_numpy(tmp_path):
+    """The package runs on the standard library alone: after ``import qbsd``
+    and a Savitzky-Golay smoothed anomaly run, numpy is not loaded."""
+    series, out = str(tmp_path / "series.csv"), str(tmp_path / "out.csv")
+    script = textwrap.dedent(f"""
+        import sys
+        import qbsd
+        import qbsd.cli
+        assert qbsd.cli.main(["synth", "--output", {series!r}, "--days", "35",
+                              "--slots-per-day", "24"]) == 0
+        assert qbsd.cli.main(["anomaly", "--input", {series!r}, "--interval", "3600",
+                              "--k", "1", "--smoother", "sg:11:3", "--output", {out!r}]) == 0
+        loaded = sorted(name for name in sys.modules if name.split(".")[0] == "numpy")
+        assert "numpy" not in sys.modules, loaded
+    """)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", script], env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

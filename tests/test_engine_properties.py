@@ -22,7 +22,13 @@ from hypothesis import strategies as st
 from qbsd.core import QbsdConfig, compute_residuals, qbsd_step
 from qbsd.datasets import StepRecord, replay
 from qbsd.engine import RollingForecaster, SlidingHistory
-from qbsd.errors import GridMisaligned, InsufficientHistory, InsufficientSpan, StaleSlot
+from qbsd.errors import (
+    DataError,
+    GridMisaligned,
+    InsufficientHistory,
+    InsufficientSpan,
+    StaleSlot,
+)
 from qbsd.timegrid import (
     DAILY,
     Granularity,
@@ -254,10 +260,10 @@ def test_sliding_subset_matches_reference(
 
     def outcome(fn):
         # a NaN in the subset leaves it unordered, and the kernel's q1 <= q3
-        # check raises ValueError on both paths alike
+        # check raises DataError on both paths alike
         try:
             return fn()
-        except (InsufficientHistory, InsufficientSpan, ValueError) as exc:
+        except (InsufficientHistory, InsufficientSpan, DataError) as exc:
             return type(exc)
 
     def expected(slot, actual=None):
@@ -278,7 +284,7 @@ def test_sliding_subset_matches_reference(
         want = expected(slot, actual)
         got = outcome(lambda: forecaster.observe(SlotCoord(slot, g), actual)[::-1])
         assert _exact(got) == _exact(want), f"observe({slot})"
-        if got is not ValueError:  # observe buffers the value unless that raised
+        if got is not DataError:  # observe buffers the value unless that raised
             oracle.insert(slot, actual)
 
     def insert(slot):

@@ -1,3 +1,5 @@
+import functools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -15,10 +17,11 @@ from qbsd.smoothing import (
 )
 
 
-def ref_savgol_weights(window_length, polyorder):
-    """Exact least-squares weights via the normal equations in rational
-    arithmetic: solve (A^T A) C = A^T for the coefficient matrix C, whose
-    row 0 gives the fitted value at the window center."""
+@functools.cache
+def exact_rows(window_length, polyorder):
+    """Every row of the exact hat matrix, by the normal equations in
+    rational arithmetic: solve (A^T A) C = A^T for the coefficient matrix C;
+    row p is the fitted polynomial at offset p - half, sum_i x^i C[i]."""
     half = window_length // 2
     offsets = range(-half, half + 1)
     a = [[Fraction(x) ** p for p in range(polyorder + 1)] for x in offsets]
@@ -39,26 +42,30 @@ def ref_savgol_weights(window_length, polyorder):
             if r != col and aug[r][col] != 0:
                 factor = aug[r][col]
                 aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
-    return [aug[0][m + j] for j in range(window_length)]
+    coef = [row[m:] for row in aug]
+    return [
+        [sum(a[p][i] * coef[i][j] for i in range(m)) for j in range(window_length)]
+        for p in range(window_length)
+    ]
 
 
-# A batch implementation independent of the streamer, its reference:
-# np.correlate in the interior, its own edge fits and a clipped
-# moving-average loop over numpy means.
-def _edge_poly(window_values: np.ndarray, polyorder: int):
-    xs = np.arange(len(window_values), dtype=float)
-    return np.polynomial.Polynomial.fit(xs, window_values, polyorder)
+def float_rows(window_length, polyorder):
+    return [[float(w) for w in row] for row in exact_rows(window_length, polyorder)]
 
 
+# A batch implementation independent of the streamer, its reference: the
+# exact rows rounded to floats and dotted by fsum, which is correctly
+# rounded, so any correct implementation gives these floats to the last
+# bit; and a clipped moving-average loop over numpy means.
 def _ma_bounds(window: int) -> tuple[int, int]:
     left = window // 2
     return left, window - 1 - left
 
 
-def reference_smooth(series, spec) -> np.ndarray:
+def reference_smooth(series, spec) -> list[float]:
     arr = np.asarray(series, dtype=float)
     if spec is None:
-        return arr.copy()
+        return arr.tolist()
     n = arr.size
     if isinstance(spec, MovingAverage):
         w = spec.window
@@ -69,19 +76,22 @@ def reference_smooth(series, spec) -> np.ndarray:
         for i in range(n):
             chunk = arr[max(0, i - left) : min(n, i + right + 1)]
             out[i] = chunk.mean()
-        return out
+        return out.tolist()
     wl = spec.window_length
     if n < wl:
         raise SeriesTooShort(f"series of {n} points is shorter than window {wl}")
     half = wl // 2
-    weights = savgol_coefficients(wl, spec.polyorder)
-    out = np.empty(n)
-    out[half : n - half] = np.correlate(arr, weights, mode="valid")
-    head = _edge_poly(arr[:wl], spec.polyorder)
-    out[:half] = head(np.arange(half, dtype=float))
-    tail = _edge_poly(arr[n - wl :], spec.polyorder)
-    out[n - half :] = tail(np.arange(wl - half, wl, dtype=float))
-    return out
+    rows = float_rows(wl, spec.polyorder)
+    values = arr.tolist()
+
+    def dot(row, window):
+        return math.fsum(w * v for w, v in zip(row, window))
+
+    return (
+        [dot(rows[p], values[:wl]) for p in range(half)]
+        + [dot(rows[half], values[i - half : i + half + 1]) for i in range(half, n - half)]
+        + [dot(rows[p], values[n - wl :]) for p in range(half + 1, wl)]
+    )
 
 
 class TestCoefficients:
@@ -101,12 +111,27 @@ class TestCoefficients:
     @pytest.mark.parametrize("wl,p", [(5, 2), (7, 3), (9, 2), (11, 3)])
     def test_matches_rational_oracle(self, wl, p):
         got = savgol_coefficients(wl, p)
-        want = [float(w) for w in ref_savgol_weights(wl, p)]
+        want = [float(w) for w in exact_rows(wl, p)[wl // 2]]
         assert got == pytest.approx(want, abs=1e-12)
 
+    @pytest.mark.parametrize("wl,p", [(5, 2), (11, 3), (21, 19), (25, 14)])
+    def test_every_weight_is_the_exact_weight_rounded(self, wl, p):
+        """Smoothing the unit vector e_j over one window gives column j of
+        the weight table, edge rows included: each weight times 1.0, plus
+        zeros, summed exactly."""
+        want = float_rows(wl, p)
+        assert savgol_coefficients(wl, p) == want[wl // 2]
+        for j in range(wl):
+            unit = [float(i == j) for i in range(wl)]
+            assert smooth(unit, SavitzkyGolay(wl, p)) == [row[j] for row in want]
+
     def test_weights_sum_to_one(self):
-        for wl, p in [(5, 2), (7, 3), (11, 3), (21, 5)]:
-            assert savgol_coefficients(wl, p).sum() == pytest.approx(1.0, abs=1e-12)
+        for wl, p in [(5, 2), (7, 3), (11, 3), (21, 5), (21, 19)]:
+            assert math.fsum(savgol_coefficients(wl, p)) == pytest.approx(1.0, abs=1e-12)
+
+    def test_coefficients_are_a_fresh_list(self):
+        savgol_coefficients(5, 2)[0] = 99.0
+        assert savgol_coefficients(5, 2)[0] == -3 / 35
 
     def test_validation(self):
         with pytest.raises(InvalidWindow):
@@ -134,11 +159,11 @@ class TestSmooth:
 
     def test_moving_average_window_one_is_identity(self):
         series = [1.0, 5.0, -2.0, 8.0]
-        assert smooth(series, MovingAverage(1)).tolist() == series
+        assert smooth(series, MovingAverage(1)) == series
 
     def test_none_is_identity(self):
         series = [1.0, 2.0, 3.0]
-        assert smooth(series, None).tolist() == series
+        assert smooth(series, None) == series
 
     def test_moving_average_values(self):
         out = smooth([1.0, 2.0, 3.0, 4.0, 5.0], MovingAverage(3))
@@ -148,7 +173,7 @@ class TestSmooth:
         rng = np.random.default_rng(0)
         series = rng.normal(size=37)
         for spec in (SavitzkyGolay(11, 3), SavitzkyGolay(5, 2), MovingAverage(6), None):
-            assert smooth(series, spec).shape == series.shape
+            assert len(smooth(series, spec)) == len(series)
 
     def test_too_short(self):
         with pytest.raises(SeriesTooShort):
@@ -179,8 +204,11 @@ def test_streaming_matches_batch(data, spec):
     for value in data:
         got.extend(streamer.push(value))
     got.extend(streamer.finish())
-    assert got == pytest.approx(batch.tolist(), abs=1e-12)
-    assert smooth(data, spec).tolist() == got
+    if isinstance(spec, SavitzkyGolay):
+        assert got == batch
+    else:
+        assert got == pytest.approx(batch, abs=1e-12)
+    assert smooth(data, spec) == got
 
 
 @settings(max_examples=60, deadline=None)
@@ -188,22 +216,37 @@ def test_streaming_matches_batch(data, spec):
     data=st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=80),
     spec=st.sampled_from(
         [SavitzkyGolay(3, 1), SavitzkyGolay(5, 2), SavitzkyGolay(11, 3),
-         SavitzkyGolay(17, 4), SavitzkyGolay(33, 2)]
+         SavitzkyGolay(17, 4), SavitzkyGolay(33, 2), SavitzkyGolay(21, 19),
+         SavitzkyGolay(25, 14)]
     ),
 )
-def test_streaming_interior_is_exact_dot(data, spec):
-    """Each interior value equals, to the last bit, the weights dotted with
-    an array of the last window_length values."""
+def test_streaming_savgol_is_exact_reference(data, spec):
+    """Each push returns nothing before a full window, then the first half
+    window and its centre, then one value; with finish() they equal, to the
+    last bit, the exact rows rounded to floats and dotted by fsum."""
     wl = spec.window_length
-    weights = savgol_coefficients(wl, spec.polyorder)
     streamer = StreamingSmoother(spec)
+    got = []
     for i, value in enumerate(data):
         out = streamer.push(value)
-        if i + 1 < wl:
-            assert out == []
-            continue
-        expected = float(np.dot(weights, np.array(data[i + 1 - wl : i + 1])))
-        assert out[-1] == expected
+        assert len(out) == (0 if i + 1 < wl else wl // 2 + 1 if i + 1 == wl else 1)
+        got.extend(out)
+    if len(data) < wl:
+        with pytest.raises(SeriesTooShort):
+            streamer.finish()
+        return
+    got.extend(streamer.finish())
+    assert got == reference_smooth(data, spec)
+
+
+def test_windows_fsum_rejects_do_not_raise():
+    """fsum raises on inf + -inf and when a partial sum overflows; such a
+    window gets the left-to-right sum instead, nan or inf."""
+    out = smooth([math.inf, -math.inf] * 6, SavitzkyGolay(5, 2))
+    assert len(out) == 12 and all(math.isnan(v) for v in out)
+    out = smooth([1.7e308] * 12, SavitzkyGolay(11, 3))
+    assert math.inf in out
+    assert all(v == math.inf or v == pytest.approx(1.7e308) for v in out)
 
 
 def test_streaming_too_short():
