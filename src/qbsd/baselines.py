@@ -6,8 +6,8 @@ forecast for slot t only ever reads slots strictly before t.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Protocol, Union
+from dataclasses import dataclass, field
+from typing import ClassVar, Protocol, Union
 
 from .errors import ConfigError, InsufficientHistory
 from .timegrid import SlotCoord
@@ -22,6 +22,7 @@ class SeasonalNaive:
     """Forecast the value one season back, e.g. the same slot last week."""
 
     season_slots: int
+    name: ClassVar[str] = "seasonal-naive"
 
     def __post_init__(self) -> None:
         if self.season_slots < 1:
@@ -29,8 +30,12 @@ class SeasonalNaive:
 
 
 @dataclass(frozen=True)
-class Persistence:
-    """Forecast the previous slot's value."""
+class Persistence(SeasonalNaive):
+    """Forecast the previous slot's value: a season of one slot. Equality
+    is per class, so it is never equal to ``SeasonalNaive(1)``."""
+
+    season_slots: int = field(default=1, init=False, repr=False)
+    name: ClassVar[str] = "persistence"
 
 
 @dataclass(frozen=True)
@@ -44,7 +49,7 @@ class MovingAverage:
             raise ConfigError(f"window_slots must be >= 1, got {self.window_slots}")
 
 
-BaselineSpec = Union[SeasonalNaive, Persistence, MovingAverage]
+BaselineSpec = Union[SeasonalNaive, MovingAverage]
 
 
 def baseline_forecast(
@@ -55,14 +60,7 @@ def baseline_forecast(
         lagged = slot - spec.season_slots
         value = history.get(lagged) if lagged >= 0 else None
         if value is None:
-            raise InsufficientHistory(
-                f"seasonal-naive needs a value at slot {lagged}"
-            )
-        return value
-    if isinstance(spec, Persistence):
-        value = history.get(slot - 1) if slot >= 1 else None
-        if value is None:
-            raise InsufficientHistory(f"persistence needs a value at slot {slot - 1}")
+            raise InsufficientHistory(f"{spec.name} needs a value at slot {lagged}")
         return value
     window = []
     for s in range(max(0, slot - spec.window_slots), slot):

@@ -336,8 +336,7 @@ class RecordWriter:
         self._smooth_q3 = None
 
     def close(self) -> None:
-        if self._smoother is not None:
-            self._flush_segment()
+        self._flush_segment()
 
 
 def _resolve_descriptor(args, need_test_range: bool) -> DatasetDescriptor:
@@ -354,55 +353,41 @@ def _resolve_descriptor(args, need_test_range: bool) -> DatasetDescriptor:
     ):
         if unused and getattr(args, flag[2:].replace("-", "_"), None) is not None:
             raise ConfigError(f"{flag} does not apply to this run: {reason}")
-    if base is not None:
-        g = base.frequency
+    if base is None:
+        if args.interval is None:
+            raise ConfigError("either --dataset or --interval is required")
+        g = Granularity(args.interval)
+        k = args.k if args.k is not None else 4
+        scheme = _parse_scheme(args.scheme or "weekly4", k, g)
+        test_range = (0, 0)
+        if need_test_range:
+            if args.test_start is None or args.test_end is None:
+                raise ConfigError(
+                    "--test-start and --test-end are required for custom datasets"
+                )
+            test_range = (
+                _flag_timestamp("--test-start", args.test_start, g),
+                _flag_timestamp("--test-end", args.test_end, g),
+            )
+        name, ts_column, value_column = "custom", "timestamp", "value"
+        window_seconds = default_capacity(scheme, g) * g.interval_seconds
+    else:
+        g, test_range = base.frequency, base.test_range
         k = args.k if args.k is not None else base.k_slots
         if args.scheme:
             scheme = _parse_scheme(args.scheme, k, g)
-        elif k == base.k_slots:
-            scheme = base.scheme
-        else:  # same lag structure, new context period
+        else:  # the builtin's lags at the run's context period
             scheme = scheme_from_lags([lag.lag_slots for lag in base.scheme.lags], k)
-        return DatasetDescriptor(
-            name=base.name,
-            frequency=g,
-            timestamp_column=args.timestamp_column or base.timestamp_column,
-            target_column=args.value_column or base.target_column,
-            train_window_seconds=(
-                args.train_window * 86400
-                if args.train_window is not None
-                else base.train_window_seconds
-            ),
-            k_seconds=k * g.interval_seconds,
-            scheme=scheme,
-            test_range=base.test_range,
-        )
-    if args.interval is None:
-        raise ConfigError("either --dataset or --interval is required")
-    g = Granularity(args.interval)
-    k = args.k if args.k is not None else 4
-    scheme = _parse_scheme(args.scheme or "weekly4", k, g)
-    if need_test_range:
-        if args.test_start is None or args.test_end is None:
-            raise ConfigError(
-                "--test-start and --test-end are required for custom datasets"
-            )
-        test_range = (
-            _flag_timestamp("--test-start", args.test_start, g),
-            _flag_timestamp("--test-end", args.test_end, g),
-        )
-    else:
-        test_range = (0, 0)
+        name, ts_column, value_column = base.name, base.timestamp_column, base.target_column
+        window_seconds = base.train_window_seconds
+    if args.train_window is not None:
+        window_seconds = args.train_window * 86400
     return DatasetDescriptor(
-        name="custom",
+        name=name,
         frequency=g,
-        timestamp_column=args.timestamp_column or "timestamp",
-        target_column=args.value_column or "value",
-        train_window_seconds=(
-            args.train_window * 86400
-            if args.train_window is not None
-            else default_capacity(scheme, g) * g.interval_seconds
-        ),
+        timestamp_column=args.timestamp_column or ts_column,
+        target_column=args.value_column or value_column,
+        train_window_seconds=window_seconds,
         k_seconds=k * g.interval_seconds,
         scheme=scheme,
         test_range=test_range,
@@ -727,7 +712,7 @@ def measure_qbsd_latency(
         )
     )
     cfg = QbsdConfig(scheme=scheme, c=1.0)
-    last = frame.last_slot
+    last = frame.slots[-1]
     # a target above last - capacity + span has its whole subset in every buffer
     first = max(last - 500, last - capacity + span + 1)
     targets = [SlotCoord(s, g) for s in range(first, last + 1)]
@@ -936,10 +921,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -18,7 +18,7 @@ import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional
 
 from .baselines import BaselineSpec, baseline_forecast
 from .core import (
@@ -231,13 +231,6 @@ class SeriesFrame:
         for slot, value in zip(self.slots, self.values):
             yield SlotCoord(slot, g), value
 
-    def value_map(self) -> dict[int, float]:
-        return dict(zip(self.slots, self.values))
-
-    @property
-    def last_slot(self) -> int:
-        return self.slots[-1]
-
 
 def points(
     rows: Iterable[tuple[int, str, Optional[float], str]], path: str, g: Granularity
@@ -285,14 +278,6 @@ def load_csv(
     )
 
 
-def default_daily_profile(slots_per_day: int, base: float, amplitude: float) -> tuple[float, ...]:
-    """Low overnight, peaking mid-day."""
-    return tuple(
-        base + amplitude * math.sin(math.pi * i / slots_per_day) ** 2
-        for i in range(slots_per_day)
-    )
-
-
 @dataclass(frozen=True)
 class SynthSpec:
     """Deterministic KPI-like series: a daily profile scaled per day-of-week,
@@ -302,7 +287,6 @@ class SynthSpec:
     slots_per_day: int = 96
     base: float = 100.0
     amplitude: float = 900.0
-    profile: Optional[tuple[float, ...]] = None
     weekday_scale: float = 1.0
     weekend_scale: float = 0.6
     noise_std: float = 0.0
@@ -317,19 +301,11 @@ class SynthSpec:
                 f"slots_per_day must be a positive divisor of {SECONDS_PER_DAY}, "
                 f"got {self.slots_per_day}"
             )
-        if self.profile is not None and len(self.profile) != self.slots_per_day:
-            raise ConfigError(
-                f"profile has {len(self.profile)} entries for "
-                f"{self.slots_per_day} slots per day"
-            )
         if not 0 <= self.noise_std < math.inf:
             raise ConfigError(f"noise_std must be finite and >= 0, got {self.noise_std}")
         for name in ("base", "amplitude", "weekday_scale", "weekend_scale"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
-        for value in self.profile or ():
-            if not math.isfinite(value):
-                raise ConfigError(f"profile entries must be finite, got {value}")
         n = self.days * self.slots_per_day
         seen = set()
         for slot, magnitude in self.anomalies:
@@ -347,9 +323,9 @@ class SynthSpec:
 
 
 def generate_synthetic(spec: SynthSpec) -> SeriesFrame:
-    profile = spec.profile or default_daily_profile(
-        spec.slots_per_day, spec.base, spec.amplitude
-    )
+    spd = spec.slots_per_day
+    # the daily profile: low overnight, peaking mid-day
+    profile = [spec.base + spec.amplitude * math.sin(math.pi * i / spd) ** 2 for i in range(spd)]
     rng = random.Random(spec.seed)
     injections = dict(spec.anomalies)
     n = spec.days * spec.slots_per_day
@@ -428,10 +404,6 @@ class DatasetDescriptor:
         return QbsdConfig(scheme=self.scheme, c=c, min_samples=min_samples)
 
 
-def _ts(text: str) -> int:
-    return parse_timestamp(text)
-
-
 _DAY = SECONDS_PER_DAY
 _WEEK = 7 * _DAY
 
@@ -451,7 +423,7 @@ def builtin_descriptors() -> tuple[DatasetDescriptor, ...]:
             train_window_seconds=6 * _WEEK,
             k_seconds=1 * _DAY,
             scheme=default_weekly_scheme(6, 1, DAILY),
-            test_range=(_ts("2015-02-01"), _ts("2015-02-28")),
+            test_range=(parse_timestamp("2015-02-01"), parse_timestamp("2015-02-28")),
         ),
         DatasetDescriptor(
             name="electricity_demand",
@@ -461,7 +433,7 @@ def builtin_descriptors() -> tuple[DatasetDescriptor, ...]:
             train_window_seconds=52 * _WEEK,
             k_seconds=2 * _DAY,
             scheme=weekly_plus_yearly_scheme(2, DAILY),
-            test_range=(_ts("2016-01-01"), _ts("2016-01-31")),
+            test_range=(parse_timestamp("2016-01-01"), parse_timestamp("2016-01-31")),
         ),
         DatasetDescriptor(
             name="bitcoin",
@@ -471,7 +443,7 @@ def builtin_descriptors() -> tuple[DatasetDescriptor, ...]:
             train_window_seconds=4 * _WEEK,
             k_seconds=2 * _DAY,
             scheme=default_weekly_scheme(4, 2, DAILY),
-            test_range=(_ts("2016-01-01"), _ts("2016-12-31")),
+            test_range=(parse_timestamp("2016-01-01"), parse_timestamp("2016-12-31")),
         ),
         DatasetDescriptor(
             name="electricity",
@@ -481,7 +453,10 @@ def builtin_descriptors() -> tuple[DatasetDescriptor, ...]:
             train_window_seconds=52 * _WEEK,
             k_seconds=2 * 3600,
             scheme=weekly_plus_yearly_scheme(2, HOURLY),
-            test_range=(_ts("2013-01-01T00:00:00"), _ts("2013-01-31T23:00:00")),
+            test_range=(
+                parse_timestamp("2013-01-01T00:00:00"),
+                parse_timestamp("2013-01-31T23:00:00"),
+            ),
         ),
         DatasetDescriptor(
             name="weather",
@@ -491,7 +466,10 @@ def builtin_descriptors() -> tuple[DatasetDescriptor, ...]:
             train_window_seconds=52 * _WEEK,
             k_seconds=2 * 3600,
             scheme=weekly_plus_yearly_scheme(2, HOURLY),
-            test_range=(_ts("2011-03-01T00:00:00"), _ts("2011-03-07T23:00:00")),
+            test_range=(
+                parse_timestamp("2011-03-01T00:00:00"),
+                parse_timestamp("2011-03-07T23:00:00"),
+            ),
         ),
         # trivially exact protocol: with k=0 the subset is three identical
         # week-lagged samples, so a noiseless periodic series forecasts itself
@@ -517,8 +495,8 @@ def builtin_descriptors() -> tuple[DatasetDescriptor, ...]:
                 k_seconds=4 * 900,
                 scheme=default_weekly_scheme(4, 4, QUARTER_HOURLY),
                 test_range=(
-                    _ts("2023-04-01T00:00:00"),
-                    _ts("2023-04-30T23:45:00"),
+                    parse_timestamp("2023-04-01T00:00:00"),
+                    parse_timestamp("2023-04-30T23:45:00"),
                 ),
             )
         )
@@ -560,9 +538,6 @@ class StepRecord:
     def timestamp(self) -> int:
         """Epoch seconds of the slot boundary."""
         return self.global_slot * self.granularity.interval_seconds
-
-
-Method = Union[QbsdConfig, BaselineSpec]
 
 
 def estimate_contingency(
@@ -608,7 +583,7 @@ def replay(
 
 def rolling_evaluate(
     frame: SeriesFrame,
-    method: Method,
+    method: QbsdConfig | BaselineSpec,
     desc: DatasetDescriptor,
 ) -> tuple[MetricsReport, list[StepRecord]]:
     """Replay the test range with a moving training window.
@@ -624,7 +599,7 @@ def rolling_evaluate(
     g = frame.granularity
     window = desc.train_window_slots
     test_start, test_end = desc.test_slot_range
-    actuals = frame.value_map()
+    actuals = dict(zip(frame.slots, frame.values))
 
     qbsd = isinstance(method, QbsdConfig)
     if qbsd:

@@ -10,7 +10,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Sequence, Union
 
 from .errors import InvalidWindow, SeriesTooShort
@@ -79,7 +79,15 @@ def _dot(row: Sequence[float], window: Sequence[float]) -> float:
     try:
         return math.fsum(map(operator.mul, row, window))
     except (OverflowError, ValueError):  # a partial sum overflowed, or inf met -inf
-        return reduce(operator.add, map(operator.mul, row, window))  # left to right
+        products = list(map(operator.mul, row, window))
+        special = [p for p in products if not math.isfinite(p)]
+        if special:  # no finite term changes an inf or nan sum
+            return sum(special)
+        exact = sum(map(Fraction, products))
+        try:
+            return float(exact)
+        except OverflowError:  # the exact sum is itself beyond the float range
+            return math.inf if exact > 0 else -math.inf
 
 
 def savgol_coefficients(window_length: int, polyorder: int) -> list[float]:

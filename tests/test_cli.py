@@ -568,6 +568,22 @@ class TestSchemeAndMethodFlags:
         assert [l.split()[0] for l in stdout.splitlines()[2:]] == [
             "seasonal-naive", "seasonal-naive:96"]
 
+    def test_persistence_is_a_one_slot_seasonal_naive(self, tmp_path, capsys):
+        """Two accepted methods with the same forecasts: the same metrics and
+        the same records, row for row."""
+        out = tmp_path / "records.csv"
+        code, stdout, _ = run(capsys, "evaluate", "--dataset", "synthetic",
+                              "--method", "persistence,seasonal-naive:1",
+                              "--format", "json", "--output", str(out))
+        assert code == 0
+        persistence, seasonal = json.loads(stdout)["methods"]
+        assert persistence.pop("method") == "persistence"
+        assert seasonal.pop("method") == "seasonal-naive:1"
+        assert persistence == seasonal
+        records = tmp_path / "records.persistence.csv"
+        assert records.read_text() == (tmp_path / "records.seasonal-naive_1.csv").read_text()
+        assert len(read_rows(records)) == 4 * 7 * 96  # the synthetic test range
+
     def test_unknown_method_rejected_before_input_is_opened(
         self, tmp_path, capsys, monkeypatch
     ):

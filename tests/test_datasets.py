@@ -24,7 +24,7 @@ from qbsd.errors import (
     InsufficientSpan,
     ParseError,
 )
-from qbsd.timegrid import DAILY, QUARTER_HOURLY, default_weekly_scheme
+from qbsd.timegrid import DAILY, QUARTER_HOURLY, default_weekly_scheme, scheme_from_lags
 
 
 class TestParseTimestamp:
@@ -134,14 +134,12 @@ class TestSynthetic:
             SynthSpec(slots_per_day=7)
         with pytest.raises(ConfigError):
             SynthSpec(days=0)
-        with pytest.raises(ConfigError):
-            SynthSpec(profile=(1.0, 2.0), slots_per_day=24)
 
     @pytest.mark.parametrize("field,value", [
         ("base", float("nan")), ("amplitude", float("inf")),
         ("weekday_scale", float("nan")), ("weekend_scale", float("-inf")),
-        ("profile", (1.0, float("nan"), 2.0)), ("anomalies", ((1, float("inf")),)),
-    ], ids=["base", "amplitude", "weekday_scale", "weekend_scale", "profile", "anomalies"])
+        ("anomalies", ((1, float("inf")),)),
+    ], ids=["base", "amplitude", "weekday_scale", "weekend_scale", "anomalies"])
     def test_non_finite_input_is_config_error(self, field, value):
         """A non-finite parameter would put nan or inf cells in the series."""
         with pytest.raises(ConfigError, match="must be finite"):
@@ -174,6 +172,13 @@ class TestDescriptors:
         assert [lag.lag_slots for lag in d.scheme.lags] == [0, 7, 364]
         assert d.k_slots == 2
         assert d.train_window_slots == 364
+
+    @pytest.mark.parametrize("d", builtin_descriptors(), ids=lambda d: d.name)
+    def test_scheme_is_its_lags_at_its_own_k(self, d):
+        """The CLI rebuilds a builtin's scheme from its lags at the run's k,
+        so at the builtin's own k it must be the builtin's scheme."""
+        lags = [lag.lag_slots for lag in d.scheme.lags]
+        assert scheme_from_lags(lags, d.k_slots) == d.scheme
 
     def test_unknown_name(self):
         with pytest.raises(ConfigError):

@@ -240,13 +240,41 @@ def test_streaming_savgol_is_exact_reference(data, spec):
 
 
 def test_windows_fsum_rejects_do_not_raise():
-    """fsum raises on inf + -inf and when a partial sum overflows; such a
-    window gets the left-to-right sum instead, nan or inf."""
+    """fsum raises on inf + -inf; such a window sums to nan."""
     out = smooth([math.inf, -math.inf] * 6, SavitzkyGolay(5, 2))
     assert len(out) == 12 and all(math.isnan(v) for v in out)
-    out = smooth([1.7e308] * 12, SavitzkyGolay(11, 3))
-    assert math.inf in out
-    assert all(v == math.inf or v == pytest.approx(1.7e308) for v in out)
+
+
+def test_overflowing_partial_sums_give_the_exact_sum():
+    """fsum raises when a partial sum of finite products leaves the float
+    range; such a window gets the exact sum of the same products, rounded
+    once, which is finite here in every cell."""
+    values = [1.7e308] * 12
+    rows = float_rows(11, 3)
+
+    def exact_dot(row, window):
+        return float(sum(Fraction(w * v) for w, v in zip(row, window)))
+
+    expected = (
+        [exact_dot(rows[p], values[:11]) for p in range(5)]
+        + [exact_dot(rows[5], values[i - 5 : i + 6]) for i in (5, 6)]
+        + [exact_dot(rows[p], values[1:]) for p in range(6, 11)]
+    )
+    out = smooth(values, SavitzkyGolay(11, 3))
+    assert all(math.isfinite(v) for v in out)
+    assert out == expected
+
+
+def test_out_of_range_exact_sum_is_signed_inf():
+    """The first row of a 5-point line fit weighs (3, 2, 1, 0, -1) / 5: on
+    (M, M, M, 0, -M) it sums to 1.4 M, beyond the float range for M = 1.7e308,
+    so that cell is inf, and -inf on the negated window; the second row's
+    exact sum, 0.9 M, stays finite. An inf product decides its cell whatever
+    the finite ones sum to: -inf, where a left-to-right sum gives nan."""
+    m = 1.7e308
+    assert smooth([m, m, m, 0.0, -m], SavitzkyGolay(5, 1))[:2] == [math.inf, 1.53e308]
+    assert smooth([-m, -m, -m, 0.0, m], SavitzkyGolay(5, 1))[:2] == [-math.inf, -1.53e308]
+    assert smooth([m, m, m, 0.0, math.inf], SavitzkyGolay(5, 1))[0] == -math.inf
 
 
 def test_streaming_too_short():
