@@ -318,7 +318,11 @@ class MultiSeriesEngine:
     def observe(
         self, series_id: str, t: Slot, value: float
     ) -> tuple[Residuals, ForecastOutput]:
-        return self.forecaster(series_id).observe(t, value)
+        # the dict read inline: no forecaster() call on a known id
+        f = self._series.get(series_id)
+        if f is None:
+            f = self.forecaster(series_id)
+        return f.observe(t, value)
 
     def series_ids(self) -> list[str]:
         return sorted(self._series)

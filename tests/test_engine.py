@@ -362,3 +362,28 @@ class TestMultiSeries:
         res, fo = engine.observe("x", SlotCoord(30, g), 5.0)
         assert res.difference == 0.0
         assert engine.forecast_at("x", SlotCoord(31, g)).forecast == 5.0
+
+    def test_observe_creates_a_forecaster_once_per_new_id(self):
+        g = DAILY
+        made = []
+
+        def factory():
+            made.append(make_forecaster(g, k=1))
+            return made[-1]
+
+        engine = MultiSeriesEngine(factory)
+        skipped = 0
+        for s in range(25):
+            try:
+                engine.observe("x", SlotCoord(s, g), 5.0)
+            except (InsufficientHistory, InsufficientSpan):
+                skipped += 1
+        assert 0 < skipped < 25
+        assert len(made) == 1
+        assert engine.forecaster("x") is made[0]
+        # every observation, warmup included, reached the one forecaster
+        assert len(made[0].history) == 25
+        with pytest.raises(InsufficientSpan):
+            engine.observe("y", SlotCoord(0, g), 1.0)
+        assert len(made) == 2 and engine.series_ids() == ["x", "y"]
+        assert len(made[1].history) == 1 and len(made[0].history) == 25

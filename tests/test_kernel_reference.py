@@ -1,0 +1,153 @@
+"""``qbsd_step`` and ``compute_residuals`` pinned bit for bit against the
+kernel's formulas written out here: type-7 percentiles at 0.25, 0.75 and
+0.5, the bisect interior mean, the median fallback, keyword construction and
+``max(iqr, c)``. Every float field is compared by ``repr``, so a change of
+sign on a zero, a NaN where a number was, or one ulp of difference fails."""
+
+import math
+import random
+from bisect import bisect_left, bisect_right
+
+from qbsd.core import ForecastOutput, QbsdConfig, Residuals, compute_residuals, qbsd_step
+from qbsd.errors import DataError, InsufficientHistory, InvalidConstant
+from qbsd.timegrid import DAILY, default_weekly_scheme
+
+INF, NAN = math.inf, math.nan
+
+
+def ref_percentile(ordered, fraction):
+    pos = fraction * (len(ordered) - 1)
+    lo = int(pos)
+    rem = pos - lo
+    if rem == 0.0:
+        return float(ordered[lo])
+    return ordered[lo] + rem * (ordered[lo + 1] - ordered[lo])
+
+
+def ref_step(ordered, requested_size, min_samples):
+    present = len(ordered)
+    if present < min_samples:
+        raise InsufficientHistory(f"{present} of {requested_size}")
+    q1 = ref_percentile(ordered, 0.25)
+    q3 = ref_percentile(ordered, 0.75)
+    if q1 > q3:
+        raise DataError(f"q1 ({q1}) must not exceed q3 ({q3})")
+    lo = bisect_right(ordered, q1)
+    hi = bisect_left(ordered, q3, lo)
+    if lo < hi:
+        forecast, fallback_used = sum(ordered[lo:hi]) / (hi - lo), False
+    else:
+        forecast, fallback_used = ref_percentile(ordered, 0.5), True
+    return ForecastOutput(
+        forecast=forecast,
+        q1=q1,
+        q3=q3,
+        iqr=q3 - q1,
+        sample_count=present,
+        fallback_used=fallback_used,
+    )
+
+
+def ref_residuals(actual, fo, c):
+    if not c > 0:
+        raise InvalidConstant(f"contingency constant must be > 0, got {c}")
+    difference = actual - fo.forecast
+    return Residuals(difference=difference, normalized=difference / max(fo.iqr, c))
+
+
+def outcome(fn, *args):
+    """What a call gives, as comparable text: the repr of every float field
+    and the exact ints and bools, or the exception type."""
+    try:
+        out = fn(*args)
+    except Exception as exc:
+        return type(exc)
+    if isinstance(out, Residuals):
+        return repr(out.difference), repr(out.normalized)
+    return (repr(out.forecast), repr(out.q1), repr(out.q3), repr(out.iqr),
+            out.sample_count, out.fallback_used)
+
+
+def subsets():
+    """Sorted subsets, n = 3..70, of every kind the kernel meets."""
+    rng = random.Random(20230609)
+    specials = [0.0, -0.0, NAN, INF, -INF, 1e308, -1e308, 5e-324]
+    for n in range(3, 71):
+        yield [rng.gauss(100.0, 30.0) for _ in range(n)]
+        yield [float(rng.randint(0, 3)) for _ in range(n)]  # ties
+        yield [rng.choice([0.0, -0.0, 1.0, -1.0]) for _ in range(n)]
+        yield [2.5] * n  # constant: the fallback
+        yield [rng.choice([1.0, 2.0]) for _ in range(n)]  # two-valued
+        yield [rng.choice([rng.uniform(-5.0, 5.0), rng.choice(specials)])
+               for _ in range(n)]
+        yield [rng.uniform(-1e-300, 1e-300) for _ in range(n)]
+        mixed = [rng.uniform(0.0, 10.0) for _ in range(n)]
+        mixed[rng.randrange(n)] = rng.choice([NAN, INF, -INF])
+        yield mixed
+
+
+CONFIGS = [
+    QbsdConfig(scheme=default_weekly_scheme(4, 1, DAILY), c=1.0, min_samples=m)
+    for m in (3, 5, 40)
+]
+
+
+def test_qbsd_step_matches_the_reference_bit_for_bit():
+    seen = {"fallback": 0, "interior": 0, DataError: 0, InsufficientHistory: 0}
+    cases = 0
+    for values in subsets():
+        ordered = sorted(values)
+        for cfg in CONFIGS:
+            got = outcome(qbsd_step, ordered, 66, cfg)
+            want = outcome(ref_step, ordered, 66, cfg.min_samples)
+            assert got == want, (ordered, cfg.min_samples)
+            if isinstance(want, tuple):
+                seen["fallback" if want[5] else "interior"] += 1
+            else:
+                seen[want] += 1
+            cases += 1
+    assert cases > 1500
+    assert all(count > 0 for count in seen.values()), seen
+
+
+def residual_cases():
+    """(actual, ForecastOutput, c) covering an IQR that is NaN, equal to c,
+    below c and above it, with non-finite and signed-zero actuals."""
+    rng = random.Random(1306)
+    actuals = [0.0, -0.0, 3.25, -7.5, 1e308, -1e308, INF, -INF, NAN]
+    for values in subsets():
+        ordered = sorted(values)
+        try:
+            fo = qbsd_step(ordered, 66, CONFIGS[0])
+        except (DataError, InsufficientHistory):
+            continue
+        iqr = fo.iqr
+        cs = [1.0, 1, 1e-6, 2.0 * abs(iqr) + 1.0 if iqr == iqr else 1.0]
+        if iqr > 0:
+            cs += [iqr, iqr / 2.0, math.nextafter(iqr, INF), math.nextafter(iqr, 0.0)]
+        for c in cs:
+            yield rng.choice(actuals + [rng.gauss(0.0, 50.0)]), fo, c
+    for iqr in (NAN, 0.0, 1.0, 4.0, INF):
+        fo = ForecastOutput(2.0, 1.0, 1.0 + iqr, iqr, 9, False)
+        for c in (1.0, 1, 4.0, 0.5, INF):
+            for actual in actuals:
+                yield actual, fo, c
+    nan_fo = ForecastOutput(NAN, NAN, NAN, NAN, 9, False)
+    for c in (0.0, -0.0, -1.0, NAN, -INF, 1.0):  # the first five are rejected
+        yield 1.0, nan_fo, c
+
+
+def test_compute_residuals_matches_the_reference_bit_for_bit():
+    seen = {"nan iqr": 0, "iqr == c": 0, "iqr < c": 0, "iqr > c": 0, "rejected": 0}
+    for actual, fo, c in residual_cases():
+        got = outcome(compute_residuals, actual, fo, c)
+        want = outcome(ref_residuals, actual, fo, c)
+        assert got == want, (actual, fo, c)
+        if want is InvalidConstant:
+            seen["rejected"] += 1
+            continue
+        iqr = fo.iqr
+        seen["nan iqr" if iqr != iqr else "iqr == c" if iqr == c
+             else "iqr < c" if iqr < c else "iqr > c"] += 1
+    assert all(count > 0 for count in seen.values()), seen
+
