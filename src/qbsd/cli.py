@@ -486,17 +486,16 @@ def cmd_evaluate(args) -> int:
     cfg = _qbsd_config(args, desc)
     methods = _parse_methods(args.method or "qbsd", desc.frequency)
     frame = _load_frame(args, desc, args.input)
-    test_start, _ = desc.test_slot_range
-    results: list[_MethodResult] = []
-    for label, marker in methods:
-        if marker == "qbsd":
-            method = cfg
-            if args.c is None:
-                method = replace(cfg, c=estimate_contingency(frame, test_start, cfg.c))
-        else:
-            method = marker
-        report, records = rolling_evaluate(frame, method, desc)
-        results.append(_MethodResult(label, report, records))
+    if args.c is None and any(marker == "qbsd" for _, marker in methods):
+        test_start, _ = desc.test_slot_range
+        cfg = replace(cfg, c=estimate_contingency(frame, test_start, cfg.c))
+    outcomes = rolling_evaluate(
+        frame, [cfg if marker == "qbsd" else marker for _, marker in methods], desc
+    )
+    results = [
+        _MethodResult(label, report, records)
+        for (label, _), (report, records) in zip(methods, outcomes)
+    ]
 
     # every method has one record per test slot, in slot order
     qbsd_result = next((r for r in results if r.label == "qbsd"), None)

@@ -15,6 +15,7 @@ for the default weekly scheme), so plain sorted lists beat array round-trips.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -104,8 +105,8 @@ class QbsdConfig:
     min_samples: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if not self.c > 0:
-            raise InvalidConstant(f"contingency constant must be > 0, got {self.c}")
+        if not 0 < self.c < math.inf:
+            raise InvalidConstant(f"contingency constant must be finite and > 0, got {self.c}")
         if self.min_samples is None:
             object.__setattr__(self, "min_samples", default_min_samples(self.scheme))
         elif self.min_samples < 3:
@@ -143,11 +144,16 @@ def contingency_constant(training_values: Sequence[float], floor: float) -> floa
     The floor guards series whose low percentile is ~0, where a tiny
     denominator would make the normalized residual hypersensitive.
     """
-    if not floor > 0:
-        raise InvalidConstant(f"floor must be > 0, got {floor}")
+    if not 0 < floor < math.inf:
+        raise InvalidConstant(f"floor must be finite and > 0, got {floor}")
     if len(training_values) == 0:
         raise EmptyInput("contingency constant of an empty sample")
-    return max(abs(interpolated_percentile(training_values, 0.01)), floor)
+    c = max(abs(interpolated_percentile(training_values, 0.01)), floor)
+    if c == math.inf:
+        # finite values near the float limit overflow the interpolation: a
+        # fault of the data, not of a configured constant
+        raise DataError("the contingency constant of the training values overflows to inf")
+    return c
 
 
 def qbsd_step(

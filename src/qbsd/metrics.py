@@ -123,17 +123,45 @@ def _exact_tail_probs(ranks: Sequence[float], w_plus: float) -> tuple[float, flo
     return ge / total, le / total
 
 
-def _approx_tail_probs(
-    ranks: Sequence[float], w_plus: float
-) -> tuple[float, float]:
+def _rank_sums(diffs: Sequence[float]) -> tuple[float, int]:
+    """``w_plus``, the sum of the average ranks of |d| over the positive
+    differences, and the tie sum of t^3 - t over the groups of t equal |d|,
+    in one walk over the differences sorted by |d|.
+
+    Ranks are half-integers, so their sums are exact in any order, and each
+    tie group has its own average rank: both equal what per-index ranks give.
+    """
+    ordered = sorted(diffs, key=abs)
+    n = len(ordered)
+    w_plus = 0.0
+    ties = 0
+    i = 0
+    while i < n:
+        d = ordered[i]
+        size = abs(d)
+        j = i + 1
+        # a group of one, rank j: nearly every group when the errors are
+        # continuous, so it skips the group bookkeeping
+        if j == n or abs(ordered[j]) != size:
+            if d > 0:
+                w_plus += j
+            i = j
+            continue
+        j += 1
+        while j < n and abs(ordered[j]) == size:
+            j += 1
+        t = j - i
+        ties += t * t * t - t
+        positives = sum(1 for e in ordered[i:j] if e > 0)
+        w_plus += positives * ((i + j + 1) / 2)  # 1-based average rank
+        i = j
+    return w_plus, ties
+
+
+def _approx_tail_probs(n: int, w_plus: float, ties: int) -> tuple[float, float]:
     """Normal approximation with tie and continuity corrections."""
-    n = len(ranks)
     mu = n * (n + 1) / 4
-    tie_counts: dict[float, int] = {}
-    for r in ranks:
-        tie_counts[r] = tie_counts.get(r, 0) + 1
-    tie_term = sum(t**3 - t for t in tie_counts.values()) / 48
-    var = n * (n + 1) * (2 * n + 1) / 24 - tie_term
+    var = n * (n + 1) * (2 * n + 1) / 24 - ties / 48
     sd = math.sqrt(var)
     p_ge = 0.5 * math.erfc((w_plus - mu - 0.5) / (sd * math.sqrt(2)))
     p_le = 0.5 * math.erfc((mu - w_plus - 0.5) / (sd * math.sqrt(2)))
@@ -169,13 +197,12 @@ def wilcoxon_signed_rank(
         raise TooFewPairs(
             f"{n} non-zero differences; need at least 5 informative pairs"
         )
-    ranks = _average_ranks([abs(d) for d in diffs])
-    w_plus = sum(r for r, d in zip(ranks, diffs) if d > 0)
-    exact = mode == "exact" or (mode == "auto" and n <= 12)
-    if exact:
+    if mode == "exact" or (mode == "auto" and n <= 12):
+        ranks = _average_ranks([abs(d) for d in diffs])
+        w_plus = sum(r for r, d in zip(ranks, diffs) if d > 0)
         p_ge, p_le = _exact_tail_probs(ranks, w_plus)
     else:
-        p_ge, p_le = _approx_tail_probs(ranks, w_plus)
+        p_ge, p_le = _approx_tail_probs(n, *_rank_sums(diffs))
     if alternative == "greater":
         return p_ge
     if alternative == "less":

@@ -78,7 +78,7 @@ def test_criterion_02_no_leakage():
 def test_criterion_03_noiseless_periodicity():
     desc = get_descriptor("synthetic")  # 8 weeks, 96 slots/day, k=0 scheme
     frame = generate_synthetic(SynthSpec(noise_std=0.0))
-    report, records = rolling_evaluate(frame, desc.qbsd_config(), desc)
+    [(report, records)] = rolling_evaluate(frame, [desc.qbsd_config()], desc)
     assert skipped_count(records) == 0
     assert report.mape <= 1e-9
     assert all(r.iqr == 0.0 for r in records)
@@ -254,7 +254,7 @@ def test_criterion_09_anomaly_example():
     threshold = 3.0
 
     clean = generate_synthetic(SynthSpec(noise_std=5.0, seed=909))
-    _, clean_records = rolling_evaluate(clean, cfg, desc)
+    [(_, clean_records)] = rolling_evaluate(clean, [cfg], desc)
     by_slot = {r.slot.global_slot: r for r in clean_records}
     test_start, _ = desc.test_slot_range
     big_slot = test_start + 500
@@ -270,7 +270,7 @@ def test_criterion_09_anomaly_example():
             anomalies=((big_slot, 10.0 * big_iqr), (small_slot, 1.2 * small_iqr)),
         )
     )
-    _, records = rolling_evaluate(injected, cfg, desc)
+    [(_, records)] = rolling_evaluate(injected, [cfg], desc)
     flagged = [
         r.slot.global_slot
         for r in records
@@ -329,7 +329,7 @@ def test_criterion_10a_births2015_reproduction():
     desc = get_descriptor("births2015")
     frame = _load_flexible(path, ("date", "timestamp", "time", "ds"), "births",
                            desc.frequency)
-    report, records = rolling_evaluate(frame, desc.qbsd_config(c=1.0), desc)
+    [(report, records)] = rolling_evaluate(frame, [desc.qbsd_config(c=1.0)], desc)
     assert abs(report.mape - 1.83) <= 0.5, f"births2015 MAPE {report.mape:.3f}"
     _report(10, "births2015 MAPE within 1.83 +/- 0.5",
             f"mape={report.mape:.3f}, skipped={skipped_count(records)}")
@@ -340,7 +340,7 @@ def test_criterion_10b_eon1_kpi_e_reproduction():
     desc = get_descriptor("eon1_cell_f_e")
     frame = _load_flexible(path, ("timestamp", "time", "date", "ds"), "kpi_e",
                            desc.frequency)
-    report, records = rolling_evaluate(frame, desc.qbsd_config(c=1.0), desc)
+    [(report, records)] = rolling_evaluate(frame, [desc.qbsd_config(c=1.0)], desc)
     assert abs(report.mape - 5.137) <= 1.0, f"EON1 KPI E MAPE {report.mape:.3f}"
     assert abs(report.r2 - 0.989) <= 0.02, f"EON1 KPI E R2 {report.r2:.4f}"
     _report(10, "EON1-Cell-F KPI E MAPE within 5.137 +/- 1.0 and R2 within "

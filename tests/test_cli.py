@@ -471,6 +471,17 @@ class TestEvaluate:
         assert message in err
         assert stdout == ""
 
+    def test_duplicate_timestamp_names_its_lines(self, tmp_path, capsys):
+        path = tmp_path / "dup.csv"
+        path.write_text("timestamp,value\n0,1\n900,2\n1800,3\n900,4\n")
+        code, stdout, err = run(capsys, "evaluate", "--interval", "900", "--k", "0",
+                                "--input", str(path), "--test-start", "0",
+                                "--test-end", "1800")
+        assert code == 2
+        assert err == (f"error: {path}:5: slot 1 (1970-01-01T00:15:00) appears "
+                       "more than once (first at line 3)\n")
+        assert stdout == ""
+
     def test_custom_needs_test_range(self, tmp_path, capsys):
         path = tmp_path / "series.csv"
         run(capsys, "synth", "--output", str(path), "--days", "56")
@@ -1159,6 +1170,22 @@ def test_bad_contingency_flags_exit_1(tmp_path, capsys, command, flag):
     code, _, err = run(capsys, *command, *inputs, *flag)
     assert code == 1
     assert flag[0] in err
+
+
+@pytest.mark.parametrize("command", [
+    ["evaluate", "--test-start", str(30 * 86400), "--test-end", str(60 * 86400)],
+    ["anomaly", "--threshold", "3", "--output", "-"],
+], ids=["evaluate", "anomaly"])
+def test_overflowing_contingency_estimate_exits_2(tmp_path, capsys, command):
+    # |P1| of one -1e308 among 1e308s interpolates across the float limit
+    path = tmp_path / "huge.csv"
+    values = [-1e308] + [1e308] * 39 + [5.0] * 40
+    path.write_text("timestamp,value\n" + "".join(
+        f"{day * 86400},{value!r}\n" for day, value in enumerate(values)))
+    code, _, err = run(capsys, *command, "--interval", "86400", "--k", "1",
+                       "--input", str(path))
+    assert code == 2
+    assert err == "error: the contingency constant of the training values overflows to inf\n"
 
 
 def test_usage_error_is_exit_1(capsys):

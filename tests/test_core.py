@@ -14,7 +14,7 @@ from qbsd.core import (
     interpolated_percentile,
     qbsd_step,
 )
-from qbsd.errors import ConfigError, EmptyInput, InsufficientHistory, InvalidConstant
+from qbsd.errors import ConfigError, DataError, EmptyInput, InsufficientHistory, InvalidConstant
 from qbsd.timegrid import DAILY, default_weekly_scheme
 
 
@@ -146,6 +146,12 @@ class TestContingencyConstant:
     def test_absolute_value_of_percentile(self):
         assert contingency_constant([-50.0] * 20, floor=1.0) == 50.0
 
+    def test_overflow_is_a_data_error(self):
+        with pytest.raises(DataError, match="overflows to inf"):
+            contingency_constant([-1e308] + [1e308] * 50, floor=1.0)
+        with pytest.raises(InvalidConstant, match="floor must be finite"):
+            contingency_constant([1.0], floor=math.inf)
+
     def test_errors(self):
         with pytest.raises(EmptyInput):
             contingency_constant([], floor=1.0)
@@ -175,6 +181,11 @@ class TestQbsdStep:
         with pytest.raises(ConfigError):
             QbsdConfig(scheme=SCHEME, min_samples=2)
         assert QbsdConfig(scheme=SCHEME).k == 1
+
+    @pytest.mark.parametrize("c", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+    def test_non_finite_constant_rejected(self, c):
+        with pytest.raises(InvalidConstant, match="must be finite and > 0"):
+            QbsdConfig(scheme=SCHEME, c=c)
 
 
 

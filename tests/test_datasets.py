@@ -1,7 +1,11 @@
 
+import os
+import random
+
 import pytest
 
 from qbsd.baselines import SeasonalNaive
+from qbsd.core import contingency_constant
 from qbsd.datasets import (
     DatasetDescriptor,
     SeriesFrame,
@@ -78,6 +82,32 @@ class TestLoadCsv:
         path.write_text("ts,v\n900,1\n900,2\n")
         with pytest.raises(DuplicateTimestamp):
             load_csv(str(path), "ts", "v", QUARTER_HOURLY)
+
+    def test_duplicate_names_its_lines(self, tmp_path):
+        # a blank line, a gap at the slot and a quoted cell: physical lines count
+        path = tmp_path / "dup.csv"
+        path.write_text('ts,v\n0,1\n\n900,\n"900",2\n1800,3\n900,4\n0,5\n')
+        with pytest.raises(DuplicateTimestamp) as exc:
+            load_csv(str(path), "ts", "v", QUARTER_HOURLY)
+        assert str(exc.value) == (
+            f"{path}:8: slot 0 (1970-01-01T00:00:00) appears more than once "
+            "(first at line 2)"
+        )
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_duplicate_in_a_pipe_names_the_path(self):
+        # a pipe is read once: the duplicate's lines cannot be looked up again
+        read, write = os.pipe()
+        os.write(write, b"ts,v\n0,1\n900,2\n900,3\n")
+        os.close(write)
+        try:
+            with pytest.raises(DuplicateTimestamp) as exc:
+                load_csv(f"/dev/fd/{read}", "ts", "v", QUARTER_HOURLY)
+        finally:
+            os.close(read)
+        assert str(exc.value) == (
+            f"/dev/fd/{read}: slot 1 (1970-01-01T00:15:00) appears more than once"
+        )
 
     def test_unsorted_input_is_sorted(self, tmp_path):
         path = tmp_path / "unsorted.csv"
@@ -229,7 +259,7 @@ class TestRollingEvaluate:
     def test_noiseless_periodic_qbsd_k0(self):
         desc = get_descriptor("synthetic")
         frame = generate_synthetic(SynthSpec())
-        report, records = rolling_evaluate(frame, desc.qbsd_config(), desc)
+        [(report, records)] = rolling_evaluate(frame, [desc.qbsd_config()], desc)
         assert report.mape <= 1e-9
         assert skipped_count(records) == 0
         assert all(r.iqr == 0.0 for r in records)
@@ -237,8 +267,8 @@ class TestRollingEvaluate:
     def test_noiseless_periodic_seasonal_naive(self):
         desc = get_descriptor("synthetic")
         frame = generate_synthetic(SynthSpec())
-        report, records = rolling_evaluate(
-            frame, SeasonalNaive(frame.granularity.slots_per_week), desc
+        [(report, records)] = rolling_evaluate(
+            frame, [SeasonalNaive(frame.granularity.slots_per_week)], desc
         )
         assert report.mape <= 1e-9
         assert skipped_count(records) == 0
@@ -247,7 +277,7 @@ class TestRollingEvaluate:
         desc = k4_descriptor()
         frame = generate_synthetic(SynthSpec(noise_std=20.0, seed=3))
         cfg = desc.qbsd_config()
-        _, records = rolling_evaluate(frame, cfg, desc)
+        [(_, records)] = rolling_evaluate(frame, [cfg], desc)
 
         streamed = RollingForecaster(
             cfg, frame.granularity, capacity_slots=desc.train_window_slots
@@ -288,7 +318,7 @@ class TestRollingEvaluate:
             slots=tuple(s for s, _ in kept),
             values=tuple(v for _, v in kept),
         )
-        report, records = rolling_evaluate(frame, desc.qbsd_config(), desc)
+        [(report, records)] = rolling_evaluate(frame, [desc.qbsd_config()], desc)
         assert skipped_count(records) >= 1
         skipped = [r for r in records if r.forecast is None]
         assert any(r.slot.global_slot == target for r in skipped)
@@ -304,13 +334,13 @@ class TestRollingEvaluate:
             values=(1.0, 2.0, 3.0),
         )
         with pytest.raises(InsufficientHistory):
-            rolling_evaluate(sparse, desc.qbsd_config(), desc)
+            rolling_evaluate(sparse, [desc.qbsd_config()], desc)
 
     def test_granularity_mismatch(self):
         desc = get_descriptor("synthetic")
         frame = generate_synthetic(SynthSpec(days=56, slots_per_day=24))
         with pytest.raises(ConfigError):
-            rolling_evaluate(frame, desc.qbsd_config(), desc)
+            rolling_evaluate(frame, [desc.qbsd_config()], desc)
 
 
 def test_weekly_plus_yearly_end_to_end():
@@ -337,7 +367,7 @@ def test_weekly_plus_yearly_end_to_end():
         scheme=weekly_plus_yearly_scheme(1, g),
         test_range=(500 * 86400, 839 * 86400),
     )
-    report, records = rolling_evaluate(frame, desc.qbsd_config(), desc)
+    [(report, records)] = rolling_evaluate(frame, [desc.qbsd_config()], desc)
     assert skipped_count(records) == 0
     assert report.mape < 3.0
     assert report.r2 > 0.98
@@ -351,3 +381,14 @@ def test_estimate_contingency():
     )
     assert estimate_contingency(frame, before_slot=101, floor=1e-6) == 1.0
     assert estimate_contingency(frame, before_slot=0, floor=0.5) == 0.5
+
+
+def test_estimate_contingency_reads_the_prefix_before_the_slot():
+    rng = random.Random(5)
+    slots = tuple(sorted(rng.sample(range(500), 200)))
+    values = tuple(rng.uniform(-50.0, 50.0) for _ in slots)
+    frame = SeriesFrame(granularity=DAILY, slots=slots, values=values)
+    for before in (0, slots[0], slots[0] + 1, slots[57], slots[57] + 1, 499, 10**6):
+        training = [v for s, v in zip(slots, values) if s < before]
+        expected = contingency_constant(training, 1e-6) if training else 1e-6
+        assert estimate_contingency(frame, before, 1e-6) == expected
