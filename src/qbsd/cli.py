@@ -15,19 +15,14 @@ import statistics
 import sys
 import time
 from collections import deque
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
 from itertools import chain
 from pathlib import Path
 from typing import Optional, Sequence, TextIO
 
 from . import baselines as bl
-from .core import (
-    DEFAULT_C_FLOOR_CONTINUOUS,
-    QbsdConfig,
-    contingency_constant,
-    default_min_samples,
-)
+from .core import DEFAULT_C_FLOOR_CONTINUOUS, QbsdConfig, contingency_constant
 from .datasets import (
     DatasetDescriptor,
     SeriesFrame,
@@ -46,12 +41,7 @@ from .datasets import (
     skipped_count,
 )
 from .engine import RollingForecaster, default_capacity
-from .errors import (
-    ConfigError,
-    DataError,
-    SeriesTooShort,
-    TooFewPairs,
-)
+from .errors import ConfigError, DataError, QbsdError, SeriesTooShort, TooFewPairs
 from .metrics import MetricsReport, wilcoxon_signed_rank
 from .smoothing import MovingAverage as SmoothingMA
 from .smoothing import DEFAULT_SAVGOL, SavitzkyGolay, SmootherSpec, StreamingSmoother
@@ -365,10 +355,11 @@ def _resolve_descriptor(args, need_test_range: bool) -> DatasetDescriptor:
                 raise ConfigError(
                     "--test-start and --test-end are required for custom datasets"
                 )
-            test_range = (
-                _flag_timestamp("--test-start", args.test_start, g),
-                _flag_timestamp("--test-end", args.test_end, g),
-            )
+            # an unparseable or off-grid value is a usage error
+            with _flag("--test-start"):
+                start = align(parse_timestamp(args.test_start), g).timestamp
+            with _flag("--test-end"):
+                test_range = (start, align(parse_timestamp(args.test_end), g).timestamp)
         name, ts_column, value_column = "custom", "timestamp", "value"
         window_seconds = default_capacity(scheme, g) * g.interval_seconds
     else:
@@ -394,15 +385,14 @@ def _resolve_descriptor(args, need_test_range: bool) -> DatasetDescriptor:
     )
 
 
-def _flag_timestamp(flag: str, text: str, g: Granularity) -> int:
-    """Epoch seconds of a timestamp flag value on grid g; an unparseable or
-    off-grid value is a usage error."""
+@contextmanager
+def _flag(name: str):
+    """Report a library error raised while flag ``name``'s value is applied
+    as a usage error that names the flag."""
     try:
-        timestamp = parse_timestamp(text)
-        align(timestamp, g)
-    except DataError as exc:
-        raise ConfigError(f"{flag}: {exc}") from exc
-    return timestamp
+        yield
+    except QbsdError as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
 
 
 def _load_frame(args, desc: DatasetDescriptor, input_path: Optional[str]) -> SeriesFrame:
@@ -418,44 +408,17 @@ def _load_frame(args, desc: DatasetDescriptor, input_path: Optional[str]) -> Ser
 
 
 def _qbsd_config(args, desc: DatasetDescriptor) -> QbsdConfig:
-    """The run's QBSD configuration from ``--c``/``--c-floor`` (see
-    ``_resolve_c``) and ``--min-samples`` (see ``_check_min_samples``)."""
-    cfg = desc.qbsd_config(c=_resolve_c(args), min_samples=args.min_samples)
-    _check_min_samples(desc.scheme, args.min_samples)
-    return cfg
-
-
-def _check_min_samples(scheme: SeasonalityScheme, given: Optional[int]) -> None:
-    """Reject a min_samples above the scheme's subset size, with which no
-    slot could ever be forecast: ``given`` from ``--min-samples``, or the
-    scheme's default when it is None."""
-    size = scheme.subset_size
-    if given is None:
-        default = default_min_samples(scheme)
-        if default > size:
-            raise ConfigError(
-                f"the default min_samples of {default} is above the scheme's "
-                f"subset size of {size} samples, so no slot could be forecast; "
-                "use a larger --k or a scheme with more lags"
-            )
-    elif given > size:
-        raise ConfigError(
-            f"--min-samples {given} is above the scheme's subset size "
-            f"of {size} samples, so no slot could be forecast"
-        )
-
-
-def _resolve_c(args) -> float:
-    """``--c`` when given, else the ``--c-floor`` that an estimate of c is
-    floored at; either must be finite and > 0."""
+    """The run's QBSD configuration. Its c is ``--c``, or else the
+    ``--c-floor`` that an estimate of c is floored at. A default threshold
+    that the scheme cannot meet is no flag's fault, so its message names none."""
+    with _flag("--min-samples") if args.min_samples is not None else nullcontext():
+        cfg = desc.qbsd_config(min_samples=args.min_samples)
     if args.c is not None:
-        if not 0 < args.c < math.inf:
-            raise ConfigError(f"--c must be finite and > 0, got {args.c}")
-        return args.c
-    floor = args.c_floor if args.c_floor is not None else DEFAULT_C_FLOOR_CONTINUOUS
-    if not 0 < floor < math.inf:
-        raise ConfigError(f"--c-floor must be finite and > 0, got {floor}")
-    return floor
+        with _flag("--c"):
+            return replace(cfg, c=args.c)
+    floor = DEFAULT_C_FLOOR_CONTINUOUS if args.c_floor is None else args.c_floor
+    with _flag("--c-floor"):
+        return replace(cfg, c=floor)
 
 
 # ---------------------------------------------------------------- evaluate
@@ -551,14 +514,20 @@ def _evaluation_rows(results: list[_MethodResult]) -> list[dict]:
 
 
 def _write_report(handle: TextIO, fmt: str, payload: dict) -> None:
-    """The machine-readable report: CSV rows for ``csv``, else JSON."""
+    """The machine-readable report: CSV rows for ``csv``, else JSON, where a
+    non-finite metric is null (RFC 8259 has no NaN or Infinity)."""
+    rows = payload["methods"]
     if fmt == "csv":
-        rows = payload["methods"]
         writer = csv.DictWriter(handle, fieldnames=rows[0].keys(), lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
     else:
-        json.dump(payload, handle, indent=2)
+        rows = [
+            {key: None if isinstance(v, float) and not math.isfinite(v) else v
+             for key, v in row.items()}
+            for row in rows
+        ]
+        json.dump({**payload, "methods": rows}, handle, indent=2, allow_nan=False)
         handle.write("\n")
 
 
@@ -691,10 +660,13 @@ def measure_qbsd_latency(
     whole series. ``scheme`` defaults to the 4-week scheme with context
     period ``k``. The targets are the last 501 slots, fewer if the smallest
     buffer could not hold their whole subsets; one no longer than the scheme
-    span raises ``ConfigError``."""
-    g = Granularity(86400 // slots_per_day)
+    span raises ``ConfigError``, and so does an ``n_forecasts`` below 1."""
+    if n_forecasts < 1:
+        raise ConfigError(f"n_forecasts must be >= 1, got {n_forecasts}")
+    g = SynthSpec(slots_per_day=slots_per_day).granularity
     if scheme is None:
         scheme = default_weekly_scheme(4, k, g)
+    cfg = QbsdConfig(scheme=scheme, c=1.0)
     capacity, span = min(buffer_weeks) * g.slots_per_week, scheme.span_slots
     if capacity <= span:
         raise ConfigError(
@@ -710,7 +682,6 @@ def measure_qbsd_latency(
             seed=seed,
         )
     )
-    cfg = QbsdConfig(scheme=scheme, c=1.0)
     last = frame.slots[-1]
     # a target above last - capacity + span has its whole subset in every buffer
     first = max(last - 500, last - capacity + span + 1)
@@ -760,13 +731,11 @@ def cmd_bench(args) -> int:
     if len(buffer_weeks) < 2:
         raise ConfigError("--buffer-weeks needs at least two sizes, e.g. 4,16")
     n = args.forecasts
-    if n < 1:
-        raise ConfigError("--forecasts must be >= 1")
     k = args.k if args.k is not None else 4
     spd = args.slots_per_day
     g = SynthSpec(slots_per_day=spd).granularity  # checks spd before the grid is built
     scheme = _parse_scheme(args.scheme or "weekly4", k, g)
-    _check_min_samples(scheme, None)
+    QbsdConfig(scheme)  # a threshold the scheme cannot meet fails before any timing
     methods = _parse_methods(args.method or "seasonal-naive,persistence,moving-average", g)
 
     stats = measure_qbsd_latency(
@@ -804,7 +773,8 @@ def cmd_synth(args) -> int:
         anomalies=_parse_anomalies(args.anomalies),
         seed=args.seed or 0,
     )
-    start = _flag_timestamp("--start", args.start, spec.granularity)
+    with _flag("--start"):
+        start = align(parse_timestamp(args.start), spec.granularity).timestamp
     interval = spec.granularity.interval_seconds
     last = start + (spec.days * spec.slots_per_day - 1) * interval
     if last >= GRID_END:

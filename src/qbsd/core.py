@@ -98,7 +98,8 @@ def default_min_samples(scheme: SeasonalityScheme) -> int:
 class QbsdConfig:
     """Scheme plus the contingency constant and the validity threshold under
     missing data; the threshold defaults to ``default_min_samples(scheme)``.
-    k is derived from the scheme's windows."""
+    A threshold above the scheme's subset size, with which no slot could
+    ever be forecast, is rejected. k is derived from the scheme's windows."""
 
     scheme: SeasonalityScheme
     c: float = DEFAULT_C_FLOOR_INTEGER
@@ -107,10 +108,23 @@ class QbsdConfig:
     def __post_init__(self) -> None:
         if not 0 < self.c < math.inf:
             raise InvalidConstant(f"contingency constant must be finite and > 0, got {self.c}")
+        size = self.scheme.subset_size
         if self.min_samples is None:
-            object.__setattr__(self, "min_samples", default_min_samples(self.scheme))
+            default = default_min_samples(self.scheme)
+            if default > size:
+                raise ConfigError(
+                    f"the default min_samples of {default} is above the scheme's "
+                    f"subset size of {size} samples, so no slot could be forecast; "
+                    "use a larger k or a scheme with more lags"
+                )
+            object.__setattr__(self, "min_samples", default)
         elif self.min_samples < 3:
             raise ConfigError(f"min_samples must be >= 3, got {self.min_samples}")
+        elif self.min_samples > size:
+            raise ConfigError(
+                f"min_samples {self.min_samples} is above the scheme's subset size "
+                f"of {size} samples, so no slot could be forecast"
+            )
 
     @property
     def k(self) -> int:

@@ -26,7 +26,7 @@ from qbsd.cli import (
 from qbsd.core import contingency_constant
 from qbsd.datasets import StepRecord, format_timestamp, parse_timestamp, series_rows
 from qbsd.engine import RollingForecaster, default_capacity
-from qbsd.errors import DataError
+from qbsd.errors import ConfigError, DataError
 from qbsd.smoothing import MovingAverage, smooth
 from qbsd.timegrid import (
     Granularity,
@@ -34,6 +34,10 @@ from qbsd.timegrid import (
     default_weekly_scheme,
     weekly_plus_yearly_scheme,
 )
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"non-JSON constant {name}")
 
 
 def run(capsys, *argv):
@@ -393,6 +397,30 @@ class TestEvaluate:
         assert payload["dataset"] == "synthetic"
         assert payload["methods"][0]["method"] == "qbsd"
         assert json.loads(report.read_text()) == payload
+
+    @pytest.mark.parametrize("values,test_end,nulls", [
+        # one test slot: R^2 of a single actual is NaN
+        ([100.0 + i % 24 for i in range(24 * 35)], "1970-02-01T00:00:00", {"r2"}),
+        # errors of 2e308 overflow to inf, and R^2 to NaN
+        ([(-1e308, 1e308)[i % 2] for i in range(24 * 35)], "1970-02-04T00:00:00",
+         {"mae", "mse", "rmse", "mape", "r2"}),
+    ], ids=["one-slot", "overflow"])
+    def test_json_report_writes_null_for_a_non_finite_metric(
+        self, tmp_path, capsys, values, test_end, nulls
+    ):
+        path = tmp_path / "series.csv"
+        path.write_text("timestamp,value\n" + "".join(
+            f"{i * 3600},{value!r}\n" for i, value in enumerate(values)))
+        report = tmp_path / "report.json"
+        code, stdout, _ = run(capsys, "evaluate", "--input", str(path), "--interval",
+                              "3600", "--k", "1", "--test-start", "1970-02-01T00:00:00",
+                              "--test-end", test_end, "--format", "json",
+                              "--report", str(report))
+        assert code == 0
+        [row] = json.loads(stdout, parse_constant=_reject_constant)["methods"]
+        assert {key for key, value in row.items() if value is None} == {
+            *nulls, "wilcoxon_p_vs_qbsd"}
+        assert report.read_text() == stdout
 
     def test_csv_format(self, capsys):
         code, stdout, _ = run(capsys, "evaluate", "--dataset", "synthetic",
@@ -756,8 +784,26 @@ class TestBench:
         assert code == 1
         assert err == ("error: the default min_samples of 3 is above the scheme's subset "
                        f"size of {size} samples, so no slot could be forecast; use a larger "
-                       "--k or a scheme with more lags\n")
+                       "k or a scheme with more lags\n")
         assert stdout == ""
+
+    def test_zero_forecasts_exits_1(self, capsys):
+        code, stdout, err = run(capsys, "bench", "--forecasts", "0")
+        assert code == 1
+        assert err == "error: n_forecasts must be >= 1, got 0\n"
+        assert stdout == ""
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"n_forecasts": 0}, "n_forecasts must be >= 1, got 0"),
+        ({"n_forecasts": 20, "slots_per_day": 0},
+         "slots_per_day must be a positive divisor of 86400, got 0"),
+        ({"n_forecasts": 20, "slots_per_day": 7},
+         "slots_per_day must be a positive divisor of 86400, got 7"),
+    ], ids=["no-forecasts", "no-slots", "uneven-slots"])
+    def test_measure_rejects_its_arguments(self, kwargs, message):
+        with pytest.raises(ConfigError) as info:
+            cli.measure_qbsd_latency(**kwargs)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("flags", [
         ["--k", "0", "--slots-per-day", "24"],
@@ -1030,8 +1076,8 @@ def test_min_samples_above_subset_size_exits_1_before_input(tmp_path, capsys, co
     code, stdout, err = run(capsys, *command, "--input", str(missing), "--interval",
                             "3600", "--k", "1", "--min-samples", "100")
     assert code == 1
-    assert err == ("error: --min-samples 100 is above the scheme's subset size "
-                   "of 9 samples, so no slot could be forecast\n")
+    assert err == ("error: --min-samples: min_samples 100 is above the scheme's subset "
+                   "size of 9 samples, so no slot could be forecast\n")
     assert stdout == ""
 
 
@@ -1052,7 +1098,7 @@ def test_default_min_samples_above_subset_size_exits_1_before_input(
     assert code == 1
     assert err == ("error: the default min_samples of 3 is above the scheme's subset "
                    f"size of {size} samples, so no slot could be forecast; use a larger "
-                   "--k or a scheme with more lags\n")
+                   "k or a scheme with more lags\n")
     assert stdout == ""
 
 
@@ -1170,6 +1216,21 @@ def test_bad_contingency_flags_exit_1(tmp_path, capsys, command, flag):
     code, _, err = run(capsys, *command, *inputs, *flag)
     assert code == 1
     assert flag[0] in err
+
+
+@pytest.mark.parametrize("flag", [["--c", "0"], ["--c-floor", "nan"]], ids=["c", "c-floor"])
+@pytest.mark.parametrize("command", [
+    ["forecast"], ["anomaly"],
+    ["evaluate", "--test-start", "0", "--test-end", "3600"],
+    ["evaluate", "--test-start", "0", "--test-end", "3600", "--method", "persistence"],
+], ids=["forecast", "anomaly", "evaluate-qbsd", "evaluate-persistence"])
+def test_rejected_contingency_flag_is_named_before_input(tmp_path, capsys, command, flag):
+    code, stdout, err = run(capsys, *command, "--input", str(tmp_path / "absent.csv"),
+                            "--interval", "3600", *flag)
+    assert code == 1
+    assert err == (f"error: {flag[0]}: contingency constant must be finite and > 0, "
+                   f"got {float(flag[1])}\n")
+    assert stdout == ""
 
 
 @pytest.mark.parametrize("command", [

@@ -15,7 +15,7 @@ from qbsd.core import (
     qbsd_step,
 )
 from qbsd.errors import ConfigError, DataError, EmptyInput, InsufficientHistory, InvalidConstant
-from qbsd.timegrid import DAILY, default_weekly_scheme
+from qbsd.timegrid import DAILY, HOURLY, default_weekly_scheme, weekly_plus_yearly_scheme
 
 
 def ref_percentile(values, fraction):
@@ -180,6 +180,16 @@ class TestQbsdStep:
             QbsdConfig(scheme=SCHEME, c=0.0)
         with pytest.raises(ConfigError):
             QbsdConfig(scheme=SCHEME, min_samples=2)
+        # weekly4 at k=1 draws 9 samples; a threshold above that is never met
+        nine = default_weekly_scheme(4, 1, HOURLY)
+        assert QbsdConfig(scheme=nine, min_samples=9).min_samples == 9
+        with pytest.raises(ConfigError, match="^min_samples 100 is above the scheme's "
+                           "subset size of 9 samples"):
+            QbsdConfig(scheme=nine, min_samples=100)
+        # weekly_plus_yearly at k=0 draws 2 samples, below the least default
+        with pytest.raises(ConfigError, match="^the default min_samples of 3 is above "
+                           "the scheme's subset size of 2 samples"):
+            QbsdConfig(scheme=weekly_plus_yearly_scheme(0, HOURLY))
         assert QbsdConfig(scheme=SCHEME).k == 1
 
     @pytest.mark.parametrize("c", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])

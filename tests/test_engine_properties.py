@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qbsd.core import QbsdConfig, compute_residuals, qbsd_step
@@ -150,7 +150,8 @@ def test_forecast_at_matches_reference_path(
         g, scheme = DAILY, weekly_plus_yearly_scheme(k, DAILY)
     else:
         g, scheme = SIX_HOURLY, default_weekly_scheme(4, k, SIX_HOURLY)
-    cfg = QbsdConfig(scheme=scheme, c=1.0, min_samples=min_samples)
+    assume(scheme.subset_size >= 3)  # no threshold can be configured below 3
+    cfg = QbsdConfig(scheme=scheme, c=1.0, min_samples=min(min_samples, scheme.subset_size))
     capacity = scheme.span_slots + extra_capacity
     forecaster = RollingForecaster(cfg, g, capacity_slots=capacity)
     rng = random.Random(seed)
@@ -245,7 +246,8 @@ def test_sliding_subset_matches_reference(
         scheme = scheme_from_lags([0, g.slots_per_week], k)
     else:
         g, scheme = SIX_HOURLY, default_weekly_scheme(4, k, SIX_HOURLY)
-    cfg = QbsdConfig(scheme=scheme, c=1.0, min_samples=min_samples)
+    assume(scheme.subset_size >= 3)  # no threshold can be configured below 3
+    cfg = QbsdConfig(scheme=scheme, c=1.0, min_samples=min(min_samples, scheme.subset_size))
     span = scheme.span_slots
     capacity = span + extra_capacity
     forecaster = RollingForecaster(cfg, g, capacity_slots=capacity)

@@ -10,7 +10,7 @@ from bisect import bisect_left, bisect_right
 
 from qbsd.core import ForecastOutput, QbsdConfig, Residuals, compute_residuals, qbsd_step
 from qbsd.errors import DataError, InsufficientHistory, InvalidConstant
-from qbsd.timegrid import DAILY, default_weekly_scheme
+from qbsd.timegrid import HOURLY, weekly_plus_yearly_scheme
 
 INF, NAN = math.inf, math.nan
 
@@ -87,7 +87,7 @@ def subsets():
 
 
 CONFIGS = [
-    QbsdConfig(scheme=default_weekly_scheme(4, 1, DAILY), c=1.0, min_samples=m)
+    QbsdConfig(scheme=weekly_plus_yearly_scheme(16, HOURLY), c=1.0, min_samples=m)
     for m in (3, 5, 40)
 ]
 
