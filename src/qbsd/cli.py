@@ -15,8 +15,8 @@ import statistics
 import sys
 import time
 from collections import deque
-from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, replace
+from contextlib import contextmanager, nullcontext, suppress
+from dataclasses import replace
 from itertools import chain
 from pathlib import Path
 from typing import Optional, Sequence, TextIO
@@ -25,7 +25,6 @@ from . import baselines as bl
 from .core import DEFAULT_C_FLOOR_CONTINUOUS, QbsdConfig, contingency_constant
 from .datasets import (
     DatasetDescriptor,
-    SeriesFrame,
     StepRecord,
     SynthSpec,
     estimate_contingency,
@@ -42,7 +41,7 @@ from .datasets import (
 )
 from .engine import RollingForecaster, default_capacity
 from .errors import ConfigError, DataError, QbsdError, SeriesTooShort, TooFewPairs
-from .metrics import MetricsReport, wilcoxon_signed_rank
+from .metrics import wilcoxon_signed_rank
 from .smoothing import MovingAverage as SmoothingMA
 from .smoothing import DEFAULT_SAVGOL, SavitzkyGolay, SmootherSpec, StreamingSmoother
 from .timegrid import (
@@ -395,18 +394,6 @@ def _flag(name: str):
         raise ConfigError(f"{name}: {exc}") from exc
 
 
-def _load_frame(args, desc: DatasetDescriptor, input_path: Optional[str]) -> SeriesFrame:
-    if desc.name == "synthetic" and input_path is None:
-        return generate_synthetic(
-            SynthSpec(noise_std=args.noise_std or 0.0, seed=args.seed or 0)
-        )
-    if input_path is None:
-        raise ConfigError(f"--input is required for dataset {desc.name!r}")
-    return load_csv(
-        input_path, desc.timestamp_column, desc.target_column, desc.frequency
-    )
-
-
 def _qbsd_config(args, desc: DatasetDescriptor) -> QbsdConfig:
     """The run's QBSD configuration. Its c is ``--c``, or else the
     ``--c-floor`` that an estimate of c is floored at. A default threshold
@@ -422,14 +409,6 @@ def _qbsd_config(args, desc: DatasetDescriptor) -> QbsdConfig:
 
 
 # ---------------------------------------------------------------- evaluate
-
-
-@dataclass
-class _MethodResult:
-    label: str
-    report: MetricsReport
-    records: list[StepRecord]
-    p_vs_qbsd: Optional[float] = None
 
 
 def _records_path(base: str, label: str, many: bool) -> str:
@@ -448,69 +427,64 @@ def cmd_evaluate(args) -> int:
     desc = _resolve_descriptor(args, need_test_range=True)
     cfg = _qbsd_config(args, desc)
     methods = _parse_methods(args.method or "qbsd", desc.frequency)
-    frame = _load_frame(args, desc, args.input)
+    if args.input is not None:
+        frame = load_csv(args.input, desc.timestamp_column, desc.target_column, desc.frequency)
+    elif desc.name != "synthetic":
+        raise ConfigError(f"--input is required for dataset {desc.name!r}")
+    else:
+        frame = generate_synthetic(
+            SynthSpec(noise_std=args.noise_std or 0.0, seed=args.seed or 0)
+        )
     if args.c is None and any(marker == "qbsd" for _, marker in methods):
         test_start, _ = desc.test_slot_range
         cfg = replace(cfg, c=estimate_contingency(frame, test_start, cfg.c))
     outcomes = rolling_evaluate(
         frame, [cfg if marker == "qbsd" else marker for _, marker in methods], desc
     )
-    results = [
-        _MethodResult(label, report, records)
-        for (label, _), (report, records) in zip(methods, outcomes)
-    ]
+    labels = [label for label, _ in methods]
 
     # every method has one record per test slot, in slot order
-    qbsd_result = next((r for r in results if r.label == "qbsd"), None)
-    if qbsd_result is not None:
-        for result in results:
-            if result is qbsd_result:
-                continue
+    qbsd_records = outcomes[labels.index("qbsd")][1] if "qbsd" in labels else None
+    rows = []
+    for label, (report, records) in zip(labels, outcomes):
+        p_vs_qbsd = None
+        if qbsd_records is not None and label != "qbsd":
             shared = [
                 (abs(q.actual - q.forecast), abs(r.actual - r.forecast))
-                for q, r in zip(qbsd_result.records, result.records)
+                for q, r in zip(qbsd_records, records)
                 if q.actual is not None and q.forecast is not None
                 and r.forecast is not None
             ]
-            try:
-                result.p_vs_qbsd = wilcoxon_signed_rank(
+            with suppress(TooFewPairs, ValueError):
+                p_vs_qbsd = wilcoxon_signed_rank(
                     [a for a, _ in shared],
                     [b for _, b in shared],
                     alternative="less",
                 )
-            except (TooFewPairs, ValueError):
-                result.p_vs_qbsd = None
+        rows.append(
+            {
+                "method": label,
+                "mae": report.mae,
+                "mse": report.mse,
+                "rmse": report.rmse,
+                "mape": report.mape,
+                "r2": report.r2,
+                "mape_excluded": report.mape_excluded_count,
+                "skipped": skipped_count(records),
+                "wilcoxon_p_vs_qbsd": p_vs_qbsd,
+            }
+        )
 
-    _render_evaluation(args, desc, results)
+    _render_evaluation(args, desc, rows)
     if args.output:
-        many = len(results) > 1
-        for result in results:
-            path = _records_path(args.output, result.label, many)
+        for label, (_, records) in zip(labels, outcomes):
+            path = _records_path(args.output, label, len(labels) > 1)
             with open(path, "w", newline="") as handle:
                 writer = RecordWriter(handle)
-                for record in result.records:
+                for record in records:
                     writer.write(record)
                 writer.close()
     return 0
-
-
-def _evaluation_rows(results: list[_MethodResult]) -> list[dict]:
-    rows = []
-    for result in results:
-        rows.append(
-            {
-                "method": result.label,
-                "mae": result.report.mae,
-                "mse": result.report.mse,
-                "rmse": result.report.rmse,
-                "mape": result.report.mape,
-                "r2": result.report.r2,
-                "mape_excluded": result.report.mape_excluded_count,
-                "skipped": skipped_count(result.records),
-                "wilcoxon_p_vs_qbsd": result.p_vs_qbsd,
-            }
-        )
-    return rows
 
 
 def _write_report(handle: TextIO, fmt: str, payload: dict) -> None:
@@ -531,8 +505,7 @@ def _write_report(handle: TextIO, fmt: str, payload: dict) -> None:
         handle.write("\n")
 
 
-def _render_evaluation(args, desc: DatasetDescriptor, results: list[_MethodResult]) -> None:
-    rows = _evaluation_rows(results)
+def _render_evaluation(args, desc: DatasetDescriptor, rows: list[dict]) -> None:
     payload = {"dataset": desc.name, "methods": rows}
     fmt = args.format
     if fmt != "table":
@@ -579,27 +552,6 @@ def _estimate_c(points, span: int, floor: float) -> tuple[float, list]:
     return (contingency_constant(values, floor) if values else floor), held
 
 
-def _stream_one(args, desc: DatasetDescriptor, cfg: QbsdConfig, smoother: SmootherSpec,
-                input_path: str, out_handle: TextIO, threshold: Optional[float]) -> int:
-    """Stream one CSV through a rolling forecaster, emitting one record per
-    input row. The input is read once: without ``--c``, ``anomaly`` holds
-    the rows of the first scheme-span while it estimates c from them. Memory
-    stays bounded by the retained window and those rows."""
-    g = desc.frequency
-    with series_rows(input_path, desc.timestamp_column, desc.target_column) as rows:
-        stream = points(rows, input_path, g)
-        if threshold is not None and args.c is None:
-            c, held = _estimate_c(stream, desc.scheme.span_slots, cfg.c)
-            cfg = replace(cfg, c=c)
-            stream = chain(held, stream)
-        forecaster = RollingForecaster(cfg, g, capacity_slots=desc.train_window_slots)
-        writer = RecordWriter(out_handle, smoother=smoother, threshold=threshold)
-        for record in replay(forecaster, stream):
-            writer.write(record)
-    writer.close()
-    return writer.anomaly_count
-
-
 def _run_streaming_command(args, threshold: Optional[float]) -> int:
     desc = _resolve_descriptor(args, need_test_range=False)
     inputs = args.input or []
@@ -623,12 +575,26 @@ def _run_streaming_command(args, threshold: Optional[float]) -> int:
         Path(args.output).mkdir(parents=True, exist_ok=True)
     else:
         out_paths = [args.output if args.output != "-" else None]
+    g = desc.frequency
     for path, out_path in zip(inputs, out_paths):
+        # one read per input: without --c, anomaly holds the first scheme-span's
+        # rows to estimate c, so memory stays bounded by the window and those rows
         with open(out_path, "w", newline="") if out_path else nullcontext(sys.stdout) as out:
-            count = _stream_one(args, desc, cfg, smoother, path, out, threshold)
+            with series_rows(path, desc.timestamp_column, desc.target_column) as rows:
+                stream = points(rows, path, g)
+                run_cfg = cfg
+                if threshold is not None and args.c is None:
+                    c, held = _estimate_c(stream, desc.scheme.span_slots, cfg.c)
+                    run_cfg = replace(cfg, c=c)
+                    stream = chain(held, stream)
+                forecaster = RollingForecaster(run_cfg, g, capacity_slots=desc.train_window_slots)
+                writer = RecordWriter(out, smoother=smoother, threshold=threshold)
+                for record in replay(forecaster, stream):
+                    writer.write(record)
+            writer.close()
         if threshold is not None:
-            print(f"{path + ': ' if many else ''}anomalies: {count} (threshold={threshold})",
-                  file=sys.stdout if out_path else sys.stderr)
+            print(f"{path + ': ' if many else ''}anomalies: {writer.anomaly_count} "
+                  f"(threshold={threshold})", file=sys.stdout if out_path else sys.stderr)
     return 0
 
 

@@ -85,22 +85,6 @@ def evaluate(pairs: EvalPairs) -> MetricsReport:
     )
 
 
-def _average_ranks(values: Sequence[float]) -> list[float]:
-    n = len(values)
-    order = sorted(range(n), key=values.__getitem__)
-    ranks = [0.0] * n
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        rank = (i + j + 2) / 2  # 1-based average rank for the tie group
-        for idx in order[i : j + 1]:
-            ranks[idx] = rank
-        i = j + 1
-    return ranks
-
-
 def _exact_tail_probs(ranks: Sequence[float], w_plus: float) -> tuple[float, float]:
     """P(W >= w) and P(W <= w) by enumerating every sign assignment."""
     n = len(ranks)
@@ -123,10 +107,11 @@ def _exact_tail_probs(ranks: Sequence[float], w_plus: float) -> tuple[float, flo
     return ge / total, le / total
 
 
-def _rank_sums(diffs: Sequence[float]) -> tuple[float, int]:
+def _rank_sums(diffs: Sequence[float]) -> tuple[float, int, list[tuple[int, int]]]:
     """``w_plus``, the sum of the average ranks of |d| over the positive
-    differences, and the tie sum of t^3 - t over the groups of t equal |d|,
-    in one walk over the differences sorted by |d|.
+    differences, the tie sum of t^3 - t over the groups of t equal |d|, and
+    each such group's ``(start, end)`` positions in |d| order, in one walk
+    over the differences sorted by |d|.
 
     Ranks are half-integers, so their sums are exact in any order, and each
     tie group has its own average rank: both equal what per-index ranks give.
@@ -135,6 +120,7 @@ def _rank_sums(diffs: Sequence[float]) -> tuple[float, int]:
     n = len(ordered)
     w_plus = 0.0
     ties = 0
+    groups = []
     i = 0
     while i < n:
         d = ordered[i]
@@ -152,10 +138,11 @@ def _rank_sums(diffs: Sequence[float]) -> tuple[float, int]:
             j += 1
         t = j - i
         ties += t * t * t - t
+        groups.append((i, j))
         positives = sum(1 for e in ordered[i:j] if e > 0)
         w_plus += positives * ((i + j + 1) / 2)  # 1-based average rank
         i = j
-    return w_plus, ties
+    return w_plus, ties, groups
 
 
 def _approx_tail_probs(n: int, w_plus: float, ties: int) -> tuple[float, float]:
@@ -181,7 +168,7 @@ def wilcoxon_signed_rank(
     pairs must remain. Up to 12 pairs the p-value comes from enumerating all
     2^n sign assignments of the observed ranks; beyond that from the normal
     approximation with tie and continuity corrections (``mode`` forces one
-    branch).
+    branch). A NaN difference, such as inf - inf, has no rank: ValueError.
     """
     if alternative not in ALTERNATIVES:
         raise ValueError(f"alternative must be one of {ALTERNATIVES}")
@@ -192,17 +179,21 @@ def wilcoxon_signed_rank(
             f"length mismatch: {len(errors_a)} vs {len(errors_b)} errors"
         )
     diffs = [a - b for a, b in zip(errors_a, errors_b) if a - b != 0.0]
+    if any(map(math.isnan, diffs)):  # NaN passes the zero filter
+        raise ValueError("a difference is NaN; the errors cannot be ranked")
     n = len(diffs)
     if n < 5:
         raise TooFewPairs(
             f"{n} non-zero differences; need at least 5 informative pairs"
         )
+    w_plus, ties, groups = _rank_sums(diffs)
     if mode == "exact" or (mode == "auto" and n <= 12):
-        ranks = _average_ranks([abs(d) for d in diffs])
-        w_plus = sum(r for r, d in zip(ranks, diffs) if d > 0)
+        ranks = list(range(1, n + 1))  # in |d| order: the tail sums ignore order
+        for i, j in groups:
+            ranks[i:j] = [(i + j + 1) / 2] * (j - i)
         p_ge, p_le = _exact_tail_probs(ranks, w_plus)
     else:
-        p_ge, p_le = _approx_tail_probs(n, *_rank_sums(diffs))
+        p_ge, p_le = _approx_tail_probs(n, w_plus, ties)
     if alternative == "greater":
         return p_ge
     if alternative == "less":

@@ -422,6 +422,27 @@ class TestEvaluate:
             *nulls, "wilcoxon_p_vs_qbsd"}
         assert report.read_text() == stdout
 
+    def test_nan_error_differences_give_no_p_value(self, tmp_path, capsys):
+        # every error of both methods is inf, so every paired difference is
+        # inf - inf = NaN, which has no rank
+        path = tmp_path / "series.csv"
+        path.write_text("timestamp,value\n" + "".join(
+            f"{i * 3600},{(-1e308, 1e308)[i % 2]!r}\n" for i in range(24 * 40)))
+        argv = ["evaluate", "--input", str(path), "--interval", "3600", "--k", "1",
+                "--test-start", "1970-02-05T00:00:00", "--test-end", "1970-02-07T23:00:00",
+                "--method", "qbsd,persistence", "--format"]
+        code, stdout, _ = run(capsys, *argv, "json")
+        assert code == 0
+        methods = json.loads(stdout, parse_constant=_reject_constant)["methods"]
+        assert [row["method"] for row in methods] == ["qbsd", "persistence"]
+        assert methods[1]["mae"] is None
+        assert methods[1]["wilcoxon_p_vs_qbsd"] is None
+        code, stdout, _ = run(capsys, *argv, "csv")
+        assert code == 0
+        rows = list(csv.DictReader(stdout.splitlines()))
+        assert rows[1]["method"] == "persistence" and rows[1]["mae"] == "inf"
+        assert rows[1]["wilcoxon_p_vs_qbsd"] == ""
+
     def test_csv_format(self, capsys):
         code, stdout, _ = run(capsys, "evaluate", "--dataset", "synthetic",
                               "--format", "csv")

@@ -89,6 +89,12 @@ def _cases(inputs: dict[str, Path], out: Path) -> dict[str, list[str]]:
                         "--test-start", "1970-01-29T00:00:00",
                         "--test-end", "1970-02-18T23:00:00",
                         "--output", str(out / "evaluate_k8.csv")],
+        # the default table format, with the JSON report it writes beside it
+        "evaluate_table": ["evaluate", "--interval", "3600", "--k", "1", "--input", hourly,
+                           "--method", "qbsd,seasonal-naive,persistence",
+                           "--test-start", "1970-02-05T00:00:00",
+                           "--test-end", "1970-02-18T23:00:00",
+                           "--report", str(out / "evaluate_table.json")],
         "evaluate_yearly": ["evaluate", "--interval", "86400", "--k", "2",
                             "--scheme", "weekly_plus_yearly", "--train-window", "380",
                             "--input", daily, "--method", "qbsd,seasonal-naive,persistence",

@@ -194,3 +194,13 @@ class TestWilcoxon:
             wilcoxon_signed_rank([1.0] * 5, [2.0] * 4)
         with pytest.raises(TooFewPairs):
             wilcoxon_signed_rank([1.0, 2.0], [0.0, 0.0])
+
+    @pytest.mark.parametrize("mode", ["auto", "exact", "approx"])
+    def test_nan_difference_rejected(self, mode):
+        # inf - inf is NaN, which passes the zero filter but has no rank
+        inf = math.inf
+        with pytest.raises(ValueError, match="NaN"):
+            wilcoxon_signed_rank([inf] * 8, [inf] * 8, alternative="less", mode=mode)
+        a = [2.0, 3.0, 4.0, 5.0, 6.0, 7.0, math.nan]
+        with pytest.raises(ValueError, match="NaN"):
+            wilcoxon_signed_rank(a, [1.0] * 7, mode=mode)

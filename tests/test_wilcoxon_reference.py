@@ -1,8 +1,9 @@
 """``wilcoxon_signed_rank`` pinned bit for bit against the per-index
 formulas written out here: an average rank for every difference, ``w_plus``
 summed over the positive ones in input order, and the tie term counted per
-distinct rank. The p-values are compared by ``repr`` for every alternative,
-under ``mode="approx"`` and ``"auto"``, for n from 13 to 500."""
+distinct rank. The p-values are compared by ``repr`` for every alternative:
+under ``mode="approx"`` for n from 13 to 500, under ``"auto"`` for n from 5
+to 500, and under ``"exact"`` for n from 5 to 12."""
 
 import math
 import random
@@ -105,18 +106,22 @@ def samples(n, rng):
         yield a, b
 
 
-@pytest.mark.parametrize("mode", ["approx", "auto"])
+N_RANGES = {"approx": range(13, 501), "auto": range(5, 501), "exact": range(5, 13)}
+
+
+@pytest.mark.parametrize("mode", N_RANGES)
 def test_p_values_match_the_reference_bit_for_bit(mode):
     rng = random.Random(20230607)
     seen = {"approx": 0, "exact": 0, "too few": 0}
-    for n in range(13, 501):
+    for n in N_RANGES[mode]:
         for errors_a, errors_b in samples(n, rng):
             informative = sum(a - b != 0.0 for a, b in zip(errors_a, errors_b))
             for alternative in ALTERNATIVES:
                 got = outcome(wilcoxon_signed_rank, errors_a, errors_b, alternative, mode)
                 want = outcome(ref_wilcoxon, errors_a, errors_b, alternative, mode)
                 assert got == want, (n, alternative, errors_a, errors_b)
-            seen["too few" if informative < 5
-                 else "exact" if mode == "auto" and informative <= 12 else "approx"] += 1
-    assert seen["approx"] > 2000
-    assert seen["too few"] > 0 and (seen["exact"] > 0) == (mode == "auto"), seen
+            exact = mode == "exact" or (mode == "auto" and informative <= 12)
+            seen["too few" if informative < 5 else "exact" if exact else "approx"] += 1
+    assert seen["too few"] > 0, seen
+    assert (seen["approx"] > 2000) == (mode != "exact"), seen
+    assert (seen["exact"] > 0) == (mode != "approx"), seen
