@@ -85,26 +85,17 @@ def evaluate(pairs: EvalPairs) -> MetricsReport:
     )
 
 
-def _exact_tail_probs(ranks: Sequence[float], w_plus: float) -> tuple[float, float]:
-    """P(W >= w) and P(W <= w) by enumerating every sign assignment."""
-    n = len(ranks)
-    total = 1 << n
-    ge = 0
-    le = 0
-    for mask in range(total):
-        w = 0.0
-        m = mask
-        idx = 0
-        while m:
-            if m & 1:
-                w += ranks[idx]
-            m >>= 1
-            idx += 1
-        if w >= w_plus:
-            ge += 1
-        if w <= w_plus:
-            le += 1
-    return ge / total, le / total
+def _exact_tail_probs(ranks: Sequence[int], w_plus: int) -> tuple[float, float]:
+    """P(W >= w) and P(W <= w) over the 2^n equally likely sign assignments,
+    with every rank and w doubled to an integer (a tie group's average rank
+    is a half-integer). The assignments are counted per rank sum, subset-sum
+    style, in O(n * sum(ranks)) integer additions: the counts, and so the
+    p-values, are those that enumerating every assignment gives."""
+    counts = [1] + [0] * sum(ranks)  # counts[s]: assignments whose sum is s
+    for r in ranks:
+        counts[r:] = [a + b for a, b in zip(counts[r:], counts)]
+    total = 1 << len(ranks)
+    return sum(counts[w_plus:]) / total, sum(counts[: w_plus + 1]) / total
 
 
 def _rank_sums(diffs: Sequence[float]) -> tuple[float, int, list[tuple[int, int]]]:
@@ -165,10 +156,11 @@ def wilcoxon_signed_rank(
 
     ``alternative="greater"`` tests whether a tends to exceed b, ``"less"``
     the reverse. Zero differences are dropped; at least five informative
-    pairs must remain. Up to 12 pairs the p-value comes from enumerating all
-    2^n sign assignments of the observed ranks; beyond that from the normal
-    approximation with tie and continuity corrections (``mode`` forces one
-    branch). A NaN difference, such as inf - inf, has no rank: ValueError.
+    pairs must remain. Up to 12 pairs the p-value is exact, counted over all
+    2^n sign assignments of the observed ranks; beyond that it comes from
+    the normal approximation with tie and continuity corrections (``mode``
+    forces one branch; a forced exact test costs O(n^3)). A NaN difference,
+    such as inf - inf, has no rank: ValueError.
     """
     if alternative not in ALTERNATIVES:
         raise ValueError(f"alternative must be one of {ALTERNATIVES}")
@@ -188,10 +180,11 @@ def wilcoxon_signed_rank(
         )
     w_plus, ties, groups = _rank_sums(diffs)
     if mode == "exact" or (mode == "auto" and n <= 12):
-        ranks = list(range(1, n + 1))  # in |d| order: the tail sums ignore order
+        # doubled ranks in |d| order: the tail sums ignore order
+        ranks = list(range(2, 2 * n + 1, 2))
         for i, j in groups:
-            ranks[i:j] = [(i + j + 1) / 2] * (j - i)
-        p_ge, p_le = _exact_tail_probs(ranks, w_plus)
+            ranks[i:j] = [i + j + 1] * (j - i)
+        p_ge, p_le = _exact_tail_probs(ranks, int(2 * w_plus))
     else:
         p_ge, p_le = _approx_tail_probs(n, w_plus, ties)
     if alternative == "greater":

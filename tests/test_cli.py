@@ -1405,6 +1405,18 @@ def test_interpolating_savgol_writes_the_bounds_unchanged(tmp_path, capsys):
     assert [r["q3_smooth"] for r in rows] == [r["q3"] for r in rows]
 
 
+@pytest.mark.parametrize("spec,limit", [("sg:201:150", "window_length must be at most 101"),
+                                         ("sg:41:21", "polyorder must be at most 20")])
+def test_costly_savgol_table_exits_1_before_any_row(tmp_path, capsys, spec, limit):
+    """A Savitzky-Golay table above the caps is refused as a flag error,
+    before the input is opened: a missing file would exit 2."""
+    code, out, err = run(capsys, "anomaly", "--input", str(tmp_path / "missing.csv"),
+                         "--interval", "3600", "--k", "1", "--smoother", spec, "--output", "-")
+    assert code == 1
+    assert out == ""
+    assert limit in err
+
+
 def test_runtime_never_imports_numpy(tmp_path):
     """The package runs on the standard library alone: after ``import qbsd``
     and a Savitzky-Golay smoothed anomaly run, numpy is not loaded."""

@@ -8,9 +8,14 @@ import math
 import random
 from bisect import bisect_left, bisect_right
 
+from qbsd import core
 from qbsd.core import ForecastOutput, QbsdConfig, Residuals, compute_residuals, qbsd_step
+from qbsd.core import compute_quartiles, interpolated_percentile
+from qbsd.datasets import replay
+from qbsd.engine import RollingForecaster
 from qbsd.errors import DataError, InsufficientHistory, InvalidConstant
 from qbsd.timegrid import HOURLY, weekly_plus_yearly_scheme
+from qbsd.timegrid import default_weekly_scheme
 
 INF, NAN = math.inf, math.nan
 
@@ -151,3 +156,71 @@ def test_compute_residuals_matches_the_reference_bit_for_bit():
              else "iqr < c" if iqr < c else "iqr > c"] += 1
     assert all(count > 0 for count in seen.values()), seen
 
+
+
+def test_qbsd_step_matches_the_reference_cold_and_planned(monkeypatch):
+    """Counts 3..70, each twice, in shuffled order against an empty plan
+    table: a count's first subset reads positions planned on that call,
+    the others read them from the table."""
+    monkeypatch.setattr(core, "_PLANS", {})
+    rng = random.Random(370)
+    counts = list(range(3, 71)) * 2
+    rng.shuffle(counts)
+    seen = {"cold": 0, "planned": 0, "fallback": 0, "interior": 0}
+    for n in counts:
+        kinds = [
+            [rng.gauss(100.0, 30.0) for _ in range(n)],
+            [float(rng.randint(0, 3)) for _ in range(n)],
+            [rng.choice([1.0, 2.0]) for _ in range(n)],  # two-valued: the fallback
+            [rng.choice([0.0, -0.0, 1e308, -1e308, INF]) for _ in range(n)],
+        ]
+        rng.shuffle(kinds)
+        for values in kinds:
+            seen["planned" if n in core._PLANS else "cold"] += 1
+            ordered = sorted(values)
+            want = outcome(ref_step, ordered, 66, 3)
+            assert outcome(qbsd_step, ordered, 66, CONFIGS[0]) == want, ordered
+            if isinstance(want, tuple):
+                seen["fallback" if want[5] else "interior"] += 1
+    assert sorted(core._PLANS) == list(range(3, 71))
+    assert seen["cold"] == 68 and seen["planned"] == 68 * 7
+    assert seen["fallback"] > 0 and seen["interior"] > 0
+
+
+def test_percentiles_match_the_reference_for_every_count():
+    rng = random.Random(71)
+    for n in range(1, 71):
+        for values in ([rng.gauss(0.0, 1e3) for _ in range(n)],
+                       [float(rng.randint(-2, 2)) for _ in range(n)],
+                       [rng.randint(-5, 5) for _ in range(n)]):
+            ordered = sorted(values)
+            for fraction in (0.0, 0.01, 0.25, 0.5, 0.75, 1.0):
+                got = interpolated_percentile(values, fraction)
+                assert repr(got) == repr(ref_percentile(ordered, fraction)), (n, fraction)
+            q = compute_quartiles(values)
+            assert (repr(q.q1), repr(q.q3)) == (repr(ref_percentile(ordered, 0.25)),
+                                                repr(ref_percentile(ordered, 0.75)))
+
+
+def test_positions_are_planned_once_per_present_count(monkeypatch):
+    """A 2,000-slot replay with gaps meets many present counts; each one's
+    positions are computed on its first forecast only."""
+    planned = []
+    plan = core._plan
+
+    def counting_plan(n):
+        planned.append(n)
+        return plan(n)
+
+    monkeypatch.setattr(core, "_PLANS", {})
+    monkeypatch.setattr(core, "_plan", counting_plan)
+    # weekly4 at k=4: 27 samples in 4 lag groups, so consecutive targets slide
+    cfg = QbsdConfig(scheme=default_weekly_scheme(4, 4, HOURLY), min_samples=3)
+    rng = random.Random(2000)
+    points = [(s, None if rng.random() < 0.35 else rng.gauss(100.0, 30.0))
+              for s in range(2000)]
+    records = list(replay(RollingForecaster(cfg, HOURLY), points))
+    counts = [r.sample_count for r in records if r.sample_count is not None]
+    assert len(counts) > 1000
+    assert sorted(planned) == sorted(set(counts))
+    assert len(planned) > 5

@@ -179,6 +179,28 @@ class TestWilcoxon:
                 approx = wilcoxon_signed_rank(a, b, alternative=alt, mode="approx")
                 assert abs(exact - approx) < 0.02
 
+    def test_exact_matches_brute_force_at_16(self):
+        # half-unit offsets keep every difference non-zero; the small integer
+        # range makes many |d| ties, so ranks are half-integers
+        rng = random.Random(16)
+        a = [float(rng.randint(0, 6)) for _ in range(16)]
+        b = [rng.randint(0, 6) + 0.5 for _ in range(16)]
+        for alt in ("less", "greater", "two_sided"):
+            assert wilcoxon_signed_rank(a, b, alternative=alt, mode="exact") == ref_wilcoxon(
+                a, b, alt
+            )
+
+    def test_exact_at_40_agrees_with_approx(self):
+        # 2^40 sign assignments: counted per rank sum, not enumerated
+        rng = random.Random(40)
+        for shift in (0.0, 0.3, 1.0):
+            a = [rng.gauss(shift, 1.0) for _ in range(40)]
+            b = [rng.gauss(0.0, 1.0) for _ in range(40)]
+            for alt in ("less", "greater", "two_sided"):
+                exact = wilcoxon_signed_rank(a, b, alternative=alt, mode="exact")
+                approx = wilcoxon_signed_rank(a, b, alternative=alt, mode="approx")
+                assert abs(exact - approx) < 0.02
+
     def test_large_n_uses_approximation(self):
         rng = random.Random(3)
         a = [rng.uniform(0, 10) + 5.0 for _ in range(40)]

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from qbsd.errors import InvalidWindow, SeriesTooShort
 from qbsd.smoothing import (
+    MAX_SAVGOL_POLYORDER,
+    MAX_SAVGOL_WINDOW,
     MovingAverage,
     SavitzkyGolay,
     StreamingSmoother,
@@ -128,6 +130,16 @@ class TestCoefficients:
     def test_weights_sum_to_one(self):
         for wl, p in [(5, 2), (7, 3), (11, 3), (21, 5), (21, 19)]:
             assert math.fsum(savgol_coefficients(wl, p)) == pytest.approx(1.0, abs=1e-12)
+
+    def test_table_size_is_capped(self):
+        assert MAX_SAVGOL_WINDOW == 101 and MAX_SAVGOL_POLYORDER == 20
+        SavitzkyGolay(101, 20)  # the largest table accepted
+        with pytest.raises(InvalidWindow, match="window_length must be at most 101, got 103"):
+            SavitzkyGolay(103, 3)
+        with pytest.raises(InvalidWindow, match="polyorder must be at most 20, got 21"):
+            SavitzkyGolay(23, 21)
+        with pytest.raises(InvalidWindow, match="at most 101"):
+            savgol_coefficients(201, 150)
 
     def test_coefficients_are_a_fresh_list(self):
         savgol_coefficients(5, 2)[0] = 99.0
