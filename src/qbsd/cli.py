@@ -9,25 +9,30 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import json
 import math
+import os
+import stat
 import statistics
 import sys
 import time
 from collections import deque
-from contextlib import contextmanager, nullcontext, suppress
+from contextlib import ExitStack, contextmanager, nullcontext, suppress
 from dataclasses import replace
-from itertools import chain
+from itertools import chain, count
 from pathlib import Path
-from typing import Optional, Sequence, TextIO
+from typing import Iterator, Optional, Sequence, TextIO
 
 from . import baselines as bl
 from .core import DEFAULT_C_FLOOR_CONTINUOUS, QbsdConfig, contingency_constant
 from .datasets import (
     DatasetDescriptor,
+    MethodScore,
     StepRecord,
     SynthSpec,
     estimate_contingency,
+    evaluation_steps,
     format_timestamp,
     generate_synthetic,
     get_descriptor,
@@ -35,9 +40,13 @@ from .datasets import (
     parse_timestamp,
     points,
     replay,
+    # not called here: kept only because perfbench/tracer.py looks up
+    # qbsd.cli.rolling_evaluate. Its span is never entered, so the traced
+    # datasets.rolling_evaluate_self_ns_per_slot reads 0 and measures nothing
+    # until the tracer is pointed at the streamed pass.
     rolling_evaluate,
+    score_reports,
     series_rows,
-    skipped_count,
 )
 from .engine import RollingForecaster, default_capacity
 from .errors import ConfigError, DataError, QbsdError, SeriesTooShort, TooFewPairs
@@ -418,6 +427,49 @@ def _records_path(base: str, label: str, many: bool) -> str:
     return str(path.with_name(f"{path.stem}.{label.replace(':', '_')}{path.suffix}"))
 
 
+@contextmanager
+def _output_file(path: str | Path) -> Iterator[TextIO]:
+    """A text file that appears at ``path`` only if the block succeeds. A
+    missing or regular target is written as ``<path>.<pid>.tmp`` in the same
+    directory, with the permissions ``open(path, "w")`` would give, renamed
+    over ``path`` on success and removed on any exception, so a failed run
+    leaves no partial file and an existing one unchanged. Any other target (a
+    device, a pipe, a directory) is opened in place, as a plain open would."""
+    try:
+        regular = stat.S_ISREG(os.stat(path).st_mode)
+    except OSError:  # missing, or so is its directory: the open below says which
+        regular = True
+    if not regular:
+        with open(path, "w", newline="") as handle:
+            yield handle
+        return
+    handle, temp = _open_beside(path)
+    try:
+        with handle:
+            yield handle
+        os.replace(temp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(temp)
+        raise
+
+
+def _open_beside(path: str | Path) -> tuple[TextIO, str]:
+    """A new file ``<path>.<pid>.tmp``, or ``<path>.<pid>.<n>.tmp`` when that
+    name is taken (by this process, or by a killed run with the same pid)."""
+    for n in count():
+        temp = f"{path}.{os.getpid()}{f'.{n}' if n else ''}.tmp"
+        try:
+            return open(temp, "x", newline=""), temp
+        except FileExistsError:
+            continue
+        except OSError as exc:
+            if exc.errno in (errno.ENOENT, errno.ENOTDIR, errno.EACCES):
+                # the directory's fault: name the path asked for
+                raise type(exc)(exc.errno, exc.strerror, str(path)) from exc
+            raise
+
+
 def cmd_evaluate(args) -> int:
     if args.output == "-":
         raise ConfigError(
@@ -438,52 +490,50 @@ def cmd_evaluate(args) -> int:
     if args.c is None and any(marker == "qbsd" for _, marker in methods):
         test_start, _ = desc.test_slot_range
         cfg = replace(cfg, c=estimate_contingency(frame, test_start, cfg.c))
-    outcomes = rolling_evaluate(
-        frame, [cfg if marker == "qbsd" else marker for _, marker in methods], desc
-    )
+    specs = [cfg if marker == "qbsd" else marker for _, marker in methods]
     labels = [label for label, _ in methods]
+    scores = [MethodScore() for _ in methods]
+    # the records files are streamed as the test range is walked and appear
+    # only once the report is out
+    with ExitStack() as files:
+        writers = [
+            RecordWriter(files.enter_context(
+                _output_file(_records_path(args.output, label, len(labels) > 1))))
+            for label in labels
+        ] if args.output else []
+        adds = [score.add for score in scores]
+        for step in evaluation_steps(frame, specs, desc):
+            for add, record in zip(adds, step):
+                add(record)
+            for writer, record in zip(writers, step):
+                writer.write(record)
+        for writer in writers:
+            writer.close()
+        reports = score_reports(scores, specs, desc)
 
-    # every method has one record per test slot, in slot order
-    qbsd_records = outcomes[labels.index("qbsd")][1] if "qbsd" in labels else None
-    rows = []
-    for label, (report, records) in zip(labels, outcomes):
-        p_vs_qbsd = None
-        if qbsd_records is not None and label != "qbsd":
-            shared = [
-                (abs(q.actual - q.forecast), abs(r.actual - r.forecast))
-                for q, r in zip(qbsd_records, records)
-                if q.actual is not None and q.forecast is not None
-                and r.forecast is not None
-            ]
-            with suppress(TooFewPairs, ValueError):
-                p_vs_qbsd = wilcoxon_signed_rank(
-                    [a for a, _ in shared],
-                    [b for _, b in shared],
-                    alternative="less",
-                )
-        rows.append(
-            {
-                "method": label,
-                "mae": report.mae,
-                "mse": report.mse,
-                "rmse": report.rmse,
-                "mape": report.mape,
-                "r2": report.r2,
-                "mape_excluded": report.mape_excluded_count,
-                "skipped": skipped_count(records),
-                "wilcoxon_p_vs_qbsd": p_vs_qbsd,
-            }
-        )
-
-    _render_evaluation(args, desc, rows)
-    if args.output:
-        for label, (_, records) in zip(labels, outcomes):
-            path = _records_path(args.output, label, len(labels) > 1)
-            with open(path, "w", newline="") as handle:
-                writer = RecordWriter(handle)
-                for record in records:
-                    writer.write(record)
-                writer.close()
+        qbsd = scores[labels.index("qbsd")] if "qbsd" in labels else None
+        rows = []
+        for label, report, score in zip(labels, reports, scores):
+            p_vs_qbsd = None
+            if qbsd is not None and score is not qbsd:
+                with suppress(TooFewPairs, ValueError):
+                    p_vs_qbsd = wilcoxon_signed_rank(
+                        *qbsd.paired_errors(score), alternative="less"
+                    )
+            rows.append(
+                {
+                    "method": label,
+                    "mae": report.mae,
+                    "mse": report.mse,
+                    "rmse": report.rmse,
+                    "mape": report.mape,
+                    "r2": report.r2,
+                    "mape_excluded": report.mape_excluded_count,
+                    "skipped": score.skipped,
+                    "wilcoxon_p_vs_qbsd": p_vs_qbsd,
+                }
+            )
+        _render_evaluation(args, desc, rows)
     return 0
 
 
@@ -525,7 +575,7 @@ def _render_evaluation(args, desc: DatasetDescriptor, rows: list[dict]) -> None:
                 f"{row['mape_excluded']:>5d} {row['skipped']:>5d} {p:>10}"
             )
     if args.report:
-        with open(args.report, "w") as handle:
+        with _output_file(args.report) as handle:
             _write_report(handle, fmt, payload)
 
 
@@ -579,7 +629,7 @@ def _run_streaming_command(args, threshold: Optional[float]) -> int:
     for path, out_path in zip(inputs, out_paths):
         # one read per input: without --c, anomaly holds the first scheme-span's
         # rows to estimate c, so memory stays bounded by the window and those rows
-        with open(out_path, "w", newline="") if out_path else nullcontext(sys.stdout) as out:
+        with _output_file(out_path) if out_path else nullcontext(sys.stdout) as out:
             with series_rows(path, desc.timestamp_column, desc.target_column) as rows:
                 stream = points(rows, path, g)
                 run_cfg = cfg

@@ -20,6 +20,7 @@ from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
+from itertools import compress
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .baselines import BaselineSpec, baseline_forecast
@@ -593,20 +594,20 @@ def replay(
                          diff, norm, fo.sample_count, fo.fallback_used)
 
 
-def rolling_evaluate(
+def evaluation_steps(
     frame: SeriesFrame,
     methods: Sequence[QbsdConfig | BaselineSpec],
     desc: DatasetDescriptor,
-) -> list[tuple[MetricsReport, list[StepRecord]]]:
+) -> Iterator[tuple[StepRecord, ...]]:
     """Replay the test range once with a moving training window, for every
-    method at the same time.
+    method at the same time, yielding each test slot's records as one tuple
+    in method order.
 
     All methods read one history ring: the QBSD forecaster's (at most one
     ``QbsdConfig`` may be given), or a plain ``SlidingHistory`` when none is.
     At each test slot every baseline forecasts from the ring, then QBSD
-    observes the slot, so no method sees the slot's own value. Returns, for
-    each method in order, the metrics over its scored slots (forecast and
-    actual both present) and a record per grid slot in the test range.
+    observes the slot, so no method sees the slot's own value. Nothing is
+    kept past its slot but the ring itself.
     """
     if frame.granularity != desc.frequency:
         raise ConfigError(
@@ -616,51 +617,100 @@ def rolling_evaluate(
     g = frame.granularity
     window = desc.train_window_slots
     test_start, test_end = desc.test_slot_range
-    actuals = dict(zip(frame.slots, frame.values))
+    slots, values = frame.slots, frame.values
 
-    records: list[list[StepRecord]] = [[] for _ in methods]
-    configs = [(m, out) for m, out in zip(methods, records) if isinstance(m, QbsdConfig)]
-    baselines = [(m, out.append) for m, out in zip(methods, records)
-                 if not isinstance(m, QbsdConfig)]
+    configs = [i for i, m in enumerate(methods) if isinstance(m, QbsdConfig)]
+    baselines = [(i, m) for i, m in enumerate(methods) if not isinstance(m, QbsdConfig)]
     if len(configs) > 1:
         raise ConfigError(f"{len(configs)} QBSD configurations given; one pass takes at most one")
     if configs:
-        forecaster = RollingForecaster(configs[0][0], g, capacity_slots=window)
+        forecaster = RollingForecaster(methods[configs[0]], g, capacity_slots=window)
         history = forecaster.history
     else:
         history = SlidingHistory(window)
 
-    for slot, value in zip(frame.slots, frame.values[:bisect_left(frame.slots, test_start)]):
+    first = bisect_left(slots, test_start)
+    for slot, value in zip(slots, values[:first]):
         history.insert(slot, value)
+
+    step: list[Optional[StepRecord]] = [None] * len(methods)
 
     def test_points() -> Iterator[tuple[int, Optional[float]]]:
         """Each test slot as a ``(slot, actual)`` point, yielded once every
         baseline has forecast it from the history before that slot."""
+        i, n = first, len(slots)
         for slot in range(test_start, test_end + 1):
-            actual = actuals.get(slot)
-            for spec, append in baselines:
+            if i < n and slots[i] == slot:
+                actual = values[i]
+                i += 1
+            else:
+                actual = None
+            for index, spec in baselines:
                 try:
                     forecast = baseline_forecast(history, slot, spec)
                 except InsufficientHistory:
-                    append(StepRecord(slot, g, actual))
+                    step[index] = StepRecord(slot, g, actual)
                 else:
                     diff = None if actual is None else actual - forecast
                     # positional: 175 ns per record, against 260 ns by keyword (CPython 3.11)
-                    append(StepRecord(slot, g, actual, forecast, None, None, None, diff))
+                    step[index] = StepRecord(slot, g, actual, forecast, None, None, None, diff)
             yield slot, actual
 
     if configs:
-        configs[0][1].extend(replay(forecaster, test_points()))
+        qbsd_at = configs[0]
+        for record in replay(forecaster, test_points()):
+            step[qbsd_at] = record
+            yield tuple(step)
     else:
         for slot, actual in test_points():
             if actual is not None:
                 history.insert(slot, actual)
+            yield tuple(step)
 
-    results = []
-    for method, out in zip(methods, records):
-        scored = [(r.actual, r.forecast) for r in out
-                  if r.actual is not None and r.forecast is not None]
-        if not scored:
+
+class MethodScore:
+    """One method's score, fed a record per test slot in slot order: the
+    scored actuals and forecasts (both present), one absolute error per
+    test slot (None where the slot was not scored) and the skip count."""
+
+    __slots__ = ("actuals", "forecasts", "errors", "skipped")
+
+    def __init__(self) -> None:
+        self.actuals: list[float] = []
+        self.forecasts: list[float] = []
+        self.errors: list[Optional[float]] = []
+        self.skipped = 0
+
+    def add(self, record: StepRecord) -> None:
+        actual, forecast = record.actual, record.forecast
+        if forecast is None:
+            self.skipped += 1
+            self.errors.append(None)
+        elif actual is None:
+            self.errors.append(None)
+        else:
+            self.actuals.append(actual)
+            self.forecasts.append(forecast)
+            self.errors.append(abs(actual - forecast))
+
+    def paired_errors(self, other: "MethodScore") -> tuple[list[float], list[float]]:
+        """This method's and ``other``'s absolute errors at the test slots
+        both scored, in slot order."""
+        both = [a is not None and b is not None for a, b in zip(self.errors, other.errors)]
+        return list(compress(self.errors, both)), list(compress(other.errors, both))
+
+
+def score_reports(
+    scores: Sequence[MethodScore],
+    methods: Sequence[QbsdConfig | BaselineSpec],
+    desc: DatasetDescriptor,
+) -> list[MetricsReport]:
+    """The metrics of each method's scored slots, in method order. A method
+    that never scored a slot raises ``InsufficientHistory``; with several
+    methods, the message names the first such method listed."""
+    reports = []
+    for method, score in zip(methods, scores):
+        if not score.actuals:
             which = ""
             if len(methods) > 1:
                 which = " for " + ("qbsd" if isinstance(method, QbsdConfig) else repr(method))
@@ -668,8 +718,25 @@ def rolling_evaluate(
                 f"{desc.name}: no test slot could be both forecast and scored; "
                 f"the training window never warmed up{which}"
             )
-        results.append((evaluate(EvalPairs([a for a, _ in scored], [f for _, f in scored])), out))
-    return results
+        reports.append(evaluate(EvalPairs(score.actuals, score.forecasts)))
+    return reports
+
+
+def rolling_evaluate(
+    frame: SeriesFrame,
+    methods: Sequence[QbsdConfig | BaselineSpec],
+    desc: DatasetDescriptor,
+) -> list[tuple[MetricsReport, list[StepRecord]]]:
+    """``evaluation_steps`` collected: for each method in order, the metrics
+    over its scored slots (forecast and actual both present) and a record
+    per grid slot in the test range."""
+    records: list[list[StepRecord]] = [[] for _ in methods]
+    scores = [MethodScore() for _ in methods]
+    for step in evaluation_steps(frame, methods, desc):
+        for out, score, record in zip(records, scores, step):
+            out.append(record)
+            score.add(record)
+    return list(zip(score_reports(scores, methods, desc), records))
 
 
 def skipped_count(records: list[StepRecord]) -> int:

@@ -5,9 +5,11 @@ import csv
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
 import textwrap
+import threading
 from pathlib import Path
 
 import pytest
@@ -1438,3 +1440,128 @@ def test_runtime_never_imports_numpy(tmp_path):
     result = subprocess.run([sys.executable, "-c", script], env=env,
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+def stale_series(path: Path) -> Path:
+    """Hourly rows 0..959, then a late row at slot 1: older than any window,
+    so a forecast run fails after writing most of its records."""
+    with open(path, "w", newline="") as handle:
+        handle.write("timestamp,value\n")
+        handle.writelines(f"{i * 3600},{i % 24}\n" for i in range(960))
+        handle.write("3600,1\n")
+    return path
+
+
+def failing_runs(tmp_path: Path) -> dict[str, tuple[list[str], str, list[str]]]:
+    """Runs that exit 2 once records are under way, as (argv before
+    ``--output``, the ``--output`` name in the output directory, the files
+    the failing part would write there)."""
+    stale = stale_series(tmp_path / "stale.csv")
+    good = tmp_path / "good.csv"
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(["synth", "--output", str(good), "--days", "35", "--slots-per-day", "24"])
+    hourly = ["--interval", "3600", "--k", "1"]
+    return {
+        "forecast": (["forecast", *hourly, "--input", str(stale)], "out.csv", ["out.csv"]),
+        "anomaly": (["anomaly", *hourly, "--input", str(stale)], "out.csv", ["out.csv"]),
+        # a test range inside the first week: QBSD and the weekly seasonal
+        # naive never forecast, so the run fails after streaming its records
+        "evaluate": (["evaluate", *hourly, "--input", str(good),
+                      "--method", "qbsd,seasonal-naive",
+                      "--test-start", "1970-01-02T00:00:00",
+                      "--test-end", "1970-01-03T00:00:00"],
+                     "out.csv", ["out.qbsd.csv", "out.seasonal-naive.csv"]),
+        # one file per input: the good input's is complete and kept
+        "anomaly_inputs": (["anomaly", *hourly, "--input", str(good),
+                            "--input", str(stale)], "", ["stale.qbsd.csv"]),
+    }
+
+
+@pytest.mark.parametrize("case", ["forecast", "anomaly", "evaluate", "anomaly_inputs"])
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+def test_failed_run_leaves_no_partial_output(tmp_path, capsys, case, existing):
+    argv, target, names = failing_runs(tmp_path)[case]
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    before = {name: f"an earlier run's {name}\n".encode() for name in names if existing}
+    for name, data in before.items():
+        (out_dir / name).write_bytes(data)
+    code, _, err = run(capsys, *argv, "--output", str(out_dir / target))
+    assert code == 2, err
+    left = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    if case == "anomaly_inputs":
+        assert left.pop("good.qbsd.csv").count(b"\n") == 35 * 24 + 1
+    assert left == before  # nothing new, nothing changed, no temporary file
+
+
+def _series_argv(tmp_path: Path, capsys, command: str, out) -> list[str]:
+    series = tmp_path / "series.csv"
+    run(capsys, "synth", "--output", str(series), "--days", "35", "--slots-per-day", "24")
+    argv = [command, "--interval", "3600", "--k", "1", "--input", str(series),
+            "--output", str(out)]
+    if command == "evaluate":
+        argv += ["--test-start", "1970-01-29T00:00:00", "--test-end", "1970-02-04T23:00:00"]
+    return argv
+
+
+@pytest.mark.parametrize("command", ["forecast", "evaluate"])
+def test_output_file_has_the_mode_a_plain_open_gives(tmp_path, capsys, command):
+    out = tmp_path / "out.csv"
+    assert run(capsys, *_series_argv(tmp_path, capsys, command, out))[0] == 0
+    plain = tmp_path / "plain.csv"
+    with open(plain, "w"):
+        pass
+    assert out.stat().st_mode == plain.stat().st_mode
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "plain.csv", "series.csv"]
+
+
+@pytest.mark.parametrize("command", ["forecast", "evaluate"])
+def test_unwritable_output_names_the_path_asked_for(tmp_path, capsys, command):
+    out = tmp_path / "missing" / "out.csv"
+    code, _, err = run(capsys, *_series_argv(tmp_path, capsys, command, out))
+    assert code == 2
+    assert err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+
+
+@pytest.mark.parametrize("command", ["forecast", "evaluate"])
+def test_output_to_a_pipe_is_written_in_place(tmp_path, capsys, command):
+    expected_path = tmp_path / "expected.csv"
+    assert run(capsys, *_series_argv(tmp_path, capsys, command, expected_path))[0] == 0
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()),
+                              daemon=True)
+    reader.start()
+    code, _, err = run(capsys, *_series_argv(tmp_path, capsys, command, fifo))
+    reader.join(timeout=30)
+    assert code == 0, err
+    assert received == [expected_path.read_bytes()]
+    assert stat.S_ISFIFO(fifo.stat().st_mode)  # the pipe itself, not a file renamed over it
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+@pytest.mark.parametrize("command", ["forecast", "evaluate"])
+def test_directory_at_output_path_fails_before_any_output(tmp_path, capsys, command):
+    target = tmp_path / "out"
+    target.mkdir()
+    code, out, err = run(capsys, *_series_argv(tmp_path, capsys, command, target))
+    assert code == 2
+    assert out == ""  # evaluate's report is never printed
+    assert err == f"error: [Errno 21] Is a directory: '{target}'\n"
+    assert target.is_dir() and not list(target.iterdir())
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+@pytest.mark.parametrize("command", ["forecast", "evaluate"])
+def test_stale_temporary_file_is_stepped_around(tmp_path, capsys, command):
+    """A run killed before it could remove its temporary file leaves one that
+    a later run with the same pid must neither fail on nor touch."""
+    out = tmp_path / "out.csv"
+    stale = tmp_path / f"out.csv.{os.getpid()}.tmp"
+    stale.write_bytes(b"a killed run's partial records\n")
+    code, _, err = run(capsys, *_series_argv(tmp_path, capsys, command, out))
+    assert code == 0, err
+    assert out.read_bytes().startswith(b"timestamp,")
+    assert stale.read_bytes() == b"a killed run's partial records\n"
+    assert sorted(p.name for p in tmp_path.glob("*.tmp")) == [stale.name]

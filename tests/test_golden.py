@@ -100,6 +100,13 @@ def _cases(inputs: dict[str, Path], out: Path) -> dict[str, list[str]]:
                             "--input", daily, "--method", "qbsd,seasonal-naive,persistence",
                             "--format", "csv", "--test-start", "1971-01-06T00:00:00",
                             "--test-end", "1971-02-24T00:00:00"],
+        # two methods' records files, written while the test range streams
+        "evaluate_records": ["evaluate", "--interval", "86400", "--k", "2",
+                             "--scheme", "weekly_plus_yearly", "--train-window", "380",
+                             "--input", daily, "--method", "moving-average:7,qbsd",
+                             "--format", "json", "--test-start", "1971-01-06T00:00:00",
+                             "--test-end", "1971-02-24T00:00:00",
+                             "--output", str(out / "evaluate_records.csv")],
     }
 
 
