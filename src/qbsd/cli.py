@@ -430,14 +430,16 @@ def _records_path(base: str, label: str, many: bool) -> str:
 @contextmanager
 def _output_file(path: str | Path) -> Iterator[TextIO]:
     """A text file that appears at ``path`` only if the block succeeds. A
-    missing or regular target is written as ``<path>.<pid>.tmp`` in the same
+    missing or regular target is written as a temporary file in the same
     directory, with the permissions ``open(path, "w")`` would give, renamed
     over ``path`` on success and removed on any exception, so a failed run
     leaves no partial file and an existing one unchanged. Any other target (a
     device, a pipe, a directory) is opened in place, as a plain open would."""
     try:
         regular = stat.S_ISREG(os.stat(path).st_mode)
-    except OSError:  # missing, or so is its directory: the open below says which
+    except OSError as exc:  # missing, or so is its directory: the open below says which
+        if exc.errno == errno.ENAMETOOLONG:
+            raise  # no file can have this name: fail before any work
         regular = True
     if not regular:
         with open(path, "w", newline="") as handle:
@@ -456,14 +458,21 @@ def _output_file(path: str | Path) -> Iterator[TextIO]:
 
 def _open_beside(path: str | Path) -> tuple[TextIO, str]:
     """A new file ``<path>.<pid>.tmp``, or ``<path>.<pid>.<n>.tmp`` when that
-    name is taken (by this process, or by a killed run with the same pid)."""
+    name is taken (by this process, or by a killed run with the same pid).
+    When the target's name leaves no room for that suffix, the file is
+    ``qbsd.<pid>[.<n>].tmp`` in the target's directory instead."""
+    prefix = os.fspath(path)
     for n in count():
-        temp = f"{path}.{os.getpid()}{f'.{n}' if n else ''}.tmp"
+        temp = f"{prefix}.{os.getpid()}{f'.{n}' if n else ''}.tmp"
         try:
             return open(temp, "x", newline=""), temp
         except FileExistsError:
             continue
         except OSError as exc:
+            short = os.path.join(os.path.dirname(prefix), "qbsd")
+            if exc.errno == errno.ENAMETOOLONG and prefix != short:
+                prefix = short
+                continue
             if exc.errno in (errno.ENOENT, errno.ENOTDIR, errno.EACCES):
                 # the directory's fault: name the path asked for
                 raise type(exc)(exc.errno, exc.strerror, str(path)) from exc
@@ -480,7 +489,8 @@ def cmd_evaluate(args) -> int:
     cfg = _qbsd_config(args, desc)
     methods = _parse_methods(args.method or "qbsd", desc.frequency)
     if args.input is not None:
-        frame = load_csv(args.input, desc.timestamp_column, desc.target_column, desc.frequency)
+        frame = load_csv(args.input, desc.timestamp_column, desc.target_column, desc.frequency,
+                         typed=True)
     elif desc.name != "synthetic":
         raise ConfigError(f"--input is required for dataset {desc.name!r}")
     else:

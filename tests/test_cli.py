@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import os
+import random
 import stat
 import subprocess
 import sys
@@ -1565,3 +1566,87 @@ def test_stale_temporary_file_is_stepped_around(tmp_path, capsys, command):
     assert out.read_bytes().startswith(b"timestamp,")
     assert stale.read_bytes() == b"a killed run's partial records\n"
     assert sorted(p.name for p in tmp_path.glob("*.tmp")) == [stale.name]
+
+
+@pytest.mark.parametrize("command", ["forecast", "evaluate"])
+def test_output_name_with_no_room_for_a_suffix_is_written(tmp_path, capsys, command):
+    """A 254-byte file name is legal, but ``<name>.<pid>.tmp`` beside it is
+    not: the temporary file takes a short name in the same directory."""
+    if os.pathconf(tmp_path, "PC_NAME_MAX") < 255:
+        pytest.skip("the file system's names are shorter than 255 bytes")
+    expected = tmp_path / "expected.csv"
+    assert run(capsys, *_series_argv(tmp_path, capsys, command, expected))[0] == 0
+    out = tmp_path / ("a" * 250 + ".csv")
+    code, _, err = run(capsys, *_series_argv(tmp_path, capsys, command, out))
+    assert code == 0, err
+    assert out.read_bytes() == expected.read_bytes()
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def _feed_pipe(path: Path, data: bytes) -> threading.Thread:
+    """A named pipe at ``path`` whose writer sends ``data`` once a reader
+    opens it."""
+    os.mkfifo(path)
+    writer = threading.Thread(target=path.write_bytes, args=(data,), daemon=True)
+    writer.start()
+    return writer
+
+
+def test_duplicate_in_slot_order_names_its_lines_from_a_pipe(tmp_path, capsys):
+    """A duplicate met in slot order is named with both its lines, from a
+    pipe as from a regular file: the one read meets both."""
+    rows = [f"{i * 3600},{i % 24}\n" for i in range(24 * 36)]
+    rows.insert(101, "360000,7\n")  # slot 100 again, on line 103
+    data = ("timestamp,value\n" + "".join(rows)).encode()
+    regular = tmp_path / "series.csv"
+    regular.write_bytes(data)
+    pipe = tmp_path / "pipe"
+    writer = _feed_pipe(pipe, data)
+    argv = ["evaluate", "--interval", "3600", "--k", "1",
+            "--test-start", "1970-01-30T00:00:00", "--test-end", "1970-02-05T23:00:00"]
+    for path in (pipe, regular):
+        code, out, err = run(capsys, *argv, "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err == (f"error: {path}:103: slot 100 (1970-01-05T04:00:00) appears "
+                       "more than once (first at line 102)\n")
+    writer.join(timeout=30)
+    assert not writer.is_alive()
+
+
+def test_unsorted_or_piped_input_evaluates_as_the_sorted_file(tmp_path, capsys):
+    """``evaluate`` forecasts in slot order: a shuffled copy of a gappy CSV,
+    which the reader sorts, and the sorted file read from a pipe write the
+    sorted file's report and records byte for byte."""
+    series = tmp_path / "series.csv"
+    run(capsys, "synth", "--output", str(series), "--days", "42", "--slots-per-day", "24",
+        "--noise-std", "5", "--seed", "2")
+    header, *rows = series.read_text().splitlines(keepends=True)
+    rng = random.Random(4)
+    rows = [row if rng.random() > 0.05 else row.split(",")[0] + ",\n"  # blank cells
+            for row in rows if rng.random() > 0.05]  # and absent rows
+    sorted_path = tmp_path / "sorted.csv"
+    sorted_path.write_text(header + "".join(rows))
+    rng.shuffle(rows)
+    shuffled = tmp_path / "shuffled.csv"
+    shuffled.write_text(header + "".join(rows))
+    pipe = tmp_path / "pipe"
+    writer = _feed_pipe(pipe, sorted_path.read_bytes())
+
+    def evaluate(source: Path, name: str) -> tuple[str, dict[str, bytes]]:
+        out_dir = tmp_path / name
+        out_dir.mkdir()
+        code, report, err = run(capsys, "evaluate", "--interval", "3600", "--k", "1",
+                                "--input", str(source),
+                                "--method", "qbsd,seasonal-naive,persistence",
+                                "--test-start", "1970-02-05T00:00:00",
+                                "--test-end", "1970-02-11T23:00:00",
+                                "--format", "json", "--output", str(out_dir / "records.csv"))
+        assert code == 0, err
+        return report, {p.name: p.read_bytes() for p in out_dir.iterdir()}
+
+    expected = evaluate(sorted_path, "sorted")
+    assert len(expected[1]) == 3
+    assert evaluate(shuffled, "shuffled") == expected
+    assert evaluate(pipe, "piped") == expected
+    writer.join(timeout=30)
+    assert not writer.is_alive()

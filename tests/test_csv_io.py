@@ -27,10 +27,11 @@ from qbsd.cli import RECORD_COLUMNS, RecordWriter, _parse_smoother, main
 from qbsd.datasets import (
     StepRecord,
     format_timestamp,
+    load_csv,
     parse_timestamp,
     series_rows,
 )
-from qbsd.errors import GridMisaligned, ParseError, SeriesTooShort
+from qbsd.errors import DuplicateTimestamp, GridMisaligned, ParseError, SeriesTooShort
 from qbsd.smoothing import StreamingSmoother
 from qbsd.timegrid import Granularity
 
@@ -87,6 +88,53 @@ def test_series_rows_matches_dictreader(tmp_path_factory, header, rows):
         return
     with series_rows(str(path), "ts", "v") as got:
         assert list(got) == dictreader_rows(path, "ts", "v")
+
+
+def reference_load(path: Path, g: Granularity):
+    """``load_csv``'s result as a sort and a scan of every present row: the
+    frame's ``(slots, values)``, or the message of its ``DuplicateTimestamp``."""
+    with series_rows(str(path), "ts", "v") as cells:
+        present = [(parse_timestamp(ts) // g.interval_seconds, value, number)
+                   for number, ts, value, _ in cells if value is not None]
+    present.sort(key=lambda row: row[0])
+    for (a, _, _), (b, _, _) in zip(present, present[1:]):
+        if a == b:
+            lines = sorted(number for slot, _, number in present if slot == a)
+            return (f"{path}:{lines[1]}: slot {a} ({format_timestamp(a * g.interval_seconds)}) "
+                    f"appears more than once (first at line {lines[0]})")
+    return tuple(slot for slot, _, _ in present), tuple(value for _, value, _ in present)
+
+
+def _loaded(path: str, g: Granularity, typed: bool):
+    try:
+        frame = load_csv(path, "ts", "v", g, typed=typed)
+    except DuplicateTimestamp as exc:
+        return str(exc)
+    return tuple(frame.slots), tuple(frame.values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=st.lists(st.tuples(st.integers(0, 30), st.sampled_from(["1", "", "2.5", "nan", "-4"])),
+                  max_size=40),
+    shuffle=st.booleans(),
+    blank_lines=st.lists(st.integers(0, 40), max_size=3),
+)
+def test_load_csv_matches_a_sort_and_scan(tmp_path_factory, rows, shuffle, blank_lines):
+    """One pass, in order or not, with gaps, duplicates and blank lines: the
+    same columns, typed or not, or the same duplicate and lines as sorting
+    every row first and scanning for the lowest repeated slot."""
+    if not shuffle:
+        rows = sorted(rows, key=lambda row: row[0])  # stable: duplicates stay in file order
+    lines = [f"{slot * 900},{value}\n" for slot, value in rows]
+    for at in blank_lines:
+        lines.insert(min(at, len(lines)), "\n")
+    path = tmp_path_factory.mktemp("load") / "in.csv"
+    path.write_text("ts,v\n" + "".join(lines))
+    g = Granularity(900)
+    expected = reference_load(path, g)
+    assert _loaded(str(path), g, False) == expected
+    assert _loaded(str(path), g, True) == expected
 
 
 def test_series_rows_empty_file(tmp_path):

@@ -95,10 +95,15 @@ class TestLoadCsv:
         )
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
-    def test_duplicate_in_a_pipe_names_the_path(self):
-        # a pipe is read once: the duplicate's lines cannot be looked up again
+    @pytest.mark.parametrize("text, line, first", [
+        # in slot order, the one pass meets both lines
+        (b"ts,v\n0,1\n900,2\n900,3\n", ":4", " (first at line 3)"),
+        # unsorted, the lines would need a second read, which a pipe cannot give
+        (b"ts,v\n900,1\n0,2\n900,3\n", "", ""),
+    ], ids=["in-order", "unsorted"])
+    def test_duplicate_in_a_pipe_names_the_path(self, text, line, first):
         read, write = os.pipe()
-        os.write(write, b"ts,v\n0,1\n900,2\n900,3\n")
+        os.write(write, text)
         os.close(write)
         try:
             with pytest.raises(DuplicateTimestamp) as exc:
@@ -106,7 +111,8 @@ class TestLoadCsv:
         finally:
             os.close(read)
         assert str(exc.value) == (
-            f"/dev/fd/{read}: slot 1 (1970-01-01T00:15:00) appears more than once"
+            f"/dev/fd/{read}{line}: slot 1 (1970-01-01T00:15:00) appears more than once"
+            f"{first}"
         )
 
     def test_unsorted_input_is_sorted(self, tmp_path):

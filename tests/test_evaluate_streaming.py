@@ -167,3 +167,36 @@ def test_evaluate_memory_grows_by_a_fraction_of_held_records(tmp_path):
     short, long = _peak_above_start(argv(28)), _peak_above_start(argv(56))
     added_slots = 28 * 24
     assert long - short < GROWTH_BOUND_PER_SLOT * added_slots, (short, long)
+
+
+# When load_csv kept every row as a (slot, value) tuple in a list, sorted it
+# and copied it into two tuples, this test's peak grew by about 138 bytes per
+# added input row (CPython 3.11); the bound is half of that. With typed
+# columns it grows by about 57: the columns' 16 bytes a row, and the sorted
+# copy of the training values that estimates c.
+GROWTH_BOUND_PER_ROW = 70
+
+
+def test_evaluate_memory_per_input_row_is_a_fraction_of_row_tuples(tmp_path):
+    test_days, prefix = 7, 112
+    end = 2 * prefix + test_days
+    inputs = {}
+    for days in (prefix, 2 * prefix):
+        inputs[days] = tmp_path / f"prefix{days}.csv"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["synth", "--output", str(inputs[days]),
+                         "--days", str(days + test_days), "--slots-per-day", "24",
+                         "--noise-std", "5", "--seed", "3",
+                         "--start", str((end - days - test_days) * DAY)]) == 0
+
+    def argv(days: int) -> list[str]:
+        return ["evaluate", "--interval", "3600", "--k", "1", "--input", str(inputs[days]),
+                "--method", "qbsd,seasonal-naive,persistence", "--format", "json",
+                "--test-start", format_timestamp((end - test_days) * DAY),
+                "--test-end", format_timestamp(end * DAY - 3600)]
+
+    for days in inputs:  # fills the module caches for every day of both inputs
+        _peak_above_start(argv(days))
+    short, long = _peak_above_start(argv(prefix)), _peak_above_start(argv(2 * prefix))
+    added_rows = prefix * 24
+    assert long - short < GROWTH_BOUND_PER_ROW * added_rows, (short, long)
