@@ -715,7 +715,7 @@ def measure_qbsd_latency(
     fns = {}
     for weeks in buffer_weeks:
         forecaster = RollingForecaster(cfg, g, capacity_slots=weeks * g.slots_per_week)
-        forecaster.ingest_history(frame.pairs())
+        forecaster.ingest_history(zip(frame.slots, frame.values))
         fns[weeks] = forecaster.forecast_at
         if weeks == history_weeks:
             history = forecaster.history

@@ -53,6 +53,10 @@ class SlidingHistory:
 
     ``writes`` counts successful inserts and ``last_write`` is the slot of
     the latest one, so a reader can tell what changed since it last looked.
+
+    ``extend`` is the one batch path: it leaves exactly the state that
+    ``insert`` of each pair in turn would, and an in-order run costs one
+    ring write per value.
     """
 
     __slots__ = ("capacity", "_values", "_latest", "writes", "last_write")
@@ -91,6 +95,26 @@ class SlidingHistory:
         self._values[slot % capacity] = value
         self.writes += 1
         self.last_write = slot
+
+    def extend(self, pairs: Iterable[tuple[int, float]]) -> None:
+        """``insert`` each ``(slot, value)`` pair in turn. A slot just after
+        ``latest`` is written straight into the ring; any other slot goes
+        through ``insert``. If a pair is rejected, or the iterator raises,
+        the pairs before it stay inserted."""
+        values, capacity = self._values, self.capacity
+        latest, writes, last_write = self._latest, self.writes, self.last_write
+        try:
+            for slot, value in pairs:
+                if slot - 1 == latest:
+                    values[slot % capacity] = value
+                    latest = last_write = slot
+                    writes += 1
+                else:
+                    self._latest, self.writes, self.last_write = latest, writes, last_write
+                    self.insert(slot, value)
+                    latest, writes, last_write = self._latest, self.writes, self.last_write
+        finally:
+            self._latest, self.writes, self.last_write = latest, writes, last_write
 
     def get(self, slot: int) -> Optional[float]:
         latest = self._latest
@@ -202,12 +226,19 @@ class RollingForecaster:
 
     def ingest_history(self, batch: Iterable[tuple[Slot, float]]) -> None:
         """Insert observed values; newest write wins on duplicate slots and
-        anything pushed out of the window is evicted."""
-        insert = self.history.insert
-        for t, value in batch:
-            if isinstance(t, SlotCoord):
-                t = t.global_slot if t.granularity is self.granularity else self._on_grid(t)
-            insert(t, value)
+        anything pushed out of the window is evicted. The pairs go through
+        ``SlidingHistory.extend``, so an in-order run costs one ring write
+        per value; an int slot is passed through as it is."""
+        g, on_grid = self.granularity, self._on_grid
+        self.history.extend(
+            (
+                (t.global_slot if t.granularity is g else on_grid(t))
+                if isinstance(t, SlotCoord)
+                else t,
+                value,
+            )
+            for t, value in batch
+        )
 
     def forecast_at(self, t: Slot) -> ForecastOutput:
         """Forecast for slot t from history alone. The output is identical

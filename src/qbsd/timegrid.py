@@ -51,16 +51,23 @@ HOURLY = Granularity(3600)
 QUARTER_HOURLY = Granularity(900)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class SlotCoord:
-    """A position on the grid: slots since the epoch, plus calendar helpers."""
+    """A position on the grid: slots since the epoch, plus calendar helpers.
+
+    A frozen value object like the other grid types; its ``__init__`` is
+    written out only to store the fields through the slot descriptors,
+    which skips the frozen ``__setattr__`` path a generated one takes.
+    """
 
     global_slot: int
     granularity: Granularity
 
-    def __post_init__(self) -> None:
-        if self.global_slot < 0:
-            raise ValueError(f"global_slot must be >= 0, got {self.global_slot}")
+    def __init__(self, global_slot: int, granularity: Granularity) -> None:
+        if global_slot < 0:
+            raise ValueError(f"global_slot must be >= 0, got {global_slot}")
+        _set_global_slot(self, global_slot)
+        _set_granularity(self, granularity)
 
     @property
     def day_index(self) -> int:
@@ -74,6 +81,10 @@ class SlotCoord:
     def timestamp(self) -> int:
         """Epoch seconds of the slot boundary."""
         return self.global_slot * self.granularity.interval_seconds
+
+
+_set_global_slot = SlotCoord.global_slot.__set__
+_set_granularity = SlotCoord.granularity.__set__
 
 
 def align(timestamp_epoch_seconds: int, g: Granularity) -> SlotCoord:

@@ -534,6 +534,48 @@ class TestEvaluate:
                        "more than once (first at line 3)\n")
         assert stdout == ""
 
+    @settings(max_examples=12, deadline=None)
+    @example(seed=5, n_blank=30, c=5.0, k=1)
+    @given(
+        seed=st.integers(0, 2**16),
+        n_blank=st.integers(0, 60),
+        c=st.sampled_from([0.5, 1.0, 5.0]),
+        k=st.integers(0, 2),
+    )
+    def test_qbsd_records_match_forecast_on_slot_ordered_input(
+        self, tmp_path_factory, seed, n_blank, c, k
+    ):
+        """On slot-ordered input, with the same --c and window, the record
+        evaluate writes for an input row in the test range is the record
+        forecast writes for that row, byte for byte; blank cells included."""
+        tmp_path = tmp_path_factory.mktemp("invariant")
+        rng = random.Random(seed)
+        days = 35
+        cells = [repr(100.0 + 50.0 * (i % 24 > 8) + rng.gauss(0.0, 10.0))
+                 for i in range(days * 24)]
+        for i in rng.sample(range(len(cells)), n_blank):
+            cells[i] = ""
+        path = tmp_path / "series.csv"
+        path.write_text("timestamp,value\n" + "".join(
+            f"{format_timestamp(i * 3600)},{cell}\n" for i, cell in enumerate(cells)))
+        common = ["--input", str(path), "--interval", "3600", "--k", str(k),
+                  "--c", str(c), "--train-window", "28"]
+        forecast_out, evaluate_out = tmp_path / "forecast.csv", tmp_path / "evaluate.csv"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["forecast", *common, "--output", str(forecast_out)]) == 0
+            assert main(["evaluate", *common, "--method", "qbsd",
+                         "--test-start", format_timestamp(28 * 86400),
+                         "--test-end", format_timestamp(days * 86400 - 3600),
+                         "--output", str(evaluate_out)]) == 0
+        forecast_header, *forecast_lines = forecast_out.read_text().splitlines()
+        evaluate_header, *evaluate_lines = evaluate_out.read_text().splitlines()
+        assert evaluate_header == forecast_header
+        assert len(evaluate_lines) == 7 * 24
+        by_timestamp = {line.split(",", 1)[0]: line for line in forecast_lines}
+        assert evaluate_lines == [by_timestamp[line.split(",", 1)[0]] for line in evaluate_lines]
+        blank = sum(cell == "" for cell in cells[28 * 24:])
+        assert sum(line.split(",")[1] == "" for line in evaluate_lines) == blank
+
     def test_custom_needs_test_range(self, tmp_path, capsys):
         path = tmp_path / "series.csv"
         run(capsys, "synth", "--output", str(path), "--days", "56")

@@ -8,19 +8,28 @@ from qbsd.errors import DegenerateVariance, EmptyInput, TooFewPairs
 from qbsd.metrics import EvalPairs, evaluate, wilcoxon_signed_rank
 
 
+def naive_sum(terms):
+    """Left-to-right float sum. The built-in sum() compensates from Python
+    3.12 on, which would make the oracle's rounding depend on the version."""
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
+
+
 def ref_metrics(actual, predicted):
     """Naive-summation oracle, written directly from the metric formulas.
 
     Squares are spelled as products: float `x ** 2` routes through libm pow,
     which may differ from x*x by an ulp and would blur the comparison."""
     n = len(actual)
-    mae = sum(abs(y - p) for y, p in zip(actual, predicted)) / n
-    mse = sum((y - p) * (y - p) for y, p in zip(actual, predicted)) / n
+    mae = naive_sum(abs(y - p) for y, p in zip(actual, predicted)) / n
+    mse = naive_sum((y - p) * (y - p) for y, p in zip(actual, predicted)) / n
     rmse = mse**0.5
     nonzero = [(y, p) for y, p in zip(actual, predicted) if y != 0]
-    mape = 100 * sum(abs(y - p) / abs(y) for y, p in nonzero) / len(nonzero)
-    y_bar = sum(actual) / n
-    r2 = 1 - sum((y - p) * (y - p) for y, p in zip(actual, predicted)) / sum(
+    mape = 100 * naive_sum(abs(y - p) / abs(y) for y, p in nonzero) / len(nonzero)
+    y_bar = naive_sum(actual) / n
+    r2 = 1 - naive_sum((y - p) * (y - p) for y, p in zip(actual, predicted)) / naive_sum(
         (y - y_bar) * (y - y_bar) for y in actual
     )
     return mae, mse, rmse, mape, r2

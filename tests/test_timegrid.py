@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 from datetime import datetime, timezone
 
 import pytest
@@ -66,6 +69,63 @@ def test_slot_coord_calendar_fields():
     assert c.global_slot == c.day_index * g.slots_per_day + c.slot_of_day
     with pytest.raises(ValueError):
         SlotCoord(-1, g)
+
+
+class TestSlotCoordValue:
+    """SlotCoord is a frozen value object: its written-out __init__ must keep
+    everything the dataclass machinery gives the other grid types."""
+
+    def test_equal_and_same_hash_by_value(self):
+        a, b = SlotCoord(17, QUARTER_HOURLY), SlotCoord(17, Granularity(900))
+        assert a == b and hash(a) == hash(b)
+        assert a != SlotCoord(18, QUARTER_HOURLY)
+        assert a != SlotCoord(17, DAILY)
+        assert len({a, b, SlotCoord(18, QUARTER_HOURLY)}) == 2
+
+    def test_frozen(self):
+        c = SlotCoord(5, DAILY)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            c.global_slot = 6
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            c.granularity = QUARTER_HOURLY
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del c.global_slot
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del c.granularity
+        assert c == SlotCoord(5, DAILY)
+
+    def test_negative_slot_rejected_directly_and_through_replace(self):
+        message = "global_slot must be >= 0, got -1"
+        with pytest.raises(ValueError, match=message):
+            SlotCoord(-1, DAILY)
+        with pytest.raises(ValueError, match=message):
+            SlotCoord(global_slot=-1, granularity=DAILY)
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(SlotCoord(3, DAILY), global_slot=-1)
+        assert dataclasses.replace(SlotCoord(3, DAILY), global_slot=4) == SlotCoord(4, DAILY)
+
+    def test_fields(self):
+        assert [f.name for f in dataclasses.fields(SlotCoord)] == ["global_slot", "granularity"]
+        assert dataclasses.astuple(SlotCoord(2, DAILY)) == (2, (86400,))
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, protocol):
+        c = SlotCoord(96 * 3 + 17, QUARTER_HOURLY)
+        back = pickle.loads(pickle.dumps(c, protocol))
+        assert back == c and hash(back) == hash(c)
+        assert (back.day_index, back.slot_of_day) == (3, 17)
+
+    def test_copy_round_trip(self):
+        c = SlotCoord(96 * 3 + 17, QUARTER_HOURLY)
+        for dup in (copy.copy(c), copy.deepcopy(c)):
+            assert dup == c and hash(dup) == hash(c)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            copy.deepcopy(c).global_slot = 0
+
+    def test_repr(self):
+        assert repr(SlotCoord(5, Granularity(3600))) == (
+            "SlotCoord(global_slot=5, granularity=Granularity(interval_seconds=3600))"
+        )
 
 
 def test_window_sizes():
