@@ -311,12 +311,10 @@ class RecordWriter:
         self._pending.append((head, tail))
         q1s = self._smooth_q1.push(record.q1)
         q3s = self._smooth_q3.push(record.q3)
-        self._emit_smoothed(q1s, q3s)
-
-    def _emit_smoothed(self, q1s: list[float], q3s: list[float]) -> None:
-        for sq1, sq3 in zip(q1s, q3s):
+        # both smoothers return as many values, one per held row
+        for i in range(len(q1s)):
             head, tail = self._pending.popleft()
-            self._write(f"{head},{sq1!r},{sq3!r}{tail}\n")
+            self._write(f"{head},{q1s[i]!r},{q3s[i]!r}{tail}\n")
 
     def _flush_segment(self) -> None:
         if self._smooth_q1 is None:
@@ -324,7 +322,9 @@ class RecordWriter:
         try:
             q1s = self._smooth_q1.finish()
             q3s = self._smooth_q3.finish()
-            self._emit_smoothed(q1s, q3s)
+            for sq1, sq3 in zip(q1s, q3s):
+                head, tail = self._pending.popleft()
+                self._write(f"{head},{sq1!r},{sq3!r}{tail}\n")
         except SeriesTooShort:
             # segment shorter than the smoother window: emit rows unsmoothed
             while self._pending:
@@ -715,7 +715,7 @@ def measure_qbsd_latency(
     fns = {}
     for weeks in buffer_weeks:
         forecaster = RollingForecaster(cfg, g, capacity_slots=weeks * g.slots_per_week)
-        forecaster.ingest_history(zip(frame.slots, frame.values))
+        forecaster.history.extend(zip(frame.slots, frame.values))
         fns[weeks] = forecaster.forecast_at
         if weeks == history_weeks:
             history = forecaster.history

@@ -15,6 +15,7 @@ for the default weekly scheme), so plain sorted lists beat array round-trips.
 
 from __future__ import annotations
 
+import heapq
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -179,7 +180,10 @@ def contingency_constant(training_values: Sequence[float], floor: float) -> floa
         raise InvalidConstant(f"floor must be finite and > 0, got {floor}")
     if len(training_values) == 0:
         raise EmptyInput("contingency constant of an empty sample")
-    c = max(abs(interpolated_percentile(training_values, 0.01)), floor)
+    lo, rem = _position(len(training_values), 0.01)
+    low = heapq.nsmallest(lo + 2, training_values)  # stable: sorted(...)[:lo + 2]
+    p1 = low[lo] + rem * (low[lo + 1] - low[lo]) if rem else float(low[lo])
+    c = max(abs(p1), floor)
     if c == math.inf:
         # finite values near the float limit overflow the interpolation: a
         # fault of the data, not of a configured constant

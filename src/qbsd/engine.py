@@ -9,7 +9,7 @@ inserts it, so a value can never influence its own forecast.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Union
 
 from .core import (
     ForecastOutput,
@@ -122,23 +122,6 @@ class SlidingHistory:
             return None
         return self._values[slot % self.capacity]
 
-    def gather(self, base: int, offsets: Sequence[int]) -> list[float]:
-        """Values present at ``base + offset`` for each offset, in offset
-        order; absent slots are skipped."""
-        latest = self._latest
-        if latest is None:
-            return []
-        capacity, values = self.capacity, self._values
-        oldest = latest - capacity
-        out = []
-        for offset in offsets:
-            slot = base + offset
-            if oldest < slot <= latest:
-                value = values[slot % capacity]
-                if value is not None:
-                    out.append(value)
-        return out
-
     def __contains__(self, slot: int) -> bool:
         return self.get(slot) is not None
 
@@ -158,13 +141,13 @@ class RollingForecaster:
     or a plain int global slot, taken to be on this grid without a check;
     the CLI's row loops pass ints.
 
-    A forecast gathers the target's present subset values from the history
-    and sorts them. On a wide scheme the forecaster also keeps that sorted
-    subset, and when the next target is the slot after the last one it
-    slides the list instead: each lag group's window moves by one slot, so
-    one value leaves it (``bisect_left`` + ``del``) and one enters
+    A forecast reads the target's present subset values from the history
+    ring into one list and sorts it. On a wide scheme the forecaster keeps
+    that sorted subset, and when the next target is the slot after the last
+    one it slides the list instead: each lag group's window moves by one
+    slot, so one value leaves it (``bisect_left`` + ``del``) and one enters
     (``insort``). That costs O(lag groups) list operations, not O(6k+3), and
-    yields exactly ``sorted(gather(...))``, so outputs are unchanged.
+    yields exactly the list a rebuild sorts, so outputs are unchanged.
     ``forecast_at`` is still a pure function of the history, but it updates
     this per-forecaster state: one forecaster must not be called from two
     threads at once.
@@ -197,7 +180,7 @@ class RollingForecaster:
             offsets = lag.resolved_offsets()
             if offsets:
                 edges.append((offsets[0] - 1, offsets[-1]))
-        # Sliding costs a bisect, a del and an insort per lag group; gathering
+        # Sliding costs a bisect, a del and an insort per lag group; reading
         # and sorting cost about one cell read and compare per sample. In two
         # sweeps of weekly4, weekly6, weekly_plus_yearly and two-lag schemes
         # (k = 1..16, interleaved runs, Python 3.11 on a shared 2-core x86-64
@@ -253,41 +236,55 @@ class RollingForecaster:
                 f"slot {base} needs history {self._span} slots back, "
                 "which falls before the epoch"
             )
-        if self._edges is None:
-            ordered = sorted(self.history.gather(base, self._offsets))
-            return qbsd_step(ordered, len(self._offsets), self.cfg)
         history = self.history
-        writes = history.writes
-        # Slide only from the previous target, and only if the history is
-        # unchanged since then or its one write is the slot just before
-        # this target (an in-order observe); anything else rebuilds.
-        if not (
-            base - 1 == self._base
-            and (
+        edges = self._edges
+        if edges is not None:
+            writes = history.writes
+            # Slide only from the previous target, and only if the history is
+            # unchanged since then or its one write is the slot just before
+            # this target (an in-order observe); anything else rebuilds.
+            slid = base - 1 == self._base and (
                 writes == self._writes
                 or (writes == self._writes + 1 and history.last_write == base - 1)
-            )
-            and self._slide(base)
-        ):
-            ordered = self._ordered = sorted(history.gather(base, self._offsets))
+            ) and self._slide(base)
+            self._base, self._writes = base, writes
+            if slid:
+                return qbsd_step(self._ordered, len(self._offsets), self.cfg)
+        # the present values in offset order, sorted in place: the sort is
+        # stable, so 0.0 and -0.0 keep their offset order
+        ordered = []
+        latest = history._latest
+        if latest is not None:
+            values, capacity, offsets = history._values, history.capacity, self._offsets
+            # offsets lie in [-span, 0) and span <= capacity, so r + offset is
+            # a valid (maybe negative) index of slot base + offset's cell
+            r = base % capacity
+            lo, hi = latest - capacity - base, latest - base
+            if not (lo < -self._span and hi >= -1):  # not all in the window
+                offsets = [offset for offset in offsets if lo < offset <= hi]
+            for offset in offsets:
+                value = values[r + offset]
+                if value is not None:
+                    ordered.append(value)
+            ordered.sort()
+        if edges is not None:
+            self._ordered = ordered
             total = sum(ordered)
-            if total != total or history.latest is None:
+            if total != total or latest is None:
                 # keep no subset: a NaN (or +inf with -inf) is present, which
-                # bisect cannot place where sorted() does, or the history is
+                # bisect cannot place where sort() does, or the history is
                 # empty and has no window to slide
-                base = None
-        self._base = base
-        self._writes = writes
-        return qbsd_step(self._ordered, len(self._offsets), self.cfg)
+                self._base = None
+        return qbsd_step(ordered, len(self._offsets), self.cfg)
 
     def _slide(self, base: int) -> bool:
         """Move the sorted subset from target base - 1 to base in place.
 
         Returns False, leaving the list to be rebuilt, when a value that
         leaves or enters is a zero or a NaN: bisect treats 0.0 and -0.0 as
-        equal where the stable sort keeps them in gather order, and cannot
+        equal where the stable sort keeps them in offset order, and cannot
         place a NaN at all. Every other pair of equal floats is bit-identical,
-        so the slid list equals ``sorted(gather(...))`` element by element.
+        so the slid list equals a rebuilt one element by element.
         """
         history = self.history
         values, capacity = history._values, history.capacity

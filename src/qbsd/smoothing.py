@@ -138,37 +138,35 @@ class StreamingSmoother:
         self._n = n
         # a smoothed value is final once this many later values are in
         self._lag = (n - 1) // 2
-        self._count = 0
-        # every value is written at i and i + n, so the last n values are
-        # always one contiguous slice, oldest first
-        self._ring = [0.0] * (2 * n)
-        self._pos = 0
+        self._centre = self._rows[self._lag] if sg else None
+        self._window: list[float] = []  # the last n values, oldest first
 
     def push(self, value: float) -> list[float]:
+        window = self._window
+        window.append(value)
         n = self._n
-        pos = self._pos
-        self._ring[pos] = self._ring[pos + n] = value
-        pos = self._pos = (pos + 1) % n
-        count = self._count = self._count + 1
-        if count < n:
+        if len(window) > n:
+            del window[0]
+            centre = self._centre
+            if centre is None:
+                return [sum(window) / n]
+            try:
+                return [math.fsum(map(operator.mul, centre, window))]
+            except (OverflowError, ValueError):
+                return [_dot(centre, window)]
+        if len(window) < n:
             return []
-        window = self._ring[pos : pos + n]
         if self._rows is None:
-            if count == n:
-                # the first n - lag values, windows clipped at the head
-                return [sum(window[:size]) / size for size in range(self._lag + 1, n + 1)]
-            return [sum(window) / n]
-        if count == n:
-            return [_dot(row, window) for row in self._rows[: self._lag + 1]]
-        return [_dot(self._rows[self._lag], window)]
+            # the first n - lag values, windows clipped at the head
+            return [sum(window[:size]) / size for size in range(self._lag + 1, n + 1)]
+        return [_dot(row, window) for row in self._rows[: self._lag + 1]]
 
     def finish(self) -> list[float]:
-        n = self._n
-        if self._count < n:
+        n, window = self._n, self._window
+        if len(window) < n:
             raise SeriesTooShort(
-                f"series of {self._count} points is shorter than window {n}"
+                f"series of {len(window)} points is shorter than window {n}"
             )
-        window = self._ring[self._pos : self._pos + n]
         if self._rows is None:
             # the last lag values, windows clipped at the tail
             return [sum(window[i:]) / (n - i) for i in range(1, self._lag + 1)]

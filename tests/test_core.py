@@ -152,6 +152,30 @@ class TestContingencyConstant:
         with pytest.raises(InvalidConstant, match="floor must be finite"):
             contingency_constant([1.0], floor=math.inf)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 400).flatmap(
+            lambda n: st.lists(
+                st.one_of(
+                    st.sampled_from([0.0, -0.0, 2.5, -2.5, math.inf, -math.inf]),
+                    st.floats(-1e6, 1e6),
+                ),
+                min_size=n,
+                max_size=n,
+            )
+        ),
+        st.sampled_from([1e-6, 1.0]),
+    )
+    def test_matches_percentile_of_full_sort(self, values, floor):
+        """Selecting the few smallest values gives the constant that sorting
+        them all gives, bit for bit, with ties, signed zeros and infinities."""
+        expected = max(abs(interpolated_percentile(values, 0.01)), floor)
+        if expected == math.inf:
+            with pytest.raises(DataError):
+                contingency_constant(values, floor)
+        else:
+            assert repr(contingency_constant(values, floor)) == repr(expected)
+
     def test_errors(self):
         with pytest.raises(EmptyInput):
             contingency_constant([], floor=1.0)

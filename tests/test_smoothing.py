@@ -1,5 +1,6 @@
 import functools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -249,6 +250,22 @@ def test_streaming_savgol_is_exact_reference(data, spec):
         return
     got.extend(streamer.finish())
     assert got == reference_smooth(data, spec)
+
+
+@pytest.mark.parametrize(
+    "spec", [SavitzkyGolay(MAX_SAVGOL_WINDOW, MAX_SAVGOL_POLYORDER), MovingAverage(101)]
+)
+def test_largest_window_over_a_long_segment(spec):
+    """About 400 steady-state pushes, each dropping the oldest value of a
+    full 101-value window, then the tail: Savitzky-Golay equals the
+    reference to the last bit, the moving average to rounding."""
+    rng = random.Random(101)
+    data = [rng.uniform(-1e3, 1e3) for _ in range(500)]
+    got = smooth(data, spec)
+    if isinstance(spec, SavitzkyGolay):
+        assert got == reference_smooth(data, spec)
+    else:
+        assert got == pytest.approx(reference_smooth(data, spec), abs=1e-12)
 
 
 def test_windows_fsum_rejects_do_not_raise():
