@@ -62,14 +62,18 @@ def baseline_forecast(
         if value is None:
             raise InsufficientHistory(f"{spec.name} needs a value at slot {lagged}")
         return value
-    window = []
+    # summed left to right: from 3.12 on, the built-in sum() of floats is
+    # compensated and would round some means differently
+    total = 0.0
+    count = 0
     for s in range(max(0, slot - spec.window_slots), slot):
         value = history.get(s)
         if value is not None:
-            window.append(value)
-    if not window:
+            total += value
+            count += 1
+    if not count:
         raise InsufficientHistory(
             f"moving average found no values in the {spec.window_slots} slots "
             f"before slot {slot}"
         )
-    return sum(window) / len(window)
+    return total / count

@@ -16,6 +16,7 @@ import operator
 import os
 import random
 import re
+import struct
 from array import array
 from bisect import bisect_left
 from contextlib import contextmanager
@@ -679,8 +680,7 @@ def evaluation_steps(
         history = SlidingHistory(window)
 
     first = bisect_left(slots, test_start)
-    for slot, value in zip(slots, values[:first]):
-        history.insert(slot, value)
+    history.extend(zip(slots, values[:first]))
 
     step: list[Optional[StepRecord]] = [None] * len(methods)
 
@@ -720,16 +720,22 @@ def evaluation_steps(
 class MethodScore:
     """One method's score, fed a record per test slot in slot order: one
     byte per test slot, 1 where the slot was scored (actual and forecast
-    both present), the scored actuals and forecasts, and the skip count.
-    Absolute errors are computed only when ``paired_errors`` pairs them."""
+    both present), the scored actuals and forecasts as ``array('d')``
+    columns, and the skip count.
 
-    __slots__ = ("actuals", "forecasts", "scored", "skipped")
+    Absolute errors are computed only when ``paired_errors`` pairs them.
+    The method it is called on keeps its own errors after the first call
+    (8 B a scored slot), because ``evaluate`` pairs QBSD with every other
+    method in turn."""
+
+    __slots__ = ("actuals", "forecasts", "scored", "skipped", "_errors")
 
     def __init__(self) -> None:
-        self.actuals: list[float] = []
-        self.forecasts: list[float] = []
+        self.actuals = array("d")
+        self.forecasts = array("d")
         self.scored = bytearray()
         self.skipped = 0
+        self._errors = array("d")
 
     def add(self, record: StepRecord) -> None:
         actual, forecast = record.actual, record.forecast
@@ -743,19 +749,42 @@ class MethodScore:
             self.forecasts.append(forecast)
             self.scored.append(1)
 
-    def paired_errors(self, other: "MethodScore") -> tuple[list[float], list[float]]:
+    def paired_errors(self, other: "MethodScore") -> tuple[array, array]:
         """This method's and ``other``'s absolute errors at the test slots
-        both scored, in slot order."""
+        both scored, in slot order, as two ``array('d')`` columns."""
         # the bytewise AND of the two 0/1 masks, as one integer AND: 0.04 ms
         # for a year of hourly slots, against 0.4 ms byte by byte (CPython 3.11)
         both = (int.from_bytes(self.scored, "little")
                 & int.from_bytes(other.scored, "little")).to_bytes(len(self.scored), "little")
-        return (list(compress(self._errors(), compress(both, self.scored))),
-                list(compress(other._errors(), compress(both, other.scored))))
+        errors = self._errors
+        if len(errors) != len(self.actuals):  # scored slots were added since
+            errors = self._errors = _float_column(self._abs_errors())
+        # the kept errors, one slice per run of slots both scored: a few long
+        # runs when the two methods skip few slots apart
+        keep = bytes(compress(both, self.scored))
+        kept = array("d")
+        i = keep.find(1)
+        while i >= 0:
+            j = keep.find(0, i)
+            if j < 0:
+                j = len(keep)
+            kept += errors[i:j]
+            i = keep.find(1, j)
+        return kept, _float_column(compress(other._abs_errors(), compress(both, other.scored)))
 
-    def _errors(self) -> Iterator[float]:
+    def _abs_errors(self) -> Iterator[float]:
         """The absolute error of each scored slot, in slot order."""
         return map(abs, map(operator.sub, self.actuals, self.forecasts))
+
+
+def _float_column(values: Iterable[float]) -> array:
+    """``array('d', values)``, filled 1,024 floats at a time: packing a chunk
+    costs about 15 ns a value, against about 35 ns for appending each value
+    to the array in turn (CPython 3.11, shared 2-core x86-64)."""
+    column = array("d")
+    while chunk := list(islice(values, 1024)):
+        column.frombytes(struct.pack(f"{len(chunk)}d", *chunk))
+    return column
 
 
 def score_reports(

@@ -10,7 +10,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Sequence, Union
 
 from .errors import InvalidWindow, SeriesTooShort
@@ -101,6 +101,13 @@ def _dot(row: Sequence[float], window: Sequence[float]) -> float:
             return math.inf if exact > 0 else -math.inf
 
 
+def _sum(values: Sequence[float]) -> float:
+    """The floats added left to right, as the built-in sum() adds them up to
+    3.11; from 3.12 on, sum() is compensated and rounds some totals
+    differently."""
+    return reduce(operator.add, values, 0.0)
+
+
 def savgol_coefficients(window_length: int, polyorder: int) -> list[float]:
     """Least-squares polynomial-fit weights for a centered window, to dot
     with its values in time order: the exact weights rounded to floats."""
@@ -149,7 +156,7 @@ class StreamingSmoother:
             del window[0]
             centre = self._centre
             if centre is None:
-                return [sum(window) / n]
+                return [_sum(window) / n]
             try:
                 return [math.fsum(map(operator.mul, centre, window))]
             except (OverflowError, ValueError):
@@ -158,7 +165,7 @@ class StreamingSmoother:
             return []
         if self._rows is None:
             # the first n - lag values, windows clipped at the head
-            return [sum(window[:size]) / size for size in range(self._lag + 1, n + 1)]
+            return [_sum(window[:size]) / size for size in range(self._lag + 1, n + 1)]
         return [_dot(row, window) for row in self._rows[: self._lag + 1]]
 
     def finish(self) -> list[float]:
@@ -169,5 +176,5 @@ class StreamingSmoother:
             )
         if self._rows is None:
             # the last lag values, windows clipped at the tail
-            return [sum(window[i:]) / (n - i) for i in range(1, self._lag + 1)]
+            return [_sum(window[i:]) / (n - i) for i in range(1, self._lag + 1)]
         return [_dot(row, window) for row in self._rows[self._lag + 1 :]]

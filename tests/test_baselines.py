@@ -30,6 +30,13 @@ def test_moving_average_skips_gaps():
     assert baseline_forecast(history, 4, MovingAverage(2)) == 3.0
 
 
+def test_moving_average_sums_left_to_right():
+    # 1e16 + 1.0 rounds to 1e16, so the window sums to 0.0 left to right; a
+    # compensated sum (the built-in sum() from Python 3.12 on) gives 1.0
+    history = {0: 1e16, 1: 1.0, 2: -1e16}
+    assert baseline_forecast(history, 3, MovingAverage(3)) == 0.0
+
+
 def test_missing_lag_raises():
     history = {5: 1.0}
     with pytest.raises(InsufficientHistory):

@@ -26,6 +26,7 @@ from qbsd.datasets import (
     DatasetDescriptor,
     MethodScore,
     SeriesFrame,
+    StepRecord,
     evaluation_steps,
     format_timestamp,
     rolling_evaluate,
@@ -84,7 +85,7 @@ def from_scores(frame, methods, desc):
     except DataError as exc:
         return failure(exc)
     qbsd = next((s for s, m in zip(scores, methods) if isinstance(m, QbsdConfig)), None)
-    pairs = [repr(qbsd.paired_errors(score)) for score in scores
+    pairs = [repr(tuple(map(list, qbsd.paired_errors(score)))) for score in scores
              if qbsd is not None and score is not qbsd]
     return list(zip(reports, [score.skipped for score in scores])), pairs
 
@@ -132,6 +133,31 @@ def test_scores_equal_the_records_derivation(
     assert from_scores(frame, methods, desc) == from_records(frame, methods, desc)
 
 
+def test_pairing_again_after_more_records_counts_them():
+    """``paired_errors`` keeps the errors of the method it is called on, so
+    a record added after a pairing must still be paired."""
+    rng = random.Random(11)
+
+    def record(slot):
+        actual = None if rng.random() < 0.2 else rng.uniform(-5.0, 5.0)
+        forecast = None if rng.random() < 0.2 else rng.uniform(-5.0, 5.0)
+        return StepRecord(slot, DAILY, actual, forecast)
+
+    steps = [(record(slot), record(slot)) for slot in range(60)]
+    kept, other = MethodScore(), MethodScore()
+    for slot, (a, b) in enumerate(steps):
+        kept.add(a)
+        other.add(b)
+        if slot in (20, 21, 45):
+            kept.paired_errors(other)
+    fresh, fresh_other = MethodScore(), MethodScore()
+    for a, b in steps:
+        fresh.add(a)
+        fresh_other.add(b)
+    assert kept.paired_errors(other) == fresh.paired_errors(fresh_other)
+    assert len(kept.paired_errors(other)[0]) > 10
+
+
 def _peak_above_start(argv: list[str]) -> int:
     """Peak traced bytes allocated during ``main(argv)``."""
     tracemalloc.start()
@@ -144,13 +170,9 @@ def _peak_above_start(argv: list[str]) -> int:
         tracemalloc.stop()
 
 
-# When evaluate held a StepRecord per method per slot, plus the scored and
-# paired lists built from them, this test's peak grew by about 707 bytes per
-# added test slot (three methods, CPython 3.11); the bound is half of that.
-GROWTH_BOUND_PER_SLOT = 350
-
-
-def test_evaluate_memory_grows_by_a_fraction_of_held_records(tmp_path):
+def _peaks_for_28_and_56_test_days(tmp_path) -> tuple[int, int]:
+    """Peak traced bytes of a three-method ``evaluate`` over 28 and over 56
+    test days of hourly data, after a 28-day training prefix."""
     series = tmp_path / "series.csv"
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["synth", "--output", str(series), "--days", "140",
@@ -164,9 +186,31 @@ def test_evaluate_memory_grows_by_a_fraction_of_held_records(tmp_path):
                 "--test-end", format_timestamp(start + days * DAY - 3600)]
 
     _peak_above_start(argv(7))  # fills the module caches
-    short, long = _peak_above_start(argv(28)), _peak_above_start(argv(56))
+    return _peak_above_start(argv(28)), _peak_above_start(argv(56))
+
+
+# When evaluate held a StepRecord per method per slot, plus the scored and
+# paired lists built from them, this test's peak grew by about 707 bytes per
+# added test slot (three methods, CPython 3.11); the bound is half of that.
+GROWTH_BOUND_PER_SLOT = 350
+
+
+def test_evaluate_memory_grows_by_a_fraction_of_held_records(tmp_path):
+    short, long = _peaks_for_28_and_56_test_days(tmp_path)
     added_slots = 28 * 24
     assert long - short < GROWTH_BOUND_PER_SLOT * added_slots, (short, long)
+
+
+# With the scored actuals and forecasts in lists of floats, and the Wilcoxon
+# pairs in lists too, the peak grew by about 279 bytes per added test slot
+# (CPython 3.11); with every per-slot column typed it grows by about 150.
+TYPED_GROWTH_BOUND_PER_SLOT = 200
+
+
+def test_evaluate_memory_per_test_slot_stays_in_typed_columns(tmp_path):
+    short, long = _peaks_for_28_and_56_test_days(tmp_path)
+    added_slots = 28 * 24
+    assert long - short < TYPED_GROWTH_BOUND_PER_SLOT * added_slots, (short, long)
 
 
 # When load_csv kept every row as a (slot, value) tuple in a list, sorted it

@@ -118,6 +118,17 @@ class TestEvaluate:
             assert got.rmse**2 == pytest.approx(got.mse, rel=1e-12)
             assert got.mae <= got.rmse + 1e-15
 
+    def test_mean_sums_left_to_right(self):
+        # left to right these actuals sum to -6.0, so the mean is -1.2; a
+        # compensated sum (the built-in sum() from Python 3.12 on) gives -5.0
+        actual = [1e16, 1.0, -1e16, -3.0, -3.0]
+        predicted = [-3.0, 1.0, 5.0, -5.0, -2.0]
+        got = evaluate(EvalPairs(actual, predicted))
+        assert got.r2 == ref_metrics(actual, predicted)[4]
+        sq = naive_sum((y - p) * (y - p) for y, p in zip(actual, predicted))
+        exact_mean = math.fsum(actual) / len(actual)
+        assert got.r2 != 1 - sq / naive_sum((y - exact_mean) * (y - exact_mean) for y in actual)
+
     def test_permutation_invariance(self):
         actual = [3.0, 1.0, 4.0, 1.5]
         predicted = [2.0, 2.0, 5.0, 1.0]

@@ -182,6 +182,21 @@ class TestSmooth:
         out = smooth([1.0, 2.0, 3.0, 4.0, 5.0], MovingAverage(3))
         assert out == pytest.approx([1.5, 2.0, 3.0, 4.0, 4.5])
 
+    def test_moving_average_sums_left_to_right(self):
+        # [1e16, 1.0, -1e16] sums to 0.0 left to right; a compensated sum
+        # (the built-in sum() from Python 3.12 on) gives 1.0. The windows are
+        # the head's two, one full window and the tail's one.
+        series = [0.0, 1e16, 1.0, -1e16]
+        windows = [series[:2], series[:3], series[1:], series[2:]]
+        means = []
+        for window in windows:
+            total = 0.0
+            for v in window:
+                total += v
+            means.append(total / len(window))
+        assert smooth(series, MovingAverage(3)) == means
+        assert means[2] == 0.0
+
     def test_length_never_changes(self):
         rng = np.random.default_rng(0)
         series = rng.normal(size=37)

@@ -125,3 +125,70 @@ def test_p_values_match_the_reference_bit_for_bit(mode):
     assert seen["too few"] > 0, seen
     assert (seen["approx"] > 2000) == (mode != "exact"), seen
     assert (seen["exact"] > 0) == (mode != "approx"), seen
+
+
+def edge_samples(rng):
+    """Paired errors whose differences run in long ties, cancel to signed
+    zeros, or reach +-inf."""
+    # long tie runs of either sign, with a few distinct |d| between them
+    for n in (10, 13, 60, 400):
+        diffs = [rng.choice((1.0, -1.0, 2.0, -2.0)) for _ in range(n)]
+        diffs[rng.randrange(n)] = rng.uniform(0.1, 3.0)
+        yield diffs, [0.0] * n
+        yield [5.0 + d for d in diffs], [5.0] * n
+    # one tie run over every pair, and all but one pair tied
+    for n in (12, 40):
+        yield [3.0] * n, [0.0] * (n // 2) + [6.0] * (n - n // 2)
+        yield [3.0] * (n - 1) + [1.0], [0.0] * n
+    # signed zeros: +-0.0 - +-0.0 is a zero difference and is dropped
+    for n in (5, 7, 30):
+        zeros = (0.0, -0.0)
+        a = [rng.choice(zeros) for _ in range(n)] + [rng.uniform(-2.0, 2.0) for _ in range(n)]
+        b = [rng.choice(zeros) for _ in range(n)] + [rng.choice(zeros) for _ in range(n)]
+        yield a, b
+    # +-inf differences tie with each other, above every finite |d|
+    inf = math.inf
+    for n in (6, 25, 80):
+        a = [rng.choice((inf, 1.0, 2.5, -inf)) for _ in range(n)]
+        b = [rng.choice((0.0, 1.0, 3.0)) for _ in range(n)]
+        yield a, b
+        yield b, a
+
+
+@pytest.mark.parametrize("mode", ["auto", "approx", "exact"])
+def test_ties_signed_zeros_and_infinities_match_the_reference(mode):
+    rng = random.Random(20231019)
+    compared = 0
+    for errors_a, errors_b in edge_samples(rng):
+        informative = sum(a - b != 0.0 for a, b in zip(errors_a, errors_b))
+        if mode == "exact" and informative > 12:
+            continue  # the reference enumerates all 2^n sign assignments
+        for alternative in ALTERNATIVES:
+            got = outcome(wilcoxon_signed_rank, errors_a, errors_b, alternative, mode)
+            want = outcome(ref_wilcoxon, errors_a, errors_b, alternative, mode)
+            assert got == want, (alternative, errors_a, errors_b)
+        compared += 1
+    assert compared >= 6, compared
+
+
+def test_a_nan_difference_raises_wherever_it_ranks():
+    """A NaN has no place in the |d| order, so the sort may leave it, and
+    the values around it, anywhere: next to a tie run, at either end, among
+    infinities. Each case raises, however few pairs are informative."""
+    rng = random.Random(7)
+    inf, nan = math.inf, math.nan
+    for n in (1, 4, 5, 6, 13, 50, 300):
+        for _ in range(20):
+            a = [rng.choice((1.0, -1.0, 2.0, 3.0, inf, -inf, rng.uniform(-5.0, 5.0)))
+                 for _ in range(n)]
+            b = [0.0] * n
+            where = rng.randrange(n)
+            if rng.random() < 0.5:
+                a[where] = nan
+            else:  # inf - inf
+                a[where], b[where] = inf, inf
+            for mode in ("auto", "approx", "exact"):
+                if mode == "exact" and n > 50:
+                    continue
+                with pytest.raises(ValueError, match="NaN"):
+                    wilcoxon_signed_rank(a, b, "two_sided", mode)
