@@ -489,8 +489,7 @@ def cmd_evaluate(args) -> int:
     cfg = _qbsd_config(args, desc)
     methods = _parse_methods(args.method or "qbsd", desc.frequency)
     if args.input is not None:
-        frame = load_csv(args.input, desc.timestamp_column, desc.target_column, desc.frequency,
-                         typed=True)
+        frame = load_csv(args.input, desc.timestamp_column, desc.target_column, desc.frequency)
     elif desc.name != "synthetic":
         raise ConfigError(f"--input is required for dataset {desc.name!r}")
     else:
@@ -809,7 +808,7 @@ def cmd_synth(args) -> int:
             f"later; the grid ends at {GRID_END}"
         )
     frame = generate_synthetic(spec)
-    with open(args.output, "w", newline="") as handle:
+    with _output_file(args.output) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["timestamp", "value"])
         for slot, value in zip(frame.slots, frame.values):

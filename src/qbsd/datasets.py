@@ -217,8 +217,8 @@ def _series_cells(
 @dataclass(frozen=True)
 class SeriesFrame:
     """A gridded series, sorted by slot; gaps are simply absent slots. The
-    columns are tuples, or ``array('q')`` slots and ``array('d')`` values
-    as ``load_csv`` reads them for ``evaluate``."""
+    columns are any sequences; ``load_csv`` reads ``array('q')`` slots and
+    ``array('d')`` values."""
 
     granularity: Granularity
     slots: Sequence[int]
@@ -286,15 +286,13 @@ def load_csv(
     timestamp_column: str,
     value_column: str,
     granularity: Granularity,
-    typed: bool = False,
 ) -> SeriesFrame:
     """Read a headered CSV into a SeriesFrame, in one pass.
 
     Rows are sorted by slot; duplicate timestamps are rejected, naming the
     lowest duplicated slot; a row with an empty or non-finite value cell is
-    a gap, once its timestamp is checked. The rows fill an ``array('q')`` of
-    slots and an ``array('d')`` of values, 16 B a row, which the frame holds
-    as they are with ``typed`` and as tuples without. Only a row at or
+    a gap, once its timestamp is checked. The frame holds an ``array('q')``
+    of slots and an ``array('d')`` of values, 16 B a row. Only a row at or
     before its predecessor makes the columns be sorted, in memory, through
     an index permutation.
     """
@@ -336,8 +334,6 @@ def load_csv(
             f"{where}: slot {slot} ({format_timestamp(slot * granularity.interval_seconds)}) "
             f"appears more than once{also}"
         )
-    if not typed:
-        slots, values = tuple(slots), tuple(values)
     return SeriesFrame._checked(granularity, slots, values)
 
 
@@ -426,10 +422,10 @@ class DatasetDescriptor:
 
     def __post_init__(self) -> None:
         interval = self.frequency.interval_seconds
-        if self.k_seconds % interval:
+        if self.k_seconds != self.scheme.k * interval:
             raise ConfigError(
-                f"{self.name}: k of {self.k_seconds} s is not a whole number "
-                f"of {interval} s slots"
+                f"{self.name}: k of {self.k_seconds} s is not the scheme's k of "
+                f"{self.scheme.k} slots ({self.scheme.k * interval} s)"
             )
         if self.train_window_seconds % interval:
             raise ConfigError(
@@ -448,7 +444,7 @@ class DatasetDescriptor:
 
     @property
     def k_slots(self) -> int:
-        return self.k_seconds // self.frequency.interval_seconds
+        return self.scheme.k
 
     @property
     def train_window_slots(self) -> int:
@@ -614,34 +610,36 @@ def estimate_contingency(
     return contingency_constant(training, floor)
 
 
+def _record(forecaster: RollingForecaster, slot: int, actual: Optional[float]) -> StepRecord:
+    """The record of one ``(global slot, actual)`` point on the forecaster's
+    grid. A present actual is observed (forecast, scored, then buffered); a
+    gap (None) is only forecast. A slot that cannot be forecast yet (warmup,
+    too few present samples) keeps its forecast fields None; ``observe`` has
+    still buffered its actual."""
+    g = forecaster.granularity
+    try:
+        if actual is None:
+            fo = forecaster.forecast_at(slot)
+            diff = norm = None
+        else:
+            residuals, fo = forecaster.observe(slot, actual)
+            diff, norm = residuals.difference, residuals.normalized
+    except (InsufficientHistory, InsufficientSpan):
+        return StepRecord(slot, g, actual)
+    except DataError as exc:
+        raise type(exc)(f"{format_timestamp(slot * g.interval_seconds)}: {exc}") from exc
+    return StepRecord(slot, g, actual, fo.forecast, fo.q1, fo.q3, fo.iqr,
+                      diff, norm, fo.sample_count, fo.fallback_used)
+
+
 def replay(
     forecaster: RollingForecaster,
     points: Iterable[tuple[int, Optional[float]]],
 ) -> Iterator[StepRecord]:
-    """One record per ``(global slot, actual)`` point, in order; the slots
-    are on the forecaster's grid.
-
-    A present actual is observed (forecast, scored, then buffered); a gap
-    (None) is only forecast. Slots that cannot be forecast yet (warmup, too
-    few present samples) keep their forecast fields None; ``observe`` has
-    still buffered their actual.
-    """
-    g = forecaster.granularity
+    """One record per ``(global slot, actual)`` point, in order, as
+    ``_record`` builds it."""
     for slot, actual in points:
-        try:
-            if actual is None:
-                fo = forecaster.forecast_at(slot)
-                diff = norm = None
-            else:
-                residuals, fo = forecaster.observe(slot, actual)
-                diff, norm = residuals.difference, residuals.normalized
-        except (InsufficientHistory, InsufficientSpan):
-            yield StepRecord(slot, g, actual)
-            continue
-        except DataError as exc:
-            raise type(exc)(f"{format_timestamp(slot * g.interval_seconds)}: {exc}") from exc
-        yield StepRecord(slot, g, actual, fo.forecast, fo.q1, fo.q3, fo.iqr,
-                         diff, norm, fo.sample_count, fo.fallback_used)
+        yield _record(forecaster, slot, actual)
 
 
 def evaluation_steps(
@@ -674,7 +672,8 @@ def evaluation_steps(
     if len(configs) > 1:
         raise ConfigError(f"{len(configs)} QBSD configurations given; one pass takes at most one")
     if configs:
-        forecaster = RollingForecaster(methods[configs[0]], g, capacity_slots=window)
+        qbsd_at = configs[0]
+        forecaster = RollingForecaster(methods[qbsd_at], g, capacity_slots=window)
         history = forecaster.history
     else:
         history = SlidingHistory(window)
@@ -683,38 +682,27 @@ def evaluation_steps(
     history.extend(zip(slots, values[:first]))
 
     step: list[Optional[StepRecord]] = [None] * len(methods)
-
-    def test_points() -> Iterator[tuple[int, Optional[float]]]:
-        """Each test slot as a ``(slot, actual)`` point, yielded once every
-        baseline has forecast it from the history before that slot."""
-        i, n = first, len(slots)
-        for slot in range(test_start, test_end + 1):
-            if i < n and slots[i] == slot:
-                actual = values[i]
-                i += 1
+    i, n = first, len(slots)
+    for slot in range(test_start, test_end + 1):
+        if i < n and slots[i] == slot:
+            actual = values[i]
+            i += 1
+        else:
+            actual = None
+        for index, spec in baselines:
+            try:
+                forecast = baseline_forecast(history, slot, spec)
+            except InsufficientHistory:
+                step[index] = StepRecord(slot, g, actual)
             else:
-                actual = None
-            for index, spec in baselines:
-                try:
-                    forecast = baseline_forecast(history, slot, spec)
-                except InsufficientHistory:
-                    step[index] = StepRecord(slot, g, actual)
-                else:
-                    diff = None if actual is None else actual - forecast
-                    # positional: 175 ns per record, against 260 ns by keyword (CPython 3.11)
-                    step[index] = StepRecord(slot, g, actual, forecast, None, None, None, diff)
-            yield slot, actual
-
-    if configs:
-        qbsd_at = configs[0]
-        for record in replay(forecaster, test_points()):
-            step[qbsd_at] = record
-            yield tuple(step)
-    else:
-        for slot, actual in test_points():
-            if actual is not None:
-                history.insert(slot, actual)
-            yield tuple(step)
+                diff = None if actual is None else actual - forecast
+                # positional: 175 ns per record, against 260 ns by keyword (CPython 3.11)
+                step[index] = StepRecord(slot, g, actual, forecast, None, None, None, diff)
+        if configs:
+            step[qbsd_at] = _record(forecaster, slot, actual)
+        elif actual is not None:
+            history.insert(slot, actual)
+        yield tuple(step)
 
 
 class MethodScore:

@@ -133,6 +133,32 @@ class TestSynth:
         assert stdout == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    def test_failed_write_leaves_no_partial_file(self, tmp_path, capsys, monkeypatch,
+                                                 existing):
+        """An error at the 100th row leaves the output as it was: absent, or
+        an earlier file unchanged, and no temporary file beside it."""
+        out = tmp_path / "synth.csv"
+        if existing:
+            out.write_bytes(b"an earlier run's rows\n")
+        rows = 0
+
+        def failing_format(epoch):
+            nonlocal rows
+            rows += 1
+            if rows == 100:
+                raise OSError(28, "No space left on device")
+            return format_timestamp(epoch)
+
+        monkeypatch.setattr(cli, "format_timestamp", failing_format)
+        code, stdout, err = run(capsys, "synth", "--output", str(out))
+        assert code == 2
+        assert "No space left on device" in err
+        assert stdout == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == (["synth.csv"] if existing else [])
+        if existing:
+            assert out.read_bytes() == b"an earlier run's rows\n"
+
     def test_last_row_may_end_year_9999(self, tmp_path, capsys):
         out = tmp_path / "z.csv"
         code, _, _ = run(capsys, "synth", "--output", str(out), "--days", "7",

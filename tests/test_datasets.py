@@ -28,7 +28,13 @@ from qbsd.errors import (
     InsufficientSpan,
     ParseError,
 )
-from qbsd.timegrid import DAILY, QUARTER_HOURLY, default_weekly_scheme, scheme_from_lags
+from qbsd.timegrid import (
+    DAILY,
+    HOURLY,
+    QUARTER_HOURLY,
+    default_weekly_scheme,
+    scheme_from_lags,
+)
 
 
 class TestParseTimestamp:
@@ -56,19 +62,19 @@ class TestLoadCsv:
         frame = load_csv(str(path), "ts", "v", QUARTER_HOURLY)
         assert len(frame) == 2
         assert frame.slots[1] == frame.slots[0] + 1
-        assert frame.values == (1.0, 2.0)
+        assert tuple(frame.values) == (1.0, 2.0)
 
     def test_gap_is_fine(self, tmp_path):
         path = tmp_path / "gap.csv"
         path.write_text("ts,v\n0,1\n1800,3\n")
         frame = load_csv(str(path), "ts", "v", QUARTER_HOURLY)
-        assert frame.slots == (0, 2)
+        assert tuple(frame.slots) == (0, 2)
 
     def test_empty_value_is_gap(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("ts,v\n0,1\n900,\n1800,3\n")
         frame = load_csv(str(path), "ts", "v", QUARTER_HOURLY)
-        assert frame.slots == (0, 2)
+        assert tuple(frame.slots) == (0, 2)
 
     def test_misaligned_rejected(self, tmp_path):
         path = tmp_path / "mis.csv"
@@ -119,7 +125,7 @@ class TestLoadCsv:
         path = tmp_path / "unsorted.csv"
         path.write_text("ts,v\n1800,3\n0,1\n")
         frame = load_csv(str(path), "ts", "v", QUARTER_HOURLY)
-        assert frame.slots == (0, 2)
+        assert tuple(frame.slots) == (0, 2)
 
     def test_missing_column(self, tmp_path):
         path = tmp_path / "cols.csv"
@@ -231,6 +237,17 @@ class TestDescriptors:
                 k_seconds=86400,
                 scheme=default_weekly_scheme(4, 1, DAILY),
                 test_range=(0, 86400),
+            )
+
+    @pytest.mark.parametrize("k_seconds", [2 * 3600, 3 * 3600 + 1800, 0])
+    def test_k_seconds_is_the_schemes_k(self, k_seconds):
+        """k lives in the scheme: any other k_seconds, whole slots or not, is
+        rejected rather than reported beside a different scheme.k."""
+        with pytest.raises(ConfigError, match=r"not the scheme's k of 4 slots \(14400 s\)"):
+            DatasetDescriptor(
+                name="bad", frequency=HOURLY, timestamp_column="ts", target_column="v",
+                train_window_seconds=28 * 86400, k_seconds=k_seconds,
+                scheme=default_weekly_scheme(4, 4, HOURLY), test_range=(0, 3600),
             )
 
     def test_off_grid_test_range_is_config_error(self):
