@@ -429,12 +429,16 @@ def _records_path(base: str, label: str, many: bool) -> str:
 
 @contextmanager
 def _output_file(path: str | Path) -> Iterator[TextIO]:
-    """A text file that appears at ``path`` only if the block succeeds. A
-    missing or regular target is written as a temporary file in the same
-    directory, with the permissions ``open(path, "w")`` would give, renamed
-    over ``path`` on success and removed on any exception, so a failed run
-    leaves no partial file and an existing one unchanged. Any other target (a
-    device, a pipe, a directory) is opened in place, as a plain open would."""
+    """A text file that appears at ``path`` only if the block succeeds, or
+    stdout, left open, for ``-``. A missing or regular target is written as
+    a temporary file in the same directory, with the permissions
+    ``open(path, "w")`` would give, renamed over ``path`` on success and
+    removed on any exception, so a failed run leaves no partial file and an
+    existing one unchanged. Any other target (a device, a pipe, a directory)
+    is opened in place, as a plain open would."""
+    if path == "-":
+        yield sys.stdout
+        return
     try:
         regular = stat.S_ISREG(os.stat(path).st_mode)
     except OSError as exc:  # missing, or so is its directory: the open below says which
@@ -480,11 +484,10 @@ def _open_beside(path: str | Path) -> tuple[TextIO, str]:
 
 
 def cmd_evaluate(args) -> int:
-    if args.output == "-":
-        raise ConfigError(
-            "--output -: evaluate prints its report to stdout; "
-            "--output takes a path for the records CSV"
-        )
+    for flag, path in (("--output", args.output), ("--report", args.report)):
+        if path == "-":
+            raise ConfigError(f"{flag} -: evaluate prints its report to stdout; "
+                              f"{flag} takes a file path")
     desc = _resolve_descriptor(args, need_test_range=True)
     cfg = _qbsd_config(args, desc)
     methods = _parse_methods(args.method or "qbsd", desc.frequency)
@@ -621,7 +624,7 @@ def _run_streaming_command(args, threshold: Optional[float]) -> int:
     smoother = _parse_smoother(args.smoother)
     many = len(inputs) > 1  # several inputs are streamed in turn, one file each
     if many:
-        if not args.output:
+        if not args.output or args.output == "-":
             raise ConfigError("--output must name a directory for multiple inputs")
         out_paths = [Path(args.output) / (Path(path).stem + ".qbsd.csv") for path in inputs]
         writer_of: dict[Path, str] = {}
@@ -633,12 +636,12 @@ def _run_streaming_command(args, threshold: Optional[float]) -> int:
             writer_of[out_path] = path
         Path(args.output).mkdir(parents=True, exist_ok=True)
     else:
-        out_paths = [args.output if args.output != "-" else None]
+        out_paths = [args.output or "-"]
     g = desc.frequency
     for path, out_path in zip(inputs, out_paths):
         # one read per input: without --c, anomaly holds the first scheme-span's
         # rows to estimate c, so memory stays bounded by the window and those rows
-        with _output_file(out_path) if out_path else nullcontext(sys.stdout) as out:
+        with _output_file(out_path) as out:
             with series_rows(path, desc.timestamp_column, desc.target_column) as rows:
                 stream = points(rows, path, g)
                 run_cfg = cfg
@@ -653,7 +656,7 @@ def _run_streaming_command(args, threshold: Optional[float]) -> int:
             writer.close()
         if threshold is not None:
             print(f"{path + ': ' if many else ''}anomalies: {writer.anomaly_count} "
-                  f"(threshold={threshold})", file=sys.stdout if out_path else sys.stderr)
+                  f"(threshold={threshold})", file=sys.stderr if out is sys.stdout else sys.stdout)
     return 0
 
 
@@ -813,8 +816,9 @@ def cmd_synth(args) -> int:
         writer.writerow(["timestamp", "value"])
         for slot, value in zip(frame.slots, frame.values):
             writer.writerow([format_timestamp(start + slot * interval), repr(value)])
-    print(f"seed: {spec.seed}")
-    print(f"wrote {len(frame)} rows to {args.output}")
+    info = sys.stderr if handle is sys.stdout else sys.stdout  # the CSV went to stdout
+    print(f"seed: {spec.seed}", file=info)
+    print(f"wrote {len(frame)} rows to {args.output}", file=info)
     return 0
 
 
@@ -892,7 +896,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--method", help="baselines to include alongside qbsd")
 
     p_synth = command("synth", "generate a synthetic KPI-like CSV", cmd_synth)
-    p_synth.add_argument("--output", help="output CSV path")
+    p_synth.add_argument("--output", help="output CSV path ('-' for stdout)")
     p_synth.add_argument("--seed", type=int, help="noise seed")
     p_synth.add_argument("--noise-std", type=float, help="noise sigma")
     p_synth.add_argument("--days", type=int, default=56)

@@ -224,6 +224,11 @@ def qbsd_step(
     hi = bisect_left(ordered, q3, lo)
     # positional: 147 ns per build, against 356 ns by keyword (CPython 3.11)
     if lo < hi:
-        return ForecastOutput(sum(ordered[lo:hi]) / (hi - lo), q1, q3, q3 - q1, present, False)
+        # summed left to right: from 3.12 on, the built-in sum() of floats is
+        # compensated and would round some means differently
+        total = 0.0
+        for value in ordered[lo:hi]:
+            total += value
+        return ForecastOutput(total / (hi - lo), q1, q3, q3 - q1, present, False)
     median = ordered[im] + wm * (ordered[im + 1] - ordered[im]) if wm else float(ordered[im])
     return ForecastOutput(median, q1, q3, q3 - q1, present, True)

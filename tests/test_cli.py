@@ -393,13 +393,15 @@ class TestEvaluate:
     ], ids=["synthetic", "csv"])
     def test_output_dash_exits_1_before_input(self, tmp_path, capsys, monkeypatch,
                                               source):
-        """stdout carries the report, so the records CSV needs a path."""
+        """stdout carries the report, so the records CSV and the report's
+        copy each need a path."""
         monkeypatch.chdir(tmp_path)
-        code, stdout, err = run(capsys, "evaluate", *source, "--output", "-")
-        assert code == 1
-        assert err.startswith("error: --output -: ")
-        assert stdout == ""
-        assert list(tmp_path.iterdir()) == []
+        for flag in ("--output", "--report"):
+            code, stdout, err = run(capsys, "evaluate", *source, flag, "-")
+            assert code == 1
+            assert err.startswith(f"error: {flag} -: ")
+            assert stdout == ""
+            assert list(tmp_path.iterdir()) == []
 
     def test_unknown_dataset_exit_1(self, capsys):
         code, _, err = run(capsys, "evaluate", "--dataset", "wat")
@@ -488,6 +490,23 @@ class TestEvaluate:
         rows = read_rows(out)
         assert len(rows) == 4 * 7 * 96
         assert rows[0]["forecast"] != ""
+
+    def test_one_run_writes_each_method_as_its_own_run(self, tmp_path, capsys):
+        """One run over four methods reports one row per method, in the
+        order given, and writes for each method the records file a run of
+        that method alone writes."""
+        methods = ["qbsd", "seasonal-naive", "persistence", "moving-average"]
+        code, stdout, err = run(capsys, "evaluate", "--dataset", "synthetic",
+                                "--method", ",".join(methods), "--format", "json",
+                                "--output", str(tmp_path / "all.csv"))
+        assert code == 0, err
+        assert [row["method"] for row in json.loads(stdout)["methods"]] == methods
+        for method in methods:
+            one = tmp_path / f"{method}.csv"
+            code, _, err = run(capsys, "evaluate", "--dataset", "synthetic",
+                               "--method", method, "--output", str(one))
+            assert code == 0, err
+            assert one.read_bytes() == (tmp_path / f"all.{method}.csv").read_bytes(), method
 
     def test_custom_dataset_flags(self, tmp_path, capsys):
         path = tmp_path / "series.csv"
@@ -901,7 +920,10 @@ class TestBench:
         ["--k", "0", "--slots-per-day", "24"],
         ["--scheme", "weekly_plus_yearly", "--k", "3", "--slots-per-day", "24",
          "--buffer-weeks", "53,54"],
-    ], ids=["weekly4-k0-hourly", "weekly_plus_yearly-53-54"])
+        # 66-sample subsets, which consecutive targets slide
+        ["--scheme", "weekly_plus_yearly", "--k", "16", "--slots-per-day", "24",
+         "--buffer-weeks", "53,106"],
+    ], ids=["weekly4-k0-hourly", "weekly_plus_yearly-53-54", "weekly_plus_yearly-k16-53-106"])
     def test_small_buffer_forecasts_every_target(self, capsys, flags):
         code, stdout, _ = run(capsys, "bench", "--forecasts", "200", *flags)
         assert code == 0
@@ -1608,6 +1630,41 @@ def test_output_to_a_pipe_is_written_in_place(tmp_path, capsys, command):
     assert received == [expected_path.read_bytes()]
     assert stat.S_ISFIFO(fifo.stat().st_mode)  # the pipe itself, not a file renamed over it
     assert not list(tmp_path.glob("*.tmp"))
+
+
+@pytest.mark.parametrize("command", ["forecast", "anomaly", "synth"])
+def test_dash_output_writes_the_file_to_stdout(tmp_path, capsys, monkeypatch, command):
+    """``--output -`` puts on stdout the bytes the file would hold, and the
+    lines the run prints beside a file on stderr; no file named ``-``
+    appears."""
+    series = tmp_path / "series.csv"
+    run(capsys, "synth", "--output", str(series), "--days", "35", "--slots-per-day", "24")
+    out = tmp_path / "out.csv"
+    code, info, err = run(capsys, *base_argv(command, series, out))
+    assert (code, err) == (0, "")
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    code, stdout, err = run(capsys, *base_argv(command, series, "-"))
+    assert code == 0, err
+    assert stdout.encode() == out.read_bytes()
+    assert err == info.replace(str(out), "-")
+    assert list(cwd.iterdir()) == []
+
+
+@pytest.mark.parametrize("output", [[], ["--output", "-"]], ids=["none", "dash"])
+def test_several_inputs_without_an_output_directory_exit_1(
+    tmp_path, capsys, monkeypatch, output
+):
+    """Several inputs write one file each into the --output directory, which
+    stdout is not."""
+    monkeypatch.chdir(tmp_path)
+    code, stdout, err = run(capsys, "forecast", "--interval", "3600", "--input", "a.csv",
+                            "--input", "b.csv", *output)
+    assert code == 1
+    assert err == "error: --output must name a directory for multiple inputs\n"
+    assert stdout == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["forecast", "evaluate"])

@@ -221,6 +221,16 @@ class TestQbsdStep:
         with pytest.raises(InvalidConstant, match="must be finite and > 0"):
             QbsdConfig(scheme=SCHEME, c=c)
 
+    def test_interior_mean_adds_left_to_right(self):
+        """Ten 0.1s between Q1 = 0.05 and Q3 = 1.0 add to 0.9999999999999999
+        left to right; the compensated sum() of 3.12 and later gives 1.0. The
+        forecast is the same float on every Python."""
+        ordered = [0.0] * 7 + [0.1] * 10 + [1.0] * 10
+        cfg = QbsdConfig(scheme=default_weekly_scheme(4, 4, HOURLY))
+        out = qbsd_step(ordered, len(ordered), cfg)
+        assert (out.q1, out.q3, out.fallback_used) == (0.05, 1.0, False)
+        assert repr(out.forecast) == "0.09999999999999999"
+
 
 
 # Equivariance is exact over the reals; the strategies stick to domains where

@@ -1,8 +1,9 @@
 """``qbsd_step`` and ``compute_residuals`` pinned bit for bit against the
 kernel's formulas written out here: type-7 percentiles at 0.25, 0.75 and
-0.5, the bisect interior mean, the median fallback, keyword construction and
-``max(iqr, c)``. Every float field is compared by ``repr``, so a change of
-sign on a zero, a NaN where a number was, or one ulp of difference fails."""
+0.5, the bisect interior mean added left to right, the median fallback,
+keyword construction and ``max(iqr, c)``. Every float field is compared by
+``repr``, so a change of sign on a zero, a NaN where a number was, or one
+ulp of difference fails."""
 
 import math
 import random
@@ -40,7 +41,10 @@ def ref_step(ordered, requested_size, min_samples):
     lo = bisect_right(ordered, q1)
     hi = bisect_left(ordered, q3, lo)
     if lo < hi:
-        forecast, fallback_used = sum(ordered[lo:hi]) / (hi - lo), False
+        total = 0.0
+        for value in ordered[lo:hi]:  # left to right, not sum()'s compensated total
+            total += value
+        forecast, fallback_used = total / (hi - lo), False
     else:
         forecast, fallback_used = ref_percentile(ordered, 0.5), True
     return ForecastOutput(
