@@ -31,15 +31,15 @@ from .datasets import (
     MethodScore,
     StepRecord,
     SynthSpec,
+    _record,
     estimate_contingency,
     evaluation_steps,
     format_timestamp,
     generate_synthetic,
     get_descriptor,
     load_csv,
+    numbered_points,
     parse_timestamp,
-    points,
-    replay,
     # not called here: kept only because perfbench/tracer.py looks up
     # qbsd.cli.rolling_evaluate. Its span is never entered, so the traced
     # datasets.rolling_evaluate_self_ns_per_slot reads 0 and measures nothing
@@ -49,7 +49,8 @@ from .datasets import (
     series_rows,
 )
 from .engine import RollingForecaster, default_capacity
-from .errors import ConfigError, DataError, QbsdError, SeriesTooShort, TooFewPairs
+from .errors import (ConfigError, DataError, DuplicateTimestamp, QbsdError, SeriesTooShort,
+                     StaleSlot, TooFewPairs)
 from .metrics import wilcoxon_signed_rank
 from .smoothing import MovingAverage as SmoothingMA
 from .smoothing import DEFAULT_SAVGOL, SavitzkyGolay, SmootherSpec, StreamingSmoother
@@ -57,7 +58,6 @@ from .timegrid import (
     GRID_END,
     Granularity,
     SeasonalityScheme,
-    SlotCoord,
     align,
     default_weekly_scheme,
     scheme_from_lags,
@@ -594,16 +594,16 @@ def _render_evaluation(args, desc: DatasetDescriptor, rows: list[dict]) -> None:
 # ---------------------------------------------------------------- forecast
 
 
-def _estimate_c(points, span: int, floor: float) -> tuple[float, list]:
+def _estimate_c(rows, span: int, floor: float) -> tuple[float, list]:
     """c from the first scheme-span of a stream: |P1| of the values before
     the first value ``span`` or more slots after the first value, floored.
-    Returns c and the points taken, which the replay emits first."""
+    Returns c and the ``(line, slot, value)`` rows taken, which the loop reads first."""
     held = []
     values: list[float] = []
     first = None
-    for point in points:
-        held.append(point)
-        slot, value = point
+    for row in rows:
+        held.append(row)
+        _, slot, value = row
         if value is None:
             continue
         if first is None:
@@ -642,16 +642,26 @@ def _run_streaming_command(args, threshold: Optional[float]) -> int:
         # one read per input: without --c, anomaly holds the first scheme-span's
         # rows to estimate c, so memory stays bounded by the window and those rows
         with _output_file(out_path) as out:
-            with series_rows(path, desc.timestamp_column, desc.target_column) as rows:
-                stream = points(rows, path, g)
+            with series_rows(path, desc.timestamp_column, desc.target_column) as cells:
+                rows = numbered_points(cells, path, g)
                 run_cfg = cfg
                 if threshold is not None and args.c is None:
-                    c, held = _estimate_c(stream, desc.scheme.span_slots, cfg.c)
+                    c, held = _estimate_c(rows, desc.scheme.span_slots, cfg.c)
                     run_cfg = replace(cfg, c=c)
-                    stream = chain(held, stream)
+                    rows = chain(held, rows)
                 forecaster = RollingForecaster(run_cfg, g, capacity_slots=desc.train_window_slots)
                 writer = RecordWriter(out, smoother=smoother, threshold=threshold)
-                for record in replay(forecaster, stream):
+                for line, slot, value in rows:
+                    # a present slot still in the window is a duplicate; the
+                    # ring rejects one that has left it as stale
+                    if value is not None and forecaster.history.get(slot) is not None:
+                        when = format_timestamp(slot * g.interval_seconds)
+                        raise DuplicateTimestamp(
+                            f"{path}:{line}: slot {slot} ({when}) appears more than once")
+                    try:
+                        record = _record(forecaster, slot, value)
+                    except StaleSlot as exc:
+                        raise StaleSlot(f"{path}:{line}: {exc}") from exc
                     writer.write(record)
             writer.close()
         if threshold is not None:
@@ -713,7 +723,7 @@ def measure_qbsd_latency(
     last = frame.slots[-1]
     # a target above last - capacity + span has its whole subset in every buffer
     first = max(last - 500, last - capacity + span + 1)
-    targets = [SlotCoord(s, g) for s in range(first, last + 1)]
+    targets = range(first, last + 1)
     fns = {}
     for weeks in buffer_weeks:
         forecaster = RollingForecaster(cfg, g, capacity_slots=weeks * g.slots_per_week)

@@ -271,16 +271,6 @@ def numbered_points(
         yield number, slot, value
 
 
-_SLOT_VALUE = operator.itemgetter(1, 2)
-
-
-def points(
-    rows: Iterable[tuple[int, str, Optional[float], str]], path: str, g: Granularity
-) -> Iterator[tuple[int, Optional[float]]]:
-    """``numbered_points`` as ``(global slot, value)`` points."""
-    return map(_SLOT_VALUE, numbered_points(rows, path, g))
-
-
 def load_csv(
     path: str,
     timestamp_column: str,

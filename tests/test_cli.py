@@ -1420,15 +1420,24 @@ PREFIX_ROWS = st.lists(
 # a gap row moved past the boundary does not end the prefix; the next row does not
 @example(rows=[(0, True, repr(30.0 - i)) for i in range(19)] + [(3, True, "")]
          + [(0, True, repr(30.0 - i)) for i in range(20, 30)], floor=1e-6)
+# the second row repeats the first's slot: both runs stop at line 3
+@example(rows=[(0, True, "1.0"), (-1, False, "2.0"), (0, True, "3.0")], floor=0.5)
 def test_in_stream_c_matches_two_pass_estimate(tmp_path_factory, rows, floor):
-    """Gaps, non-finite cells and out-of-order rows inside the first
-    scheme-span, and inputs that end before or after it."""
+    """Gaps, non-finite cells, out-of-order and repeated rows inside the
+    first scheme-span, and inputs that end before or after it."""
     g = Granularity(86400)
     path = tmp_path_factory.mktemp("prefix") / "in.csv"
     lines = ["timestamp,value"]
+    repeated, present = None, set()
     for i, (shift, epoch_ts, cell) in enumerate(rows):
         epoch = max(0, 30 + i + shift) * 86400
         lines.append(f"{epoch if epoch_ts else format_timestamp(epoch)},{cell}")
+        # a value for a slot that holds one is a duplicate: every row lies
+        # within days of the others, far inside the window
+        if cell not in ("", "nan", "inf", "-inf"):
+            if epoch in present and repeated is None:
+                repeated = i + 2  # the header is line 1
+            present.add(epoch)
     path.write_text("\n".join(lines) + "\n")
     flags = ["anomaly", "--input", str(path), "--interval", "86400", "--k", "1",
              "--threshold", "3"]
@@ -1436,21 +1445,27 @@ def test_in_stream_c_matches_two_pass_estimate(tmp_path_factory, rows, floor):
     expected = reference_prefix_c(str(path), desc, floor)
 
     with series_rows(str(path), "timestamp", "value") as stream:
-        points = datasets.points(stream, str(path), g)
+        points = datasets.numbered_points(stream, str(path), g)
         c, held = _estimate_c(points, desc.scheme.span_slots, floor)
         rest = list(points)
     assert c == expected
     assert len(held) + len(rest) == len(rows)  # every row read exactly once
 
-    # the whole stream replays with the estimate as --c
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        assert main([*flags, "--c-floor", repr(floor)]) == 0
+    # the whole stream runs with the estimate as --c, up to the same
+    # duplicate row if there is one
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        codes = [main([*flags, "--c-floor", repr(floor)])]
         estimated = out.getvalue()
         out.seek(0)
         out.truncate()
-        assert main([*flags, "--c", repr(expected)]) == 0
+        codes.append(main([*flags, "--c", repr(expected)]))
     assert out.getvalue() == estimated
+    if repeated is None:
+        assert codes == [0, 0]
+    else:
+        assert codes == [2, 2]
+        assert err.getvalue().count(f"error: {path}:{repeated}: slot ") == 2
 
 
 def test_malformed_row_in_prefix_fails_before_any_record(tmp_path, capsys):
@@ -1541,6 +1556,40 @@ def stale_series(path: Path) -> Path:
         handle.writelines(f"{i * 3600},{i % 24}\n" for i in range(960))
         handle.write("3600,1\n")
     return path
+
+
+def duplicate_series(path: Path) -> Path:
+    """400 hourly rows with slot 399 written twice, on lines 401 and 402."""
+    with open(path, "w", newline="") as handle:
+        handle.write("timestamp,value\n")
+        handle.writelines(f"{i * 3600},{i % 24}\n" for i in range(400))
+        handle.write(f"{399 * 3600},{399 % 24}\n")
+    return path
+
+
+@pytest.mark.parametrize("command", ["forecast", "anomaly", "evaluate"])
+@pytest.mark.parametrize("series,line,message", [
+    (duplicate_series, 402, "slot 399 (1970-01-17T15:00:00) appears more than once"),
+    (stale_series, 962,
+     "1970-01-01T01:00:00: slot 1 is older than the retained window (oldest kept: 288)"),
+], ids=["duplicate", "stale"])
+def test_repeated_row_exits_2_naming_its_line(tmp_path, capsys, command, series, line,
+                                              message):
+    """A row whose slot was already read fails on its own line in every
+    command. ``evaluate`` reads the whole file first, so to it the late row
+    is a duplicate too, named with its first line."""
+    path = series(tmp_path / "in.csv")
+    out = tmp_path / "out.csv"
+    argv = [command, "--input", str(path), "--interval", "3600", "--k", "1",
+            "--output", str(out)]
+    if command == "evaluate":
+        argv += ["--test-start", "1970-01-10T00:00:00", "--test-end", "1970-01-17T00:00:00"]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith(f"error: {path}:{line}: ")
+    if command != "evaluate":
+        assert err == f"error: {path}:{line}: {message}\n"
+    assert not out.exists()
 
 
 def failing_runs(tmp_path: Path) -> dict[str, tuple[list[str], str, list[str]]]:

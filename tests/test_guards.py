@@ -1,0 +1,99 @@
+"""Source guards, read with ``ast``: no float ``sum()`` in the package, and no
+numpy in the tests.
+
+From Python 3.12 on the built-in ``sum()`` of floats is compensated, so a
+float ``sum()`` in ``src/qbsd`` would make outputs differ between the
+interpreters ``pyproject.toml`` admits. The calls below are exact on every
+version. The tests run on the standard library, like the package.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import qbsd
+
+PACKAGE = Path(qbsd.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
+
+# (module.function, the call as ast.unparse writes it, why it is exact)
+ALLOWED_SUMS = [
+    ("engine.forecast_at", "sum(ordered)",
+     "a NaN probe: only whether the total is NaN is read"),
+    ("metrics._exact_tail_probs", "sum(ranks)", "int doubled ranks"),
+    ("metrics._exact_tail_probs", "sum(counts[w_plus:])", "int assignment counts"),
+    ("metrics._exact_tail_probs", "sum(counts[:w_plus + 1])", "int assignment counts"),
+    ("metrics._rank_sums", "sum(compress(ranks, map(operator.lt, repeat(0.0), ordered)))",
+     "int doubled ranks"),
+    ("datasets.skipped_count", "sum((1 for r in records if r.forecast is None))",
+     "an int count"),
+    ("smoothing._weight_rows", "sum((v * v for v in q))",
+     "Fraction squares: a norm of the basis as it is built"),
+    ("smoothing._weight_rows", "sum((v * v for v in q))",
+     "int squares: a norm of the basis scaled to integers"),
+    ("smoothing._weight_rows", "sum(map(operator.mul, coefs, col))", "int products"),
+    ("smoothing._dot", "sum(special)",
+     "only infs and NaNs, whose sum no order or compensation changes"),
+    ("smoothing._dot", "sum(map(Fraction, products))", "exact Fraction terms"),
+]
+ALLOWED_COUNTS = Counter((scope, call) for scope, call, _ in ALLOWED_SUMS)
+
+
+def sum_calls(node: ast.AST, scope: str):
+    """``(scope, call text)`` of every ``sum(...)`` call under ``node``,
+    scoped by its innermost enclosing function or class."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{scope.split('.')[0]}.{child.name}"
+        elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+              and child.func.id == "sum"):
+            yield scope, ast.unparse(child)
+        yield from sum_calls(child, inner)
+
+
+def package_sum_calls() -> Counter:
+    calls = Counter()
+    for path in sorted(PACKAGE.glob("*.py")):
+        calls.update(sum_calls(ast.parse(path.read_text()), path.stem))
+    return calls
+
+
+def test_sum_calls_in_the_package_are_the_exact_ones():
+    calls = package_sum_calls()
+    extra = sorted((calls - ALLOWED_COUNTS).elements())
+    assert not extra, f"sum() calls outside the allowlist: {extra}"
+    # a call that is gone leaves the allowlist, so it cannot go stale unseen
+    gone = sorted((ALLOWED_COUNTS - calls).elements())
+    assert not gone, f"allowed sum() calls no longer in the package: {gone}"
+
+
+def test_sum_guard_sees_a_float_sum():
+    tree = ast.parse("def qbsd_step(ordered, lo, hi):\n    return sum(ordered[lo:hi])\n")
+    assert list(sum_calls(tree, "core")) == [("core.qbsd_step", "sum(ordered[lo:hi])")]
+
+
+def imports_numpy(tree: ast.AST) -> bool:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name.split(".")[0] == "numpy" for name in names):
+            return True
+    return False
+
+
+def test_no_test_imports_numpy():
+    offenders = [str(path.relative_to(TESTS)) for path in sorted(TESTS.rglob("*.py"))
+                 if imports_numpy(ast.parse(path.read_text()))]
+    assert offenders == []
+
+
+def test_numpy_guard_sees_every_import_form():
+    for source in ("import numpy as np", "import numpy.polynomial",
+                   "from numpy import asarray", "from numpy.random import default_rng"):
+        assert imports_numpy(ast.parse(source)), source
+    assert not imports_numpy(ast.parse("import numbers\nfrom . import numpy_like"))
