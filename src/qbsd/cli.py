@@ -31,7 +31,6 @@ from .datasets import (
     MethodScore,
     StepRecord,
     SynthSpec,
-    _record,
     estimate_contingency,
     evaluation_steps,
     format_timestamp,
@@ -40,6 +39,7 @@ from .datasets import (
     load_csv,
     numbered_points,
     parse_timestamp,
+    replay,
     # not called here: kept only because perfbench/tracer.py looks up
     # qbsd.cli.rolling_evaluate. Its span is never entered, so the traced
     # datasets.rolling_evaluate_self_ns_per_slot reads 0 and measures nothing
@@ -49,8 +49,7 @@ from .datasets import (
     series_rows,
 )
 from .engine import RollingForecaster, default_capacity
-from .errors import (ConfigError, DataError, DuplicateTimestamp, QbsdError, SeriesTooShort,
-                     StaleSlot, TooFewPairs)
+from .errors import ConfigError, DataError, QbsdError, SeriesTooShort, TooFewPairs
 from .metrics import wilcoxon_signed_rank
 from .smoothing import MovingAverage as SmoothingMA
 from .smoothing import DEFAULT_SAVGOL, SavitzkyGolay, SmootherSpec, StreamingSmoother
@@ -651,17 +650,7 @@ def _run_streaming_command(args, threshold: Optional[float]) -> int:
                     rows = chain(held, rows)
                 forecaster = RollingForecaster(run_cfg, g, capacity_slots=desc.train_window_slots)
                 writer = RecordWriter(out, smoother=smoother, threshold=threshold)
-                for line, slot, value in rows:
-                    # a present slot still in the window is a duplicate; the
-                    # ring rejects one that has left it as stale
-                    if value is not None and forecaster.history.get(slot) is not None:
-                        when = format_timestamp(slot * g.interval_seconds)
-                        raise DuplicateTimestamp(
-                            f"{path}:{line}: slot {slot} ({when}) appears more than once")
-                    try:
-                        record = _record(forecaster, slot, value)
-                    except StaleSlot as exc:
-                        raise StaleSlot(f"{path}:{line}: {exc}") from exc
+                for record in replay(forecaster, rows, path):
                     writer.write(record)
             writer.close()
         if threshold is not None:

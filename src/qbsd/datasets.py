@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import math
 import operator
-import os
 import random
 import re
 import struct
@@ -22,7 +21,7 @@ from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
-from itertools import compress, islice
+from itertools import compress, count, islice
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .baselines import BaselineSpec, baseline_forecast
@@ -40,6 +39,7 @@ from .errors import (
     InsufficientHistory,
     InsufficientSpan,
     ParseError,
+    StaleSlot,
 )
 from .metrics import EvalPairs, MetricsReport, evaluate
 from .timegrid import (
@@ -277,54 +277,39 @@ def load_csv(
     value_column: str,
     granularity: Granularity,
 ) -> SeriesFrame:
-    """Read a headered CSV into a SeriesFrame, in one pass.
+    """Read a headered CSV into a SeriesFrame, in one pass, from a file or a pipe.
 
-    Rows are sorted by slot; duplicate timestamps are rejected, naming the
-    lowest duplicated slot; a row with an empty or non-finite value cell is
-    a gap, once its timestamp is checked. The frame holds an ``array('q')``
-    of slots and an ``array('d')`` of values, 16 B a row. Only a row at or
-    before its predecessor makes the columns be sorted, in memory, through
-    an index permutation.
+    A row with an empty or non-finite value cell is a gap, once its timestamp
+    is checked. The frame holds an ``array('q')`` of slots and an
+    ``array('d')`` of values, 16 B a row, read beside an ``array('q')`` of
+    line numbers. Slots that are not strictly increasing make all three be
+    sorted by one stable index permutation; then a duplicate timestamp is
+    rejected naming the lowest duplicated slot and both its lines.
     """
-    slots, values = array("q"), array("d")
-    add_slot, add_value = slots.append, values.append
-    last = last_line = -1
-    in_order, duplicate = True, None
+    slots, values, lines = array("q"), array("d"), array("q")
+    add_slot, add_value, add_line = slots.append, values.append, lines.append
     with series_rows(path, timestamp_column, value_column) as cells:
         for line, slot, value in numbered_points(cells, path, granularity):
-            if value is None:
-                continue
-            if slot <= last and in_order:
-                if slot < last:
-                    in_order = False
-                elif duplicate is None:
-                    duplicate = slot, last_line, line
-            last, last_line = slot, line
-            add_slot(slot)
-            add_value(value)
-    if not in_order:
+            if value is not None:
+                add_slot(slot)
+                add_value(value)
+                add_line(line)
+    if not all(map(operator.lt, slots, islice(slots, 1, None))):
         order = sorted(range(len(slots)), key=slots.__getitem__)
-        slots = array("q", map(slots.__getitem__, order))
-        values = array("d", map(values.__getitem__, order))
-        duplicate = next(((a, None, None) for a, b in zip(slots, islice(slots, 1, None))
-                          if a == b), None)
-    if duplicate is not None:
-        slot, first, second = duplicate
-        if first is None and os.path.isfile(path):
-            # out of order, the lines are found by reading the file again, so
-            # a clean load pays nothing for them; a pipe cannot be read again
-            with series_rows(path, timestamp_column, value_column) as cells:
-                first, second = islice((line for line, s, value
-                                        in numbered_points(cells, path, granularity)
-                                        if s == slot and value is not None), 2)
-        where, also = path, ""
-        if first is not None:
-            where, also = f"{path}:{second}", f" (first at line {first})"
-        raise DuplicateTimestamp(
-            f"{where}: slot {slot} ({format_timestamp(slot * granularity.interval_seconds)}) "
-            f"appears more than once{also}"
-        )
+        slots, values, lines = (array(column.typecode, map(column.__getitem__, order))
+                                for column in (slots, values, lines))
+        i = next(compress(count(), map(operator.eq, slots, islice(slots, 1, None))), None)
+        if i is not None:
+            raise _duplicate(path, lines[i + 1], slots[i], granularity, lines[i])
     return SeriesFrame._checked(granularity, slots, values)
+
+
+def _duplicate(path: str, line: int, slot: int, g: Granularity,
+               first: Optional[int] = None) -> DuplicateTimestamp:
+    """A value at ``path:line`` for a slot that holds one, read at line ``first`` if known."""
+    when = format_timestamp(slot * g.interval_seconds)
+    also = "" if first is None else f" (first at line {first})"
+    return DuplicateTimestamp(f"{path}:{line}: slot {slot} ({when}) appears more than once{also}")
 
 
 @dataclass(frozen=True)
@@ -605,10 +590,12 @@ def _record(forecaster: RollingForecaster, slot: int, actual: Optional[float]) -
     grid. A present actual is observed (forecast, scored, then buffered); a
     gap (None) is only forecast. A slot that cannot be forecast yet (warmup,
     too few present samples) keeps its forecast fields None; ``observe`` has
-    still buffered its actual."""
+    still buffered its actual. A slot the window has passed is stale, a gap
+    as well as a value."""
     g = forecaster.granularity
     try:
         if actual is None:
+            forecaster.history.check_fresh(slot)
             fo = forecaster.forecast_at(slot)
             diff = norm = None
         else:
@@ -624,12 +611,23 @@ def _record(forecaster: RollingForecaster, slot: int, actual: Optional[float]) -
 
 def replay(
     forecaster: RollingForecaster,
-    points: Iterable[tuple[int, Optional[float]]],
+    rows: Iterable[tuple[int, int, Optional[float]]],
+    path: str,
 ) -> Iterator[StepRecord]:
-    """One record per ``(global slot, actual)`` point, in order, as
-    ``_record`` builds it."""
-    for slot, actual in points:
-        yield _record(forecaster, slot, actual)
+    """One record per ``(line, global slot, actual)`` row, in arrival order,
+    as ``_record`` builds it; ``numbered_points`` yields such rows, and
+    ``path`` labels the errors. A value for a slot the window already holds
+    raises ``DuplicateTimestamp``, and a row for a slot the window has
+    passed raises ``StaleSlot``, each naming the row's ``path:line``."""
+    history, g = forecaster.history, forecaster.granularity
+    for line, slot, actual in rows:
+        if actual is not None and history.get(slot) is not None:
+            raise _duplicate(path, line, slot, g)
+        try:
+            record = _record(forecaster, slot, actual)
+        except StaleSlot as exc:
+            raise StaleSlot(f"{path}:{line}: {exc}") from exc
+        yield record
 
 
 def evaluation_steps(

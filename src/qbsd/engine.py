@@ -88,13 +88,17 @@ class SlidingHistory:
                     values[skipped % capacity] = None
             self._latest = slot
         elif slot <= latest - capacity:
-            raise StaleSlot(
-                f"slot {slot} is older than the retained window "
-                f"(oldest kept: {latest - capacity + 1})"
-            )
+            self.check_fresh(slot)  # raises
         self._values[slot % capacity] = value
         self.writes += 1
         self.last_write = slot
+
+    def check_fresh(self, slot: int) -> None:
+        """Raise ``StaleSlot`` if the window has already passed ``slot``."""
+        latest = self._latest
+        if latest is not None and slot <= latest - self.capacity:
+            raise StaleSlot(f"slot {slot} is older than the retained window "
+                            f"(oldest kept: {latest - self.capacity + 1})")
 
     def extend(self, pairs: Iterable[tuple[int, float]]) -> None:
         """``insert`` each ``(slot, value)`` pair in turn. A slot just after

@@ -1548,14 +1548,18 @@ def test_runtime_never_imports_numpy(tmp_path):
     assert result.returncode == 0, result.stderr
 
 
-def stale_series(path: Path) -> Path:
-    """Hourly rows 0..959, then a late row at slot 1: older than any window,
-    so a forecast run fails after writing most of its records."""
+def stale_series(path: Path, late: str = "1") -> Path:
+    """Hourly rows 0..959, then a late row at slot 1 with the value cell
+    ``late``: older than any window, so a forecast run fails after writing
+    most of its records."""
     with open(path, "w", newline="") as handle:
         handle.write("timestamp,value\n")
         handle.writelines(f"{i * 3600},{i % 24}\n" for i in range(960))
-        handle.write("3600,1\n")
+        handle.write(f"3600,{late}\n")
     return path
+
+
+ALL_THREE = ("forecast", "anomaly", "evaluate")
 
 
 def duplicate_series(path: Path) -> Path:
@@ -1567,17 +1571,26 @@ def duplicate_series(path: Path) -> Path:
     return path
 
 
-@pytest.mark.parametrize("command", ["forecast", "anomaly", "evaluate"])
-@pytest.mark.parametrize("series,line,message", [
-    (duplicate_series, 402, "slot 399 (1970-01-17T15:00:00) appears more than once"),
-    (stale_series, 962,
-     "1970-01-01T01:00:00: slot 1 is older than the retained window (oldest kept: 288)"),
-], ids=["duplicate", "stale"])
+STALE = "1970-01-01T01:00:00: slot 1 is older than the retained window (oldest kept: 288)"
+
+
+@pytest.mark.parametrize("series,line,message,command", [
+    pytest.param(series, line, message, command, id=f"{name}-{command}")
+    for name, series, line, message, commands in [
+        ("duplicate", duplicate_series, 402,
+         "slot 399 (1970-01-17T15:00:00) appears more than once", ALL_THREE),
+        ("stale", stale_series, 962, STALE, ALL_THREE),
+        # evaluate drops a gap row before it sorts, so only the streams meet it
+        ("late-gap", lambda path: stale_series(path, ""), 962, STALE, ALL_THREE[:2]),
+    ]
+    for command in commands
+])
 def test_repeated_row_exits_2_naming_its_line(tmp_path, capsys, command, series, line,
                                               message):
     """A row whose slot was already read fails on its own line in every
     command. ``evaluate`` reads the whole file first, so to it the late row
-    is a duplicate too, named with its first line."""
+    is a duplicate too, named with its first line. A gap row the window has
+    passed is stale in ``forecast`` and ``anomaly`` as a value row is."""
     path = series(tmp_path / "in.csv")
     out = tmp_path / "out.csv"
     argv = [command, "--input", str(path), "--interval", "3600", "--k", "1",
@@ -1590,6 +1603,42 @@ def test_repeated_row_exits_2_naming_its_line(tmp_path, capsys, command, series,
     if command != "evaluate":
         assert err == f"error: {path}:{line}: {message}\n"
     assert not out.exists()
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data(),
+       # per hourly slot: 0 no row, 1 a blank cell, else a value; the first has one
+       kinds=st.lists(st.integers(0, 4), min_size=10, max_size=200).map(lambda k: [2] + k),
+       fault=st.sampled_from(["timestamp", "off-grid", "value", "repeat"]))
+def test_one_faulty_row_fails_on_its_line_in_all_three_commands(tmp_path_factory, data,
+                                                                 kinds, fault):
+    """A slot-ordered hourly series with gaps and one faulty row: a bad or
+    off-grid timestamp, a bad value, or a value for an earlier valued slot,
+    all far inside the window. ``forecast``, ``anomaly`` and ``evaluate``
+    each exit 2 naming the faulty row's ``path:line``."""
+    rows = [(slot, "" if kind == 1 else repr(kind * 10.5))
+            for slot, kind in enumerate(kinds) if kind]
+    at = data.draw(st.integers(1, len(rows)), label="faulty row index")
+    slot, cell = data.draw(st.sampled_from([row for row in rows[:at] if row[1]]),
+                           label="earlier valued row")
+    text = {"timestamp": "noon,1",
+            "off-grid": f"{slot * 3600 + 5},1",
+            "value": f"{slot * 3600},oops",
+            "repeat": f"{slot * 3600},{cell}"}[fault]
+    lines = [f"{s * 3600},{c}" for s, c in rows]
+    lines.insert(at, text)
+    path = tmp_path_factory.mktemp("faulty") / "in.csv"
+    path.write_text("timestamp,value\n" + "\n".join(lines) + "\n")
+    common = ["--input", str(path), "--interval", "3600", "--k", "1"]
+    runs = [["forecast", *common, "--output", str(path.with_suffix(".f.csv"))],
+            ["anomaly", *common, "--c", "1", "--output", str(path.with_suffix(".a.csv"))],
+            ["evaluate", *common, "--test-start", "0", "--test-end", str(len(kinds) * 3600)]]
+    for argv in runs:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code == 2 and err.getvalue().startswith(f"error: {path}:{at + 2}: "), (
+            argv[0], err.getvalue())
 
 
 def failing_runs(tmp_path: Path) -> dict[str, tuple[list[str], str, list[str]]]:
@@ -1766,11 +1815,15 @@ def _feed_pipe(path: Path, data: bytes) -> threading.Thread:
     return writer
 
 
-def test_duplicate_in_slot_order_names_its_lines_from_a_pipe(tmp_path, capsys):
-    """A duplicate met in slot order is named with both its lines, from a
-    pipe as from a regular file: the one read meets both."""
+@pytest.mark.parametrize("unsorted", [False, True], ids=["in-order", "unsorted"])
+def test_duplicate_in_slot_order_names_its_lines_from_a_pipe(tmp_path, capsys, unsorted):
+    """A duplicate is named with both its lines, from a pipe as from a
+    regular file, whether or not the rows come in slot order: the one read
+    keeps every row's line."""
     rows = [f"{i * 3600},{i % 24}\n" for i in range(24 * 36)]
     rows.insert(101, "360000,7\n")  # slot 100 again, on line 103
+    if unsorted:  # two later rows swapped, on lines 202 and 203
+        rows[200], rows[201] = rows[201], rows[200]
     data = ("timestamp,value\n" + "".join(rows)).encode()
     regular = tmp_path / "series.csv"
     regular.write_bytes(data)

@@ -1,11 +1,12 @@
 
 import os
 import random
+from itertools import islice
 
 import pytest
 
 from qbsd.baselines import SeasonalNaive
-from qbsd.core import contingency_constant
+from qbsd.core import QbsdConfig, contingency_constant
 from qbsd.datasets import (
     DatasetDescriptor,
     SeriesFrame,
@@ -16,6 +17,7 @@ from qbsd.datasets import (
     get_descriptor,
     load_csv,
     parse_timestamp,
+    replay,
     rolling_evaluate,
     skipped_count,
 )
@@ -27,6 +29,7 @@ from qbsd.errors import (
     InsufficientHistory,
     InsufficientSpan,
     ParseError,
+    StaleSlot,
 )
 from qbsd.timegrid import (
     DAILY,
@@ -102,12 +105,11 @@ class TestLoadCsv:
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
     @pytest.mark.parametrize("text, line, first", [
-        # in slot order, the one pass meets both lines
         (b"ts,v\n0,1\n900,2\n900,3\n", ":4", " (first at line 3)"),
-        # unsorted, the lines would need a second read, which a pipe cannot give
-        (b"ts,v\n900,1\n0,2\n900,3\n", "", ""),
+        # unsorted: the line numbers are sorted with the slots, so the one read names both
+        (b"ts,v\n900,1\n0,2\n900,3\n", ":4", " (first at line 2)"),
     ], ids=["in-order", "unsorted"])
-    def test_duplicate_in_a_pipe_names_the_path(self, text, line, first):
+    def test_duplicate_in_a_pipe_names_its_lines(self, text, line, first):
         read, write = os.pipe()
         os.write(write, text)
         os.close(write)
@@ -140,6 +142,29 @@ class TestLoadCsv:
         with pytest.raises(ParseError) as exc:
             load_csv(str(path), "ts", "v", QUARTER_HOURLY)
         assert "bad.csv:2" in str(exc.value)
+
+
+class TestReplay:
+    """``replay`` takes ``(line, slot, value)`` rows and rejects a repeated
+    slot naming the row's ``path:line``, after yielding every record before it."""
+
+    def forecaster(self):
+        return RollingForecaster(QbsdConfig(scheme=default_weekly_scheme(4, 1, HOURLY)), HOURLY)
+
+    def test_repeated_value_names_its_line(self):
+        records = replay(self.forecaster(), [(2, 0, 1.0), (3, 1, None), (5, 0, 2.0)], "in.csv")
+        assert [r.global_slot for r in islice(records, 2)] == [0, 1]
+        with pytest.raises(DuplicateTimestamp) as exc:
+            next(records)
+        assert str(exc.value) == "in.csv:5: slot 0 (1970-01-01T00:00:00) appears more than once"
+
+    def test_gap_the_window_has_passed_is_stale(self):
+        forecaster = self.forecaster()
+        oldest = 5000 - forecaster.history.capacity + 1
+        with pytest.raises(StaleSlot) as exc:
+            list(replay(forecaster, [(2, 0, 1.0), (3, 5000, 2.0), (4, 0, None)], "in.csv"))
+        assert str(exc.value) == (f"in.csv:4: 1970-01-01T00:00:00: slot 0 is older than "
+                                  f"the retained window (oldest kept: {oldest})")
 
 
 class TestSynthetic:

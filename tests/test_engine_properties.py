@@ -7,7 +7,7 @@ retained window, then ``qbsd_step`` over the sorted values. A second
 property drives long runs of consecutive targets, which slide the kept
 sorted subset on wide schemes, mixed with every call that must rebuild it,
 and compares every float field by ``repr`` so a flipped zero sign shows.
-The int-slot path (``replay`` over ``(slot, actual)`` ints, ``forecast_at``
+The int-slot path (``replay`` over ``(line, slot, actual)`` int rows, ``forecast_at``
 of an int) is checked against the same calls with ``SlotCoord``s.
 """
 
@@ -451,7 +451,7 @@ def test_replay_over_int_slots_matches_slotcoord_loop(
     k = max(k, 3) if slide else k
     ints, coords = _twin_forecasters(slide, k, extra_capacity, min_samples)
     points = _points(seed, 150 + ints._span, gap_rate, jump_rate, ties)
-    got = list(replay(ints, points))
+    got = list(replay(ints, [(n, s, v) for n, (s, v) in enumerate(points, 1)], "points"))
     want = _reference_records(coords, points)
     assert got == want
     assert repr(got) == repr(want)  # a flipped zero sign shows in repr only

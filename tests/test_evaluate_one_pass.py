@@ -58,7 +58,8 @@ def by_hand(frame, method, desc):
     if isinstance(method, QbsdConfig):
         forecaster = RollingForecaster(method, DAILY, capacity_slots=window)
         forecaster.ingest_history(prefill)
-        records = list(replay(forecaster, points))
+        rows = [(n, s, v) for n, (s, v) in enumerate(points, 1)]
+        records = list(replay(forecaster, rows, "points"))
     else:
         history = SlidingHistory(window)
         for slot, value in prefill:

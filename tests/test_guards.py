@@ -1,5 +1,5 @@
-"""Source guards, read with ``ast``: no float ``sum()`` in the package, and no
-numpy in the tests.
+"""Source guards, read with ``ast``: no float ``sum()`` in the package, no
+private package name imported by the CLI, and no numpy in the tests.
 
 From Python 3.12 on the built-in ``sum()`` of floats is compensated, so a
 float ``sum()`` in ``src/qbsd`` would make outputs differ between the
@@ -71,6 +71,32 @@ def test_sum_calls_in_the_package_are_the_exact_ones():
 def test_sum_guard_sees_a_float_sum():
     tree = ast.parse("def qbsd_step(ordered, lo, hi):\n    return sum(ordered[lo:hi])\n")
     assert list(sum_calls(tree, "core")) == [("core.qbsd_step", "sum(ordered[lo:hi])")]
+
+
+def private_imports(tree: ast.AST) -> list[str]:
+    """``module.name`` of every name starting with ``_`` imported from the
+    package, by a relative or a ``qbsd`` import."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "qbsd"):
+            found += [f"{node.module}.{alias.name}" for alias in node.names
+                      if alias.name.startswith("_")]
+    return found
+
+
+def test_cli_imports_no_private_name():
+    """The row contract lives behind ``datasets``' public functions: the CLI
+    reaches no private helper of the package."""
+    assert private_imports(ast.parse((PACKAGE / "cli.py").read_text())) == []
+
+
+def test_private_import_guard_sees_every_import_form():
+    source = ("from .datasets import (\n    load_csv,\n    _record,\n)\n"
+              "from qbsd.engine import _Ring as Ring\n")
+    assert private_imports(ast.parse(source)) == ["datasets._record", "qbsd.engine._Ring"]
+    assert private_imports(ast.parse("from __future__ import annotations\n"
+                                     "from os import _exit\nfrom . import errors")) == []
 
 
 def imports_numpy(tree: ast.AST) -> bool:

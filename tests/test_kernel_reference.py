@@ -221,9 +221,9 @@ def test_positions_are_planned_once_per_present_count(monkeypatch):
     # weekly4 at k=4: 27 samples in 4 lag groups, so consecutive targets slide
     cfg = QbsdConfig(scheme=default_weekly_scheme(4, 4, HOURLY), min_samples=3)
     rng = random.Random(2000)
-    points = [(s, None if rng.random() < 0.35 else rng.gauss(100.0, 30.0))
-              for s in range(2000)]
-    records = list(replay(RollingForecaster(cfg, HOURLY), points))
+    rows = [(s + 2, s, None if rng.random() < 0.35 else rng.gauss(100.0, 30.0))
+            for s in range(2000)]
+    records = list(replay(RollingForecaster(cfg, HOURLY), rows, "rows"))
     counts = [r.sample_count for r in records if r.sample_count is not None]
     assert len(counts) > 1000
     assert sorted(planned) == sorted(set(counts))
