@@ -37,7 +37,6 @@ from .datasets import (
     generate_synthetic,
     get_descriptor,
     load_csv,
-    numbered_points,
     parse_timestamp,
     replay,
     # not called here: kept only because perfbench/tracer.py looks up
@@ -490,6 +489,11 @@ def cmd_evaluate(args) -> int:
     desc = _resolve_descriptor(args, need_test_range=True)
     cfg = _qbsd_config(args, desc)
     methods = _parse_methods(args.method or "qbsd", desc.frequency)
+    if args.output and args.report:
+        for label, _ in methods:
+            records = _records_path(args.output, label, len(methods) > 1)
+            if Path(records) == Path(args.report):
+                raise ConfigError(f"the {label} records and --report would both write {records}")
     if args.input is not None:
         frame = load_csv(args.input, desc.timestamp_column, desc.target_column, desc.frequency)
     elif desc.name != "synthetic":
@@ -641,8 +645,7 @@ def _run_streaming_command(args, threshold: Optional[float]) -> int:
         # one read per input: without --c, anomaly holds the first scheme-span's
         # rows to estimate c, so memory stays bounded by the window and those rows
         with _output_file(out_path) as out:
-            with series_rows(path, desc.timestamp_column, desc.target_column) as cells:
-                rows = numbered_points(cells, path, g)
+            with series_rows(path, desc.timestamp_column, desc.target_column, g) as rows:
                 run_cfg = cfg
                 if threshold is not None and args.c is None:
                     c, held = _estimate_c(rows, desc.scheme.span_slots, cfg.c)

@@ -21,7 +21,7 @@ from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
-from itertools import compress, count, islice
+from itertools import chain, compress, count, islice
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .baselines import BaselineSpec, baseline_forecast
@@ -166,22 +166,23 @@ def format_timestamp(epoch_seconds: int) -> str:
 
 @contextmanager
 def series_rows(
-    path: str, timestamp_column: str, value_column: str
-) -> Iterator[Iterator[tuple[int, str, Optional[float], str]]]:
-    """Open a headered CSV and yield an iterator over its data rows.
+    path: str, timestamp_column: str, value_column: str, g: Granularity
+) -> Iterator[Iterator[tuple[int, int, Optional[float]]]]:
+    """Open a headered CSV and yield an iterator over its data rows as
+    ``(line, global slot, value)`` on grid g.
 
-    The header is checked and resolved to column indices on entry. Each row
-    comes out as ``(number, raw_timestamp, value, bad_value)``: ``value`` is
-    the finite float in the value cell, or None for a gap (a blank or
-    non-finite cell); ``bad_value`` is the stripped cell text when the cell
-    is not a number at all, else "". Rows behave as in ``csv.DictReader``:
-    blank lines are skipped, missing cells of a short row are blank, and a
-    repeated header name means its last column. ``number`` is the physical
-    line the row ends on (``csv.reader.line_num``), so blank lines and
-    quoted cells spanning lines are counted.
+    A UTF-8 byte order mark at the start of the file is dropped; the header
+    is checked and resolved to column indices on entry. ``value`` is the finite
+    float in the value cell, or None for a gap: a blank or non-finite cell.
+    Rows behave as in ``csv.DictReader``: blank lines are skipped, missing
+    cells of a short row are blank, and a repeated header name means its last
+    column. ``line`` is the physical line the row ends on
+    (``csv.reader.line_num``), so blank lines and quoted cells spanning lines
+    are counted. A malformed row raises with its ``path:line``, a bad
+    timestamp before a bad value.
     """
     with open(path, newline="") as handle:
-        reader = csv.reader(handle)
+        reader = csv.reader(chain((handle.readline().removeprefix("\ufeff"),), handle))
         header = next(reader, None) or []
         for column in (timestamp_column, value_column):
             if column not in header:
@@ -189,29 +190,38 @@ def series_rows(
                     f"{path}: column {column!r} not found in header {header}"
                 )
         last = {name: index for index, name in enumerate(header)}
-        yield _series_cells(reader, last[timestamp_column], last[value_column])
+        ts_index, value_index = last[timestamp_column], last[value_column]
+        width = max(ts_index, value_index) + 1
+        interval = g.interval_seconds
+        isfinite = math.isfinite
 
+        def rows() -> Iterator[tuple[int, int, Optional[float]]]:
+            for row in reader:
+                if not row:
+                    continue
+                line = reader.line_num
+                if len(row) < width:
+                    row += [""] * (width - len(row))
+                try:
+                    epoch = parse_timestamp(row[ts_index])
+                    slot, rem = divmod(epoch, interval)
+                    if rem or slot < 0 or epoch >= GRID_END:
+                        align(epoch, g)  # raises: off the grid or outside its years
+                except DataError as exc:
+                    raise type(exc)(f"{path}:{line}: {exc}") from exc
+                try:
+                    value = float(row[value_index])
+                except ValueError:
+                    bad = row[value_index].strip()
+                    if bad:
+                        raise ParseError(f"{path}:{line}: bad value {bad!r}") from None
+                    value = None
+                else:
+                    if not isfinite(value):
+                        value = None
+                yield line, slot, value
 
-def _series_cells(
-    reader, ts_index: int, value_index: int
-) -> Iterator[tuple[int, str, Optional[float], str]]:
-    isfinite = math.isfinite
-    width = max(ts_index, value_index) + 1
-    for row in reader:
-        if not row:
-            continue
-        number = reader.line_num
-        if len(row) < width:
-            row += [""] * (width - len(row))
-        try:
-            value = float(row[value_index])
-        except ValueError:
-            yield number, row[ts_index], None, row[value_index].strip()
-            continue
-        if isfinite(value):
-            yield number, row[ts_index], value, ""
-        else:
-            yield number, row[ts_index], None, ""
+        yield rows()
 
 
 @dataclass(frozen=True)
@@ -251,26 +261,6 @@ class SeriesFrame:
             yield SlotCoord(slot, g), value
 
 
-def numbered_points(
-    rows: Iterable[tuple[int, str, Optional[float], str]], path: str, g: Granularity
-) -> Iterator[tuple[int, int, Optional[float]]]:
-    """``series_rows`` rows as ``(line, global slot, value)`` points on grid
-    g, the value None for a gap. A malformed row raises with its
-    ``path:line``."""
-    interval = g.interval_seconds
-    for number, raw_ts, value, bad_value in rows:
-        try:
-            epoch = parse_timestamp(raw_ts)
-            slot, rem = divmod(epoch, interval)
-            if rem or slot < 0 or epoch >= GRID_END:
-                align(epoch, g)  # raises: off the grid or outside its years
-        except DataError as exc:
-            raise type(exc)(f"{path}:{number}: {exc}") from exc
-        if bad_value:
-            raise ParseError(f"{path}:{number}: bad value {bad_value!r}")
-        yield number, slot, value
-
-
 def load_csv(
     path: str,
     timestamp_column: str,
@@ -288,8 +278,8 @@ def load_csv(
     """
     slots, values, lines = array("q"), array("d"), array("q")
     add_slot, add_value, add_line = slots.append, values.append, lines.append
-    with series_rows(path, timestamp_column, value_column) as cells:
-        for line, slot, value in numbered_points(cells, path, granularity):
+    with series_rows(path, timestamp_column, value_column, granularity) as rows:
+        for line, slot, value in rows:
             if value is not None:
                 add_slot(slot)
                 add_value(value)
@@ -615,7 +605,7 @@ def replay(
     path: str,
 ) -> Iterator[StepRecord]:
     """One record per ``(line, global slot, actual)`` row, in arrival order,
-    as ``_record`` builds it; ``numbered_points`` yields such rows, and
+    as ``_record`` builds it; ``series_rows`` yields such rows, and
     ``path`` labels the errors. A value for a slot the window already holds
     raises ``DuplicateTimestamp``, and a row for a slot the window has
     passed raises ``StaleSlot``, each naming the row's ``path:line``."""

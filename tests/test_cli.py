@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qbsd import cli, datasets
+from qbsd import cli
 from qbsd.cli import (
     RecordWriter,
     _build_parser,
@@ -27,13 +27,12 @@ from qbsd.cli import (
     main,
 )
 from qbsd.core import contingency_constant
-from qbsd.datasets import StepRecord, format_timestamp, parse_timestamp, series_rows
+from qbsd.datasets import StepRecord, format_timestamp, series_rows
 from qbsd.engine import RollingForecaster, default_capacity
-from qbsd.errors import ConfigError, DataError
+from qbsd.errors import ConfigError
 from qbsd.smoothing import MovingAverage, smooth
 from qbsd.timegrid import (
     Granularity,
-    align,
     default_weekly_scheme,
     weekly_plus_yearly_scheme,
 )
@@ -402,6 +401,25 @@ class TestEvaluate:
             assert err.startswith(f"error: {flag} -: ")
             assert stdout == ""
             assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("method,output,report,records", [
+        ("qbsd", "same.csv", "same.csv", "same.csv"),
+        ("qbsd,persistence", "r.csv", "./r.qbsd.csv", "r.qbsd.csv"),
+    ], ids=["one-method", "one-of-two"])
+    def test_report_on_a_records_path_exits_1_before_input(
+        self, tmp_path, capsys, monkeypatch, method, output, report, records
+    ):
+        """The records files are renamed into place after the report, so
+        one of them would silently replace it."""
+        monkeypatch.chdir(tmp_path)
+        code, stdout, err = run(capsys, "evaluate", "--input", "absent.csv",
+                                "--interval", "3600", "--test-start", "0",
+                                "--test-end", "3600", "--method", method,
+                                "--output", output, "--report", report)
+        assert code == 1
+        assert err == f"error: the qbsd records and --report would both write {records}\n"
+        assert stdout == ""
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_dataset_exit_1(self, capsys):
         code, _, err = run(capsys, "evaluate", "--dataset", "wat")
@@ -1374,19 +1392,15 @@ def test_unknown_command_is_exit_1(capsys):
 
 
 def reference_prefix_c(input_path: str, desc, floor: float) -> float:
-    """The two-pass estimate that the in-stream one replaced: a second,
-    lenient read of the input that takes the values of the first
-    scheme-span of well-formed rows."""
+    """The two-pass estimate that the in-stream one replaced: a second read
+    of the input that takes the values of the first scheme-span of rows."""
     first = None
     values = []
     span = desc.scheme.span_slots
-    with series_rows(input_path, desc.timestamp_column, desc.target_column) as rows:
-        for _, raw_ts, value, _ in rows:
+    with series_rows(input_path, desc.timestamp_column, desc.target_column,
+                     desc.frequency) as rows:
+        for _, slot, value in rows:
             if value is None:
-                continue
-            try:
-                slot = align(parse_timestamp(raw_ts), desc.frequency).global_slot
-            except DataError:
                 continue
             if first is None:
                 first = slot
@@ -1444,8 +1458,7 @@ def test_in_stream_c_matches_two_pass_estimate(tmp_path_factory, rows, floor):
     desc = _resolve_descriptor(_build_parser().parse_args(flags), need_test_range=False)
     expected = reference_prefix_c(str(path), desc, floor)
 
-    with series_rows(str(path), "timestamp", "value") as stream:
-        points = datasets.numbered_points(stream, str(path), g)
+    with series_rows(str(path), "timestamp", "value", g) as points:
         c, held = _estimate_c(points, desc.scheme.span_slots, floor)
         rest = list(points)
     assert c == expected

@@ -32,71 +32,103 @@ from qbsd.datasets import (
     parse_timestamp,
     series_rows,
 )
-from qbsd.errors import DuplicateTimestamp, GridMisaligned, ParseError, SeriesTooShort
+from qbsd.errors import DataError, DuplicateTimestamp, GridMisaligned, ParseError, SeriesTooShort
 from qbsd.smoothing import StreamingSmoother
-from qbsd.timegrid import Granularity
+from qbsd.timegrid import Granularity, align
 
 # ------------------------------------------------------------ row reader
 
 
-def dictreader_rows(path: Path, ts_column: str, value_column: str) -> list:
-    """What the loops over ``csv.DictReader`` saw, in ``series_rows`` form."""
+def dictreader_rows(path: Path, ts_column: str, value_column: str, g: Granularity):
+    """What the loops over ``csv.DictReader`` saw, in ``series_rows`` form:
+    the ``(line, slot, value)`` rows before the first malformed row, and that
+    row's error type and ``path:line`` message, or None."""
     out = []
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.DictReader(handle)
         for row in reader:
-            number = reader.line_num  # the physical line the row ends on
+            line = reader.line_num  # the physical line the row ends on
+            try:
+                slot = align(reference_parse(row.get(ts_column) or ""), g).global_slot
+            except DataError as exc:
+                return out, (type(exc), f"{path}:{line}: {exc}")
             raw_value = (row.get(value_column) or "").strip()
-            value, bad = None, ""
+            value = None
             if raw_value:
                 try:
                     value = float(raw_value)
                 except ValueError:
-                    bad = raw_value
-                else:
-                    if not math.isfinite(value):
-                        value = None
-            out.append((number, row.get(ts_column) or "", value, bad))
-    return out
+                    return out, (ParseError, f"{path}:{line}: bad value {raw_value!r}")
+                if not math.isfinite(value):
+                    value = None
+            out.append((line, slot, value))
+    return out, None
+
+
+def reader_rows(path: Path, ts_column: str, value_column: str, g: Granularity):
+    """``series_rows``'s rows up to its first error, in ``dictreader_rows`` form."""
+    out = []
+    with series_rows(str(path), ts_column, value_column, g) as rows:
+        try:
+            out.extend(rows)
+        except DataError as exc:
+            return out, (type(exc), str(exc))
+    return out, None
 
 
 CELLS = st.one_of(
-    st.sampled_from(["", " ", "1", "-2.5", " 3e2 ", "nan", "-inf", "Infinity",
-                     "x", "1,5", 'a"b', "7\n8", "1970-01-01T00:15:00"]),
+    st.sampled_from(["", " ", "0", "1", "-2.5", " 3e2 ", "900", "-900", "nan", "-inf",
+                     "Infinity", "x", "1,5", 'a"b', "7\n8", "1970-01-01T00:15:00"]),
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
 )
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(
     header=st.lists(st.sampled_from(["ts", "v", "w", ""]), min_size=1, max_size=5),
     rows=st.lists(st.lists(CELLS, max_size=6), max_size=12),
+    interval=st.sampled_from([1, 900]),
+    bom=st.booleans(),
+    quoting=st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]),
 )
-@example(header=["v", "ts", "v"], rows=[["1", "0", "2"], [], ["3"], ["4", "900"]])
-@example(header=["ts", "v", "ts"], rows=[["0", "1", "x"], ["", " "], ["900", "nan", "1800"]])
-def test_series_rows_matches_dictreader(tmp_path_factory, header, rows):
+@example(header=["v", "ts", "v"], rows=[["1", "0", "2"], [], ["3"], ["4", "900"]],
+         interval=900, bom=False, quoting=csv.QUOTE_MINIMAL)
+@example(header=["ts", "v", "ts"], rows=[["0", "1", "x"], ["", " "], ["900", "nan", "1800"]],
+         interval=900, bom=False, quoting=csv.QUOTE_MINIMAL)
+@example(header=["ts", "v"], rows=[["0", " 3e2 "], ["1", ""], ["1800", "7\n8"]],
+         interval=1, bom=True, quoting=csv.QUOTE_MINIMAL)  # a byte order mark
+@example(header=["ts", "v"], rows=[["0", "1"]], interval=1, bom=True,
+         quoting=csv.QUOTE_ALL)  # a byte order mark before a quoted header
+@example(header=["ts", "w", "v"], rows=[["0"], ["900", "x", "5", "6"], ["-900", "1", "2"]],
+         interval=900, bom=False,
+         quoting=csv.QUOTE_MINIMAL)  # a short row is a gap; then a long row and a negative time
+def test_series_rows_matches_dictreader(tmp_path_factory, header, rows, interval, bom,
+                                        quoting):
     """Blank lines, short and long rows, repeated header names, quoted cells
-    spanning lines, and the numbers used in error messages."""
+    spanning lines, a byte order mark before a quoted header or not, bad,
+    off-grid and negative timestamps, bad and non-finite values, and the
+    lines used in error messages."""
     path = tmp_path_factory.mktemp("rows") / "in.csv"
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        if bom:
+            handle.write("\ufeff")
+        writer = csv.writer(handle, lineterminator="\n", quoting=quoting)
         writer.writerow(header)
         writer.writerows(rows)  # an empty list is written as a blank line
+    g = Granularity(interval)
     if "ts" not in header or "v" not in header:
         with pytest.raises(ParseError, match="not found in header"):
-            with series_rows(str(path), "ts", "v"):
+            with series_rows(str(path), "ts", "v", g):
                 pass
         return
-    with series_rows(str(path), "ts", "v") as got:
-        assert list(got) == dictreader_rows(path, "ts", "v")
+    assert reader_rows(path, "ts", "v", g) == dictreader_rows(path, "ts", "v", g)
 
 
 def reference_load(path: Path, g: Granularity):
     """``load_csv``'s result as a sort and a scan of every present row: the
     frame's ``(slots, values)``, or the message of its ``DuplicateTimestamp``."""
-    with series_rows(str(path), "ts", "v") as cells:
-        present = [(parse_timestamp(ts) // g.interval_seconds, value, number)
-                   for number, ts, value, _ in cells if value is not None]
+    with series_rows(str(path), "ts", "v", g) as rows:
+        present = [(slot, value, line) for line, slot, value in rows if value is not None]
     present.sort(key=lambda row: row[0])
     for (a, _, _), (b, _, _) in zip(present, present[1:]):
         if a == b:
@@ -145,7 +177,7 @@ def test_series_rows_empty_file(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")
     with pytest.raises(ParseError, match=r"not found in header \[\]"):
-        with series_rows(str(path), "ts", "v"):
+        with series_rows(str(path), "ts", "v", Granularity(900)):
             pass
 
 
@@ -512,3 +544,18 @@ def test_nonfinite_cells_are_gaps(tmp_path, command):
     if command == "evaluate":
         report = json.loads(got[0], parse_constant=_reject_constant)
         assert all(math.isfinite(row["mae"]) for row in report["methods"])
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_byte_order_mark_reads_like_a_plain_file(tmp_path, command):
+    """A UTF-8 byte order mark before the header, as some spreadsheets save
+    CSV, changes no byte that a command writes."""
+    plain, _ = _inputs_with_nonfinite(tmp_path)
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    argv = COMMANDS[command]
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    got = _run([*argv, "--input", str(marked)], tmp_path / "a" / "out.csv")
+    want = _run([*argv, "--input", str(plain)], tmp_path / "b" / "out.csv")
+    assert got[1] and got == want
