@@ -50,14 +50,11 @@ from .metrics import EvalPairs, MetricsReport, evaluate, wilcoxon_signed_rank
 from .smoothing import savgol_coefficients, smooth
 from .timegrid import (
     Granularity,
-    LagSpec,
     SeasonalityScheme,
     SlotCoord,
-    WindowKind,
     align,
     default_weekly_scheme,
     resolve_subset_slots,
-    scheme_from_lags,
     weekly_plus_yearly_scheme,
 )
 

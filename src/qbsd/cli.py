@@ -58,7 +58,6 @@ from .timegrid import (
     SeasonalityScheme,
     align,
     default_weekly_scheme,
-    scheme_from_lags,
     weekly_plus_yearly_scheme,
 )
 
@@ -99,7 +98,7 @@ def _parse_scheme(name: str, k: int, g: Granularity):
             days = [int(part) for part in name[len("custom:") :].split(",")]
         except ValueError:
             raise ConfigError(f"bad custom scheme {name!r}; expected custom:0,7,14")
-        return scheme_from_lags([d * g.slots_per_day for d in days], k)
+        return SeasonalityScheme(tuple(d * g.slots_per_day for d in days), k)
     raise ConfigError(
         f"unknown scheme {name!r}; use weekly4, weekly6, weekly_plus_yearly "
         "or custom:<day,day,...>"
@@ -200,8 +199,8 @@ def _parse_anomalies(text: Optional[str]) -> tuple[tuple[int, float], ...]:
 def _load_config_flags(path: str) -> list[str]:
     flags: list[str] = []
     try:
-        lines = Path(path).read_text().splitlines()
-    except OSError as exc:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}")
     for number, line in enumerate(lines, start=1):
         line = line.strip()
@@ -374,7 +373,7 @@ def _resolve_descriptor(args, need_test_range: bool) -> DatasetDescriptor:
         if args.scheme:
             scheme = _parse_scheme(args.scheme, k, g)
         else:  # the builtin's lags at the run's context period
-            scheme = scheme_from_lags([lag.lag_slots for lag in base.scheme.lags], k)
+            scheme = SeasonalityScheme(base.scheme.lag_slots, k)
         name, ts_column, value_column = base.name, base.timestamp_column, base.target_column
         window_seconds = base.train_window_seconds
     if args.train_window is not None:

@@ -171,8 +171,11 @@ def series_rows(
     """Open a headered CSV and yield an iterator over its data rows as
     ``(line, global slot, value)`` on grid g.
 
-    A UTF-8 byte order mark at the start of the file is dropped; the header
-    is checked and resolved to column indices on entry. ``value`` is the finite
+    The file is read as UTF-8, and a UTF-8 byte order mark at its start is
+    dropped. A byte that is not UTF-8 becomes a surrogate escape, so in the
+    header or in a cell that is read it fails like any other unknown name or
+    bad cell, and elsewhere it is ignored. The header is checked and
+    resolved to column indices on entry. ``value`` is the finite
     float in the value cell, or None for a gap: a blank or non-finite cell.
     Rows behave as in ``csv.DictReader``: blank lines are skipped, missing
     cells of a short row are blank, and a repeated header name means its last
@@ -181,7 +184,7 @@ def series_rows(
     are counted. A malformed row raises with its ``path:line``, a bad
     timestamp before a bad value.
     """
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as handle:
         reader = csv.reader(chain((handle.readline().removeprefix("\ufeff"),), handle))
         header = next(reader, None) or []
         for column in (timestamp_column, value_column):

@@ -34,7 +34,7 @@ def default_capacity(scheme: SeasonalityScheme, granularity: Granularity) -> int
     """The retained window, in slots, when none is given: the scheme's
     deepest lag plus one week (28 days for the 4-week scheme), or plus
     k + 1 slots if that is longer."""
-    return scheme.max_lag_slots + max(granularity.slots_per_week, scheme.k + 1)
+    return scheme.lag_slots[-1] + max(granularity.slots_per_week, scheme.k + 1)
 
 
 class SlidingHistory:
@@ -179,11 +179,7 @@ class RollingForecaster:
         self._span = required
         # Per non-empty lag group, the offsets from the new target of the
         # slot that leaves the group's window and of the slot that enters it.
-        edges = []
-        for lag in scheme.lags:
-            offsets = lag.resolved_offsets()
-            if offsets:
-                edges.append((offsets[0] - 1, offsets[-1]))
+        edges = [(group[0] - 1, group[-1]) for group in scheme.groups if group]
         # Sliding costs a bisect, a del and an insort per lag group; reading
         # and sorting cost about one cell read and compare per sample. In two
         # sweeps of weekly4, weekly6, weekly_plus_yearly and two-lag schemes

@@ -17,13 +17,6 @@ SECONDS_PER_DAY = 86400
 # the grid ends where four-digit years do: 10000-01-01T00:00:00Z
 GRID_END = 253402300800
 
-PAST = "past"
-SYMMETRIC = "symmetric"
-FORWARD_INCLUSIVE = "forward_inclusive"
-
-_SHAPES = (PAST, SYMMETRIC, FORWARD_INCLUSIVE)
-
-
 @dataclass(frozen=True)
 class Granularity:
     """Grid interval; must divide a day exactly."""
@@ -111,99 +104,47 @@ def align(timestamp_epoch_seconds: int, g: Granularity) -> SlotCoord:
 
 
 @dataclass(frozen=True)
-class WindowKind:
-    """Offsets sampled around a (lagged) target slot.
+class SeasonalityScheme:
+    """The contextual subset, set by the seasonal lags (in slots) and the
+    context period k: the k slots before the target at lag 0, the 2k+1 slots
+    centred on each middle lag, and the lag slot and the k after it at the
+    deepest lag.
 
-    ``past`` covers -k..-1, ``symmetric`` covers -k..+k, and
-    ``forward_inclusive`` covers 0..+k.
+    This shape samples every relative offset in -k..+k the same number of
+    times, so no offset is over-represented in the quartiles. No two lag
+    windows may overlap: every relative offset is sampled at most once.
     """
 
-    shape: str
+    lag_slots: tuple[int, ...]
     k: int
 
     def __post_init__(self) -> None:
-        if self.shape not in _SHAPES:
-            raise InvalidScheme(f"unknown window shape {self.shape!r}")
+        lags = tuple(self.lag_slots)
+        object.__setattr__(self, "lag_slots", lags)
+        if len(lags) < 2:
+            raise InvalidScheme("need at least two lags (lag 0 plus one seasonal lag)")
+        if lags[0] != 0:
+            raise InvalidScheme("the first lag must be 0")
+        if any(a >= b for a, b in zip(lags, lags[1:])):
+            raise InvalidScheme("lags must be strictly increasing")
         if self.k < 0:
             raise InvalidScheme(f"context period k must be >= 0, got {self.k}")
-
-    @classmethod
-    def past(cls, k: int) -> "WindowKind":
-        return cls(PAST, k)
-
-    @classmethod
-    def symmetric(cls, k: int) -> "WindowKind":
-        return cls(SYMMETRIC, k)
-
-    @classmethod
-    def forward_inclusive(cls, k: int) -> "WindowKind":
-        return cls(FORWARD_INCLUSIVE, k)
-
-    def offsets(self) -> range:
-        if self.shape == PAST:
-            return range(-self.k, 0)
-        if self.shape == SYMMETRIC:
-            return range(-self.k, self.k + 1)
-        return range(0, self.k + 1)
-
-    @property
-    def size(self) -> int:
-        return len(self.offsets())
-
-
-@dataclass(frozen=True)
-class LagSpec:
-    """One sampled group: a lag (in slots) back from the target plus a window."""
-
-    lag_slots: int
-    window: WindowKind
-
-    def __post_init__(self) -> None:
-        if self.lag_slots < 0:
-            raise InvalidScheme(f"lag_slots must be >= 0, got {self.lag_slots}")
-
-    def resolved_offsets(self) -> list[int]:
-        """Offsets relative to the target slot."""
-        return [o - self.lag_slots for o in self.window.offsets()]
-
-
-@dataclass(frozen=True)
-class SeasonalityScheme:
-    """Ordered lag groups defining the contextual subset.
-
-    The first group must be the lag-0 past-only window (it may never touch the
-    target slot or anything after it), and no two groups may overlap: every
-    relative offset is sampled at most once.
-    """
-
-    lags: tuple[LagSpec, ...]
-
-    def __post_init__(self) -> None:
-        if not self.lags:
-            raise InvalidScheme("scheme needs at least one lag group")
-        head = self.lags[0]
-        if head.lag_slots != 0 or head.window.shape != PAST:
-            raise InvalidScheme(
-                "the first lag group must be lag 0 with a past-only window"
-            )
-        offsets = self.offsets
-        if not offsets:
-            raise InvalidScheme("scheme selects no slots (all windows empty)")
-        if len(set(offsets)) != len(offsets):
+        # This also keeps every offset below 0: a window at lag L >= 1 reaches
+        # offset 0 only if k >= L, and then it and the lag-0 window both hold -1.
+        if len(set(self.offsets)) != len(self.offsets):
             raise InvalidScheme("lag groups overlap: resolved offsets collide")
-        if max(offsets) >= 0:
-            raise InvalidScheme(
-                "scheme would read the target slot or later (offset "
-                f"{max(offsets)}); lags are too short for this k"
-            )
+
+    @cached_property
+    def groups(self) -> tuple[range, ...]:
+        """The offsets from the target of each lag's window, in lag order."""
+        k, deepest = self.k, self.lag_slots[-1]
+        middle = (range(-lag - k, -lag + k + 1) for lag in self.lag_slots[1:-1])
+        return (range(-k, 0), *middle, range(-deepest, -deepest + k + 1))
 
     @cached_property
     def offsets(self) -> tuple[int, ...]:
-        """All resolved offsets, in lag-group order."""
-        out: list[int] = []
-        for lag in self.lags:
-            out.extend(lag.resolved_offsets())
-        return tuple(out)
+        """All resolved offsets, in lag order."""
+        return tuple(offset for group in self.groups for offset in group)
 
     @property
     def subset_size(self) -> int:
@@ -213,34 +154,6 @@ class SeasonalityScheme:
     def span_slots(self) -> int:
         """Deepest look-back, in slots."""
         return -min(self.offsets)
-
-    @property
-    def max_lag_slots(self) -> int:
-        return max(lag.lag_slots for lag in self.lags)
-
-    @property
-    def k(self) -> int:
-        return max(lag.window.k for lag in self.lags)
-
-
-def scheme_from_lags(lag_slots: list[int], k: int) -> SeasonalityScheme:
-    """Build a scheme from sorted lags (slots): past-only at lag 0, symmetric
-    in between, forward-inclusive at the deepest lag.
-
-    This shape samples every relative offset in -k..+k the same number of
-    times, so no offset is over-represented in the quartiles.
-    """
-    if len(lag_slots) < 2:
-        raise InvalidScheme("need at least two lags (lag 0 plus one seasonal lag)")
-    if lag_slots[0] != 0:
-        raise InvalidScheme("the first lag must be 0")
-    if sorted(lag_slots) != list(lag_slots) or len(set(lag_slots)) != len(lag_slots):
-        raise InvalidScheme("lags must be strictly increasing")
-    lags = [LagSpec(0, WindowKind.past(k))]
-    for lag in lag_slots[1:-1]:
-        lags.append(LagSpec(lag, WindowKind.symmetric(k)))
-    lags.append(LagSpec(lag_slots[-1], WindowKind.forward_inclusive(k)))
-    return SeasonalityScheme(tuple(lags))
 
 
 def default_weekly_scheme(n_weeks: int, k: int, g: Granularity) -> SeasonalityScheme:
@@ -253,7 +166,7 @@ def default_weekly_scheme(n_weeks: int, k: int, g: Granularity) -> SeasonalitySc
     if n_weeks < 2:
         raise InvalidScheme(f"n_weeks must be >= 2, got {n_weeks}")
     week = g.slots_per_week
-    return scheme_from_lags([w * week for w in range(n_weeks)], k)
+    return SeasonalityScheme(tuple(w * week for w in range(n_weeks)), k)
 
 
 def weekly_plus_yearly_scheme(k: int, g: Granularity) -> SeasonalityScheme:
@@ -262,7 +175,7 @@ def weekly_plus_yearly_scheme(k: int, g: Granularity) -> SeasonalityScheme:
     364 rather than 365 keeps the yearly lag on the same day-of-week.
     """
     week = g.slots_per_week
-    return scheme_from_lags([0, week, 52 * week], k)
+    return SeasonalityScheme((0, week, 52 * week), k)
 
 
 def resolve_subset_slots(t: SlotCoord, scheme: SeasonalityScheme) -> list[SlotCoord]:

@@ -1036,6 +1036,14 @@ class TestConfigFile:
         assert code == 1
         assert "key=value" in err
 
+    def test_config_that_is_not_utf8_exits_1(self, tmp_path, capsys):
+        conf = tmp_path / "latin1.conf"
+        conf.write_bytes(b"interval=36\xe900\n")
+        code, stdout, err = run(capsys, "forecast", "--config", str(conf))
+        assert code == 1
+        assert err.startswith(f"error: cannot read config file {conf}: 'utf-8' codec ")
+        assert stdout == ""
+
 
     def test_command_line_input_overrides_config(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -559,3 +559,34 @@ def test_byte_order_mark_reads_like_a_plain_file(tmp_path, command):
     got = _run([*argv, "--input", str(marked)], tmp_path / "a" / "out.csv")
     want = _run([*argv, "--input", str(plain)], tmp_path / "b" / "out.csv")
     assert got[1] and got == want
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_bytes_that_are_not_utf8_exit_2_unless_their_column_is_not_read(
+    tmp_path, command, capsys
+):
+    """A CSV is read as UTF-8. A byte that is not UTF-8 in the header or in a
+    value cell exits 2 with the message any other unmatched name or bad value
+    gives; in a column that is not read it is ignored, like the rest of it."""
+    plain, _ = _inputs_with_nonfinite(tmp_path)
+    lines = plain.read_bytes().split(b"\n")
+    argv = COMMANDS[command]
+    header, value, noted = tmp_path / "header.csv", tmp_path / "value.csv", tmp_path / "noted.csv"
+    header.write_bytes(b"\n".join([b"timestamp,valu\xe9", *lines[1:]]))
+    value.write_bytes(b"\n".join([*lines[:100], lines[100] + b"\xff", *lines[101:]]))
+    cell = lines[100].split(b",")[1].decode()
+    noted.write_bytes(b"\n".join(
+        [b"timestamp,value,note", *(line + b",n\xff" for line in lines[1:] if line)]) + b"\n")
+    (tmp_path / "bad").mkdir()
+    for path, message in (
+        (header, f"{header}: column 'value' not found in header ['timestamp', 'valu\\udce9']"),
+        (value, f"{value}:101: bad value '{cell}\\udcff'"),
+    ):
+        assert main([*argv, "--input", str(path), "--output",
+                     str(tmp_path / "bad" / "out.csv")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    got = _run([*argv, "--input", str(noted)], tmp_path / "a" / "out.csv")
+    want = _run([*argv, "--input", str(plain)], tmp_path / "b" / "out.csv")
+    assert got[1] and got == want

@@ -35,8 +35,8 @@ from qbsd.timegrid import (
     DAILY,
     HOURLY,
     QUARTER_HOURLY,
+    SeasonalityScheme,
     default_weekly_scheme,
-    scheme_from_lags,
 )
 
 
@@ -226,17 +226,17 @@ class TestDescriptors:
         assert d.frequency.interval_seconds == 900
         assert d.k_slots == 4  # one hour of 15-minute slots
         assert d.scheme.subset_size == 6 * 4 + 3
-        assert len(d.scheme.lags) == 4
+        assert len(d.scheme.lag_slots) == 4
 
     def test_births_parameters(self):
         d = get_descriptor("births2015")
         assert d.k_slots == 1
-        assert len(d.scheme.lags) == 6  # current week plus the previous five
+        assert len(d.scheme.lag_slots) == 6  # current week plus the previous five
         assert d.train_window_slots == 42
 
     def test_yearly_parameters(self):
         d = get_descriptor("electricity_demand")
-        assert [lag.lag_slots for lag in d.scheme.lags] == [0, 7, 364]
+        assert d.scheme.lag_slots == (0, 7, 364)
         assert d.k_slots == 2
         assert d.train_window_slots == 364
 
@@ -244,8 +244,7 @@ class TestDescriptors:
     def test_scheme_is_its_lags_at_its_own_k(self, d):
         """The CLI rebuilds a builtin's scheme from its lags at the run's k,
         so at the builtin's own k it must be the builtin's scheme."""
-        lags = [lag.lag_slots for lag in d.scheme.lags]
-        assert scheme_from_lags(lags, d.k_slots) == d.scheme
+        assert SeasonalityScheme(d.scheme.lag_slots, d.k_slots) == d.scheme
 
     def test_unknown_name(self):
         with pytest.raises(ConfigError):
@@ -353,11 +352,7 @@ class TestRollingEvaluate:
         test_start, _ = desc.test_slot_range
         # drop the three weeks feeding one particular test slot's subset
         target = test_start + 10
-        removed = {
-            target - lag.lag_slots + off
-            for lag in desc.scheme.lags
-            for off in lag.window.offsets()
-        }
+        removed = {target + off for group in desc.scheme.groups for off in group}
         kept = [
             (s, v) for s, v in zip(full.slots, full.values) if s not in removed
         ]

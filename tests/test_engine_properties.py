@@ -32,9 +32,9 @@ from qbsd.errors import (
 from qbsd.timegrid import (
     DAILY,
     Granularity,
+    SeasonalityScheme,
     SlotCoord,
     default_weekly_scheme,
-    scheme_from_lags,
     resolve_subset_slots,
     weekly_plus_yearly_scheme,
 )
@@ -244,7 +244,7 @@ def test_sliding_subset_matches_reference(
         g, scheme = DAILY, weekly_plus_yearly_scheme(k, DAILY)
     elif shape == "two_lags":
         g = SIX_HOURLY
-        scheme = scheme_from_lags([0, g.slots_per_week], k)
+        scheme = SeasonalityScheme((0, g.slots_per_week), k)
     else:
         g, scheme = SIX_HOURLY, default_weekly_scheme(4, k, SIX_HOURLY)
     assume(scheme.subset_size >= 3)  # no threshold can be configured below 3

@@ -1,5 +1,6 @@
 """Source guards, read with ``ast``: no float ``sum()`` in the package, no
-private package name imported by the CLI, and no numpy in the tests.
+unused import in it, no private package name imported by the CLI, and no
+numpy in the tests.
 
 From Python 3.12 on the built-in ``sum()`` of floats is compensated, so a
 float ``sum()`` in ``src/qbsd`` would make outputs differ between the
@@ -71,6 +72,47 @@ def test_sum_calls_in_the_package_are_the_exact_ones():
 def test_sum_guard_sees_a_float_sum():
     tree = ast.parse("def qbsd_step(ordered, lo, hi):\n    return sum(ordered[lo:hi])\n")
     assert list(sum_calls(tree, "core")) == [("core.qbsd_step", "sum(ordered[lo:hi])")]
+
+
+# (module.name, why the module imports it without using it)
+ALLOWED_UNUSED_IMPORTS = [
+    ("cli.rolling_evaluate", "perfbench/tracer.py looks it up in qbsd.cli by name"),
+    ("engine.resolve_subset_slots", "perfbench/tracer.py looks it up in qbsd.engine by name"),
+]
+
+
+def unused_imports(tree: ast.AST, module: str) -> list[str]:
+    """``module.name`` of every name an import binds that the module never
+    reads; ``from __future__`` imports are directives, not names."""
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{module}.{name}" for name in imported if name not in read)
+
+
+def test_every_import_in_the_package_is_used():
+    """``__init__.py`` is skipped: its imports are the package's exports."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "__init__.py":
+            found.update(unused_imports(ast.parse(path.read_text()), path.stem))
+    allowed = {name for name, _ in ALLOWED_UNUSED_IMPORTS}
+    extra = sorted(found - allowed)
+    assert not extra, f"unused imports: {extra}"
+    # an import that is used again or gone leaves the allowlist
+    stale = sorted(allowed - found)
+    assert not stale, f"allowed unused imports that are used or gone: {stale}"
+
+
+def test_unused_import_guard_sees_an_unused_name():
+    source = ("from __future__ import annotations\nimport os.path\nimport math as m\n"
+              "from .timegrid import SeasonalityScheme, scheme_from_lags\n"
+              "def build(lags: SeasonalityScheme) -> str:\n    return os.path.join(m.pi)\n")
+    assert unused_imports(ast.parse(source), "cli") == ["cli.scheme_from_lags"]
 
 
 def private_imports(tree: ast.AST) -> list[str]:

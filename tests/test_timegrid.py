@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import pickle
 from datetime import datetime, timezone
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -13,14 +14,11 @@ from qbsd.timegrid import (
     GRID_END,
     QUARTER_HOURLY,
     Granularity,
-    LagSpec,
     SeasonalityScheme,
     SlotCoord,
-    WindowKind,
     align,
     default_weekly_scheme,
     resolve_subset_slots,
-    scheme_from_lags,
     weekly_plus_yearly_scheme,
 )
 
@@ -129,26 +127,27 @@ class TestSlotCoordValue:
 
 
 def test_window_sizes():
-    assert WindowKind.past(4).size == 4
-    assert WindowKind.symmetric(4).size == 9
-    assert WindowKind.forward_inclusive(4).size == 5
-    assert list(WindowKind.past(2).offsets()) == [-2, -1]
-    assert list(WindowKind.symmetric(1).offsets()) == [-1, 0, 1]
-    assert list(WindowKind.forward_inclusive(2).offsets()) == [0, 1, 2]
+    # past-only at lag 0, symmetric at a middle lag, forward-inclusive at the
+    # deepest; offsets below are taken relative to each lag
+    assert [len(group) for group in SeasonalityScheme((0, 10, 20), 4).groups] == [4, 9, 5]
+    two, one = SeasonalityScheme((0, 10, 20), 2), SeasonalityScheme((0, 10, 20), 1)
+    assert list(two.groups[0]) == [-2, -1]
+    assert [off + 10 for off in one.groups[1]] == [-1, 0, 1]
+    assert [off + 20 for off in two.groups[2]] == [0, 1, 2]
     with pytest.raises(InvalidScheme):
-        WindowKind.past(-1)
+        SeasonalityScheme((0, 10, 20), -1)
 
 
 def test_default_weekly_scheme_shapes():
     scheme = default_weekly_scheme(4, 3, DAILY)
-    shapes = [lag.window.shape for lag in scheme.lags]
-    assert shapes == ["past", "symmetric", "symmetric", "forward_inclusive"]
-    assert [lag.lag_slots for lag in scheme.lags] == [0, 7, 14, 21]
+    # past-only, symmetric, symmetric, forward-inclusive
+    assert scheme.groups == (range(-3, 0), range(-10, -3), range(-17, -10), range(-21, -17))
+    assert scheme.lag_slots == (0, 7, 14, 21)
     assert scheme.subset_size == 6 * 3 + 3
 
     two = default_weekly_scheme(2, 3, DAILY)
-    assert [lag.window.shape for lag in two.lags] == ["past", "forward_inclusive"]
-    assert [lag.lag_slots for lag in two.lags] == [0, 7]
+    assert two.groups == (range(-3, 0), range(-7, -3))  # past-only, forward-inclusive
+    assert two.lag_slots == (0, 7)
 
     with pytest.raises(InvalidScheme):
         default_weekly_scheme(1, 3, DAILY)
@@ -157,7 +156,7 @@ def test_default_weekly_scheme_shapes():
 def test_six_week_scheme_size_by_enumeration():
     # window sizes 1 + 3 + 3 + 3 + 3 + 2 for k=1 over six weekly lags
     scheme = default_weekly_scheme(6, 1, DAILY)
-    assert [lag.window.size for lag in scheme.lags] == [1, 3, 3, 3, 3, 2]
+    assert [len(group) for group in scheme.groups] == [1, 3, 3, 3, 3, 2]
     assert scheme.subset_size == 15
 
 
@@ -194,21 +193,34 @@ def test_resolve_insufficient_span():
 
 
 def test_scheme_rejects_overlap_and_leakage():
-    with pytest.raises(InvalidScheme):
-        SeasonalityScheme(
-            (
-                LagSpec(0, WindowKind.past(2)),
-                LagSpec(1, WindowKind.symmetric(2)),  # overlaps the lag-0 window
-            )
-        )
-    with pytest.raises(InvalidScheme):
-        SeasonalityScheme((LagSpec(0, WindowKind.symmetric(1)),))
-    with pytest.raises(InvalidScheme):
-        SeasonalityScheme((LagSpec(7, WindowKind.past(1)),))
-    with pytest.raises(InvalidScheme):
-        scheme_from_lags([0], 1)
-    with pytest.raises(InvalidScheme):
-        scheme_from_lags([0, 7, 7], 1)
+    for lags, k, message in [
+        ((0,), 1, r"need at least two lags \(lag 0 plus one seasonal lag\)"),
+        ((7, 14), 1, "the first lag must be 0"),
+        ((0, 7, 7), 1, "lags must be strictly increasing"),
+        ((0, 14, 7), 1, "lags must be strictly increasing"),
+        ((0, 7), -1, "context period k must be >= 0, got -1"),
+        ((0, 1, 10), 2, "lag groups overlap: resolved offsets collide"),
+        # a lag-1 window would read the target slot: it overlaps lag 0 first
+        ((0, 1), 1, "lag groups overlap: resolved offsets collide"),
+    ]:
+        with pytest.raises(InvalidScheme, match=f"^{message}$"):
+            SeasonalityScheme(lags, k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(gaps=st.lists(st.integers(1, 40), min_size=1, max_size=5), k=st.integers(0, 25))
+def test_scheme_is_accepted_exactly_when_its_windows_are_apart(gaps, k):
+    lags = tuple(accumulate(gaps, initial=0))
+    if 2 * k >= min(gaps):
+        with pytest.raises(InvalidScheme, match="overlap"):
+            SeasonalityScheme(lags, k)
+        return
+    scheme = SeasonalityScheme(lags, k)
+    offsets = scheme.offsets
+    assert len(set(offsets)) == len(offsets)
+    assert all(off < 0 for off in offsets)
+    assert scheme.subset_size == k + (2 * k + 1) * (len(lags) - 2) + (k + 1)
+    assert scheme.span_slots == lags[-1]
 
 
 def test_context_period_too_wide_for_weekly_lags():
@@ -219,7 +231,7 @@ def test_context_period_too_wide_for_weekly_lags():
 
 def test_weekly_plus_yearly_span():
     scheme = weekly_plus_yearly_scheme(2, DAILY)
-    assert [lag.lag_slots for lag in scheme.lags] == [0, 7, 364]
+    assert scheme.lag_slots == (0, 7, 364)
     # forward-inclusive yearly lag: deepest look-back is exactly 364 days
     assert scheme.span_slots == 364
     assert scheme.subset_size == 2 + 5 + 3
@@ -250,5 +262,5 @@ def test_no_target_leakage(k, n_weeks, base):
     assert t.global_slot not in slots
     assert all(s < t.global_slot for s in slots)
     # lag-0 group sits strictly before the target
-    lag0 = slots[: scheme.lags[0].window.size]
+    lag0 = slots[: len(scheme.groups[0])]
     assert all(s <= t.global_slot - 1 for s in lag0)
