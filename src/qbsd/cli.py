@@ -199,7 +199,7 @@ def _parse_anomalies(text: Optional[str]) -> tuple[tuple[int, float], ...]:
 def _load_config_flags(path: str) -> list[str]:
     flags: list[str] = []
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}")
     for number, line in enumerate(lines, start=1):
@@ -335,8 +335,9 @@ class RecordWriter:
 
 
 def _resolve_descriptor(args, need_test_range: bool) -> DatasetDescriptor:
-    """Build the run's descriptor either from a builtin name or from the
-    generic-CSV flags; every parameter is validated before any data work."""
+    """The run's descriptor: a builtin by name, or a custom one from the
+    generic-CSV flags, with the scheme, window and column flags applied to
+    either. ``DatasetDescriptor`` checks the result before any data work."""
     base = get_descriptor(args.dataset) if args.dataset else None
     generated = base is not None and base.name == "synthetic" and not args.input
     for flag, unused, reason in (
@@ -352,41 +353,34 @@ def _resolve_descriptor(args, need_test_range: bool) -> DatasetDescriptor:
         if args.interval is None:
             raise ConfigError("either --dataset or --interval is required")
         g = Granularity(args.interval)
-        k = args.k if args.k is not None else 4
-        scheme = _parse_scheme(args.scheme or "weekly4", k, g)
-        test_range = (0, 0)
-        if need_test_range:
-            if args.test_start is None or args.test_end is None:
-                raise ConfigError(
-                    "--test-start and --test-end are required for custom datasets"
-                )
-            # an unparseable or off-grid value is a usage error
-            with _flag("--test-start"):
-                start = align(parse_timestamp(args.test_start), g).timestamp
-            with _flag("--test-end"):
-                test_range = (start, align(parse_timestamp(args.test_end), g).timestamp)
-        name, ts_column, value_column = "custom", "timestamp", "value"
-        window_seconds = default_capacity(scheme, g) * g.interval_seconds
-    else:
-        g, test_range = base.frequency, base.test_range
-        k = args.k if args.k is not None else base.k_slots
-        if args.scheme:
-            scheme = _parse_scheme(args.scheme, k, g)
-        else:  # the builtin's lags at the run's context period
-            scheme = SeasonalityScheme(base.scheme.lag_slots, k)
-        name, ts_column, value_column = base.name, base.timestamp_column, base.target_column
-        window_seconds = base.train_window_seconds
-    if args.train_window is not None:
-        window_seconds = args.train_window * 86400
-    return DatasetDescriptor(
-        name=name,
-        frequency=g,
-        timestamp_column=args.timestamp_column or ts_column,
-        target_column=args.value_column or value_column,
-        train_window_seconds=window_seconds,
-        k_seconds=k * g.interval_seconds,
-        scheme=scheme,
+        scheme = _parse_scheme(args.scheme or "weekly4", 4 if args.k is None else args.k, g)
+        # (0, 0) until the replace below, which checks the window before the
+        # test range, so a run with both wrong is told about the window
+        base = DatasetDescriptor(
+            "custom", g, "timestamp", "value",
+            default_capacity(scheme, g) * g.interval_seconds, scheme, (0, 0),
+        )
+    g, k = base.frequency, base.k_slots if args.k is None else args.k
+    test_range = base.test_range
+    if need_test_range and not args.dataset:
+        if args.test_start is None or args.test_end is None:
+            raise ConfigError("--test-start and --test-end are required for custom datasets")
+        # an unparseable or off-grid value is a usage error
+        with _flag("--test-start"):
+            start = align(parse_timestamp(args.test_start), g).timestamp
+        with _flag("--test-end"):
+            test_range = (start, align(parse_timestamp(args.test_end), g).timestamp)
+    return replace(
+        base,
+        timestamp_column=args.timestamp_column or base.timestamp_column,
+        target_column=args.value_column or base.target_column,
+        train_window_seconds=base.train_window_seconds
+        if args.train_window is None else args.train_window * 86400,
+        # --scheme names the lags; without it --k keeps the dataset's lags
+        scheme=_parse_scheme(args.scheme, k, g) if args.scheme
+        else SeasonalityScheme(base.scheme.lag_slots, k),
         test_range=test_range,
+        k_seconds=None,
     )
 
 

@@ -377,20 +377,24 @@ def generate_synthetic(spec: SynthSpec) -> SeriesFrame:
 @dataclass(frozen=True)
 class DatasetDescriptor:
     """Evaluation recipe for one series: grid, columns, training window,
-    context period, scheme, and the test range (inclusive epoch seconds)."""
+    scheme, and the test range (inclusive epoch seconds). The context period
+    is the scheme's k; ``k_seconds`` may be omitted, and if given must be
+    that k in seconds."""
 
     name: str
     frequency: Granularity
     timestamp_column: str
     target_column: str
     train_window_seconds: int
-    k_seconds: int
     scheme: SeasonalityScheme
     test_range: tuple[int, int]
+    k_seconds: Optional[int] = None
 
     def __post_init__(self) -> None:
         interval = self.frequency.interval_seconds
-        if self.k_seconds != self.scheme.k * interval:
+        if self.k_seconds is None:
+            object.__setattr__(self, "k_seconds", self.scheme.k * interval)
+        elif self.k_seconds != self.scheme.k * interval:
             raise ConfigError(
                 f"{self.name}: k of {self.k_seconds} s is not the scheme's k of "
                 f"{self.scheme.k} slots ({self.scheme.k * interval} s)"
@@ -448,7 +452,6 @@ def builtin_descriptors() -> tuple[DatasetDescriptor, ...]:
             timestamp_column="date",
             target_column="births",
             train_window_seconds=6 * _WEEK,
-            k_seconds=1 * _DAY,
             scheme=default_weekly_scheme(6, 1, DAILY),
             test_range=(parse_timestamp("2015-02-01"), parse_timestamp("2015-02-28")),
         ),
@@ -458,7 +461,6 @@ def builtin_descriptors() -> tuple[DatasetDescriptor, ...]:
             timestamp_column="date",
             target_column="demand",
             train_window_seconds=52 * _WEEK,
-            k_seconds=2 * _DAY,
             scheme=weekly_plus_yearly_scheme(2, DAILY),
             test_range=(parse_timestamp("2016-01-01"), parse_timestamp("2016-01-31")),
         ),
@@ -468,7 +470,6 @@ def builtin_descriptors() -> tuple[DatasetDescriptor, ...]:
             timestamp_column="date",
             target_column="transactions",
             train_window_seconds=4 * _WEEK,
-            k_seconds=2 * _DAY,
             scheme=default_weekly_scheme(4, 2, DAILY),
             test_range=(parse_timestamp("2016-01-01"), parse_timestamp("2016-12-31")),
         ),
@@ -478,7 +479,6 @@ def builtin_descriptors() -> tuple[DatasetDescriptor, ...]:
             timestamp_column="timestamp",
             target_column="MT_320",
             train_window_seconds=52 * _WEEK,
-            k_seconds=2 * 3600,
             scheme=weekly_plus_yearly_scheme(2, HOURLY),
             test_range=(
                 parse_timestamp("2013-01-01T00:00:00"),
@@ -491,7 +491,6 @@ def builtin_descriptors() -> tuple[DatasetDescriptor, ...]:
             timestamp_column="timestamp",
             target_column="WetBulbFarenheit",
             train_window_seconds=52 * _WEEK,
-            k_seconds=2 * 3600,
             scheme=weekly_plus_yearly_scheme(2, HOURLY),
             test_range=(
                 parse_timestamp("2011-03-01T00:00:00"),
@@ -506,7 +505,6 @@ def builtin_descriptors() -> tuple[DatasetDescriptor, ...]:
             timestamp_column="timestamp",
             target_column="value",
             train_window_seconds=4 * _WEEK,
-            k_seconds=0,
             scheme=default_weekly_scheme(4, 0, QUARTER_HOURLY),
             test_range=(4 * _WEEK, 8 * _WEEK - 900),
         ),
@@ -519,7 +517,6 @@ def builtin_descriptors() -> tuple[DatasetDescriptor, ...]:
                 timestamp_column="timestamp",
                 target_column=f"kpi_{kpi}",
                 train_window_seconds=4 * _WEEK,
-                k_seconds=4 * 900,
                 scheme=default_weekly_scheme(4, 4, QUARTER_HOURLY),
                 test_range=(
                     parse_timestamp("2023-04-01T00:00:00"),

@@ -2,6 +2,7 @@ import argparse
 import builtins
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -27,12 +28,13 @@ from qbsd.cli import (
     main,
 )
 from qbsd.core import contingency_constant
-from qbsd.datasets import StepRecord, format_timestamp, series_rows
+from qbsd.datasets import StepRecord, format_timestamp, get_descriptor, series_rows
 from qbsd.engine import RollingForecaster, default_capacity
 from qbsd.errors import ConfigError
 from qbsd.smoothing import MovingAverage, smooth
 from qbsd.timegrid import (
     Granularity,
+    SeasonalityScheme,
     default_weekly_scheme,
     weekly_plus_yearly_scheme,
 )
@@ -1044,6 +1046,19 @@ class TestConfigFile:
         assert err.startswith(f"error: cannot read config file {conf}: 'utf-8' codec ")
         assert stdout == ""
 
+    def test_config_with_a_byte_order_mark_reads_like_a_plain_one(self, tmp_path, capsys):
+        series = tmp_path / "series.csv"
+        run(capsys, "synth", "--output", str(series), "--days", "35", "--slots-per-day", "24")
+        outputs = []
+        for mark in (b"", b"\xef\xbb\xbf"):
+            conf, out = tmp_path / "run.conf", tmp_path / f"out{len(mark)}.csv"
+            conf.write_bytes(mark + f"interval=3600\nk=1\ninput={series}\n".encode())
+            assert run(capsys, "forecast", "--config", str(conf), "--output", str(out)) == (
+                0, "", ""
+            )
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
 
     def test_command_line_input_overrides_config(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -1180,6 +1195,57 @@ def test_one_default_window():
         assert capacity == days * g.slots_per_day, scheme
         assert RollingForecaster(desc.qbsd_config(), g).history.capacity == capacity
         assert desc.train_window_slots == capacity
+
+
+@pytest.mark.parametrize("name", ["synthetic", "births2015", "electricity"])
+@pytest.mark.parametrize("flags,lag_days,k,fields", [
+    ([], None, None, {}),
+    (["--k", "3"], None, 3, {}),
+    (["--scheme", "weekly4"], (0, 7, 14, 21), None, {}),
+    (["--scheme", "custom:0,7,14", "--k", "3"], (0, 7, 14), 3, {}),
+    (["--train-window", "400"], None, None, {"train_window_seconds": 400 * 86400}),
+    (["--timestamp-column", "when"], None, None, {"timestamp_column": "when"}),
+    (["--value-column", "load"], None, None, {"target_column": "load"}),
+])
+def test_builtin_dataset_takes_the_scheme_window_and_column_flags(
+    name, flags, lag_days, k, fields
+):
+    """--k keeps a builtin's lags at the new k; --scheme names the lags, at
+    the builtin's k or at --k; the window and column flags replace their
+    fields, and everything else is the builtin's."""
+    base = get_descriptor(name)
+    g = base.frequency
+    k = base.k_slots if k is None else k
+    lags = base.scheme.lag_slots if lag_days is None else tuple(
+        d * g.slots_per_day for d in lag_days
+    )
+    expected = dataclasses.replace(
+        base, scheme=SeasonalityScheme(lags, k), k_seconds=k * g.interval_seconds, **fields
+    )
+    args = _build_parser().parse_args(["forecast", "--dataset", name, *flags])
+    assert _resolve_descriptor(args, need_test_range=True) == expected
+
+
+def test_overridden_builtin_is_checked_as_a_whole():
+    """A scheme deeper than the builtin's window is refused, and accepted
+    once --train-window holds its span."""
+    argv = ["evaluate", "--dataset", "synthetic", "--scheme", "weekly6"]
+    with pytest.raises(ConfigError) as info:
+        _resolve_descriptor(_build_parser().parse_args(argv), need_test_range=True)
+    assert str(info.value) == (
+        "synthetic: training window of 2688 slots is below the scheme span of 3360"
+    )
+    args = _build_parser().parse_args(argv + ["--train-window", "35"])
+    assert _resolve_descriptor(args, need_test_range=True).train_window_slots == 3360
+    # of a custom run's window and test range, the window is checked first
+    argv = ["evaluate", "--interval", "3600", "--test-start", "2422800",
+            "--test-end", "2419200"]
+    for flags, message in (([], "custom: empty test range"),
+                           (["--train-window", "1"], "custom: training window of 24 slots "
+                            "is below the scheme span of 504")):
+        with pytest.raises(ConfigError) as info:
+            _resolve_descriptor(_build_parser().parse_args(argv + flags), need_test_range=True)
+        assert str(info.value) == message
 
 
 def test_gap_rows_follow_one_rule_in_every_command(tmp_path, capsys):

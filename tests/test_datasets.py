@@ -263,16 +263,21 @@ class TestDescriptors:
                 test_range=(0, 86400),
             )
 
-    @pytest.mark.parametrize("k_seconds", [2 * 3600, 3 * 3600 + 1800, 0])
+    @pytest.mark.parametrize("k_seconds", [2 * 3600, 3 * 3600 + 1800, 0, "omitted"])
     def test_k_seconds_is_the_schemes_k(self, k_seconds):
-        """k lives in the scheme: any other k_seconds, whole slots or not, is
-        rejected rather than reported beside a different scheme.k."""
+        """k lives in the scheme: an omitted k_seconds is the scheme's k, and
+        any other k_seconds, whole slots or not, is rejected rather than
+        reported beside a different scheme.k."""
+        fields = dict(
+            name="bad", frequency=HOURLY, timestamp_column="ts", target_column="v",
+            train_window_seconds=28 * 86400,
+            scheme=default_weekly_scheme(4, 4, HOURLY), test_range=(0, 3600),
+        )
+        if k_seconds == "omitted":
+            assert DatasetDescriptor(**fields) == DatasetDescriptor(**fields, k_seconds=14400)
+            return
         with pytest.raises(ConfigError, match=r"not the scheme's k of 4 slots \(14400 s\)"):
-            DatasetDescriptor(
-                name="bad", frequency=HOURLY, timestamp_column="ts", target_column="v",
-                train_window_seconds=28 * 86400, k_seconds=k_seconds,
-                scheme=default_weekly_scheme(4, 4, HOURLY), test_range=(0, 3600),
-            )
+            DatasetDescriptor(**fields, k_seconds=k_seconds)
 
     def test_off_grid_test_range_is_config_error(self):
         start, end = get_descriptor("synthetic").test_range
