@@ -510,23 +510,24 @@ def cmd_evaluate(args) -> int:
             for label in labels
         ] if args.output else []
         adds = [score.add for score in scores]
+        qbsd_at = labels.index("qbsd") if "qbsd" in labels else None
         for step in evaluation_steps(frame, specs, desc):
+            qbsd = None if qbsd_at is None else step[qbsd_at]
             for add, record in zip(adds, step):
-                add(record)
+                add(record, None if record is qbsd else qbsd)
             for writer, record in zip(writers, step):
                 writer.write(record)
         for writer in writers:
             writer.close()
         reports = score_reports(scores, specs, desc)
 
-        qbsd = scores[labels.index("qbsd")] if "qbsd" in labels else None
         rows = []
         for label, report, score in zip(labels, reports, scores):
             p_vs_qbsd = None
-            if qbsd is not None and score is not qbsd:
+            if qbsd_at is not None and label != "qbsd":
                 with suppress(TooFewPairs, ValueError):
                     p_vs_qbsd = wilcoxon_signed_rank(
-                        *qbsd.paired_errors(score), alternative="less"
+                        score.qbsd_errors, score.own_errors, alternative="less"
                     )
             rows.append(
                 {

@@ -15,7 +15,6 @@ import math
 import operator
 import random
 import re
-import struct
 from array import array
 from bisect import bisect_left
 from contextlib import contextmanager
@@ -608,10 +607,14 @@ def replay(
     as ``_record`` builds it; ``series_rows`` yields such rows, and
     ``path`` labels the errors. A value for a slot the window already holds
     raises ``DuplicateTimestamp``, and a row for a slot the window has
-    passed raises ``StaleSlot``, each naming the row's ``path:line``."""
+    passed raises ``StaleSlot``, each naming the row's ``path:line``. A gap
+    row for a slot the window holds a value for writes no record, as in
+    ``evaluate``."""
     history, g = forecaster.history, forecaster.granularity
     for line, slot, actual in rows:
-        if actual is not None and history.get(slot) is not None:
+        if history.get(slot) is not None:
+            if actual is None:
+                continue
             raise _duplicate(path, line, slot, g)
         try:
             record = _record(forecaster, slot, actual)
@@ -684,73 +687,34 @@ def evaluation_steps(
 
 
 class MethodScore:
-    """One method's score, fed a record per test slot in slot order: one
-    byte per test slot, 1 where the slot was scored (actual and forecast
-    both present), the scored actuals and forecasts as ``array('d')``
-    columns, and the skip count.
+    """One method's score, fed a record per test slot in slot order: the
+    scored actuals and forecasts (actual and forecast both present) as
+    ``array('d')`` columns, and the skip count.
 
-    Absolute errors are computed only when ``paired_errors`` pairs them.
-    The method it is called on keeps its own errors after the first call
-    (8 B a scored slot), because ``evaluate`` pairs QBSD with every other
-    method in turn."""
+    Given QBSD's record for the same slot as well, a slot that both scored
+    is a Wilcoxon pair: QBSD's absolute error goes to ``qbsd_errors`` and
+    this method's to ``own_errors``, two ``array('d')`` columns in slot
+    order."""
 
-    __slots__ = ("actuals", "forecasts", "scored", "skipped", "_errors")
+    __slots__ = ("actuals", "forecasts", "skipped", "qbsd_errors", "own_errors")
 
     def __init__(self) -> None:
         self.actuals = array("d")
         self.forecasts = array("d")
-        self.scored = bytearray()
         self.skipped = 0
-        self._errors = array("d")
+        self.qbsd_errors = array("d")
+        self.own_errors = array("d")
 
-    def add(self, record: StepRecord) -> None:
+    def add(self, record: StepRecord, qbsd: Optional[StepRecord] = None) -> None:
         actual, forecast = record.actual, record.forecast
         if forecast is None:
             self.skipped += 1
-            self.scored.append(0)
-        elif actual is None:
-            self.scored.append(0)
-        else:
+        elif actual is not None:
             self.actuals.append(actual)
             self.forecasts.append(forecast)
-            self.scored.append(1)
-
-    def paired_errors(self, other: "MethodScore") -> tuple[array, array]:
-        """This method's and ``other``'s absolute errors at the test slots
-        both scored, in slot order, as two ``array('d')`` columns."""
-        # the bytewise AND of the two 0/1 masks, as one integer AND: 0.04 ms
-        # for a year of hourly slots, against 0.4 ms byte by byte (CPython 3.11)
-        both = (int.from_bytes(self.scored, "little")
-                & int.from_bytes(other.scored, "little")).to_bytes(len(self.scored), "little")
-        errors = self._errors
-        if len(errors) != len(self.actuals):  # scored slots were added since
-            errors = self._errors = _float_column(self._abs_errors())
-        # the kept errors, one slice per run of slots both scored: a few long
-        # runs when the two methods skip few slots apart
-        keep = bytes(compress(both, self.scored))
-        kept = array("d")
-        i = keep.find(1)
-        while i >= 0:
-            j = keep.find(0, i)
-            if j < 0:
-                j = len(keep)
-            kept += errors[i:j]
-            i = keep.find(1, j)
-        return kept, _float_column(compress(other._abs_errors(), compress(both, other.scored)))
-
-    def _abs_errors(self) -> Iterator[float]:
-        """The absolute error of each scored slot, in slot order."""
-        return map(abs, map(operator.sub, self.actuals, self.forecasts))
-
-
-def _float_column(values: Iterable[float]) -> array:
-    """``array('d', values)``, filled 1,024 floats at a time: packing a chunk
-    costs about 15 ns a value, against about 35 ns for appending each value
-    to the array in turn (CPython 3.11, shared 2-core x86-64)."""
-    column = array("d")
-    while chunk := list(islice(values, 1024)):
-        column.frombytes(struct.pack(f"{len(chunk)}d", *chunk))
-    return column
+            if qbsd is not None and qbsd.forecast is not None:
+                self.qbsd_errors.append(abs(actual - qbsd.forecast))
+                self.own_errors.append(abs(actual - forecast))
 
 
 def score_reports(

@@ -1692,6 +1692,28 @@ def test_repeated_row_exits_2_naming_its_line(tmp_path, capsys, command, series,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["forecast", "anomaly"])
+def test_blank_row_after_a_value_for_its_slot_writes_no_record(tmp_path, capsys, command):
+    """A gap row for a slot the window holds a value for adds no record, as
+    in ``evaluate``: the records are the bytes of the file without it,
+    whether it comes mid-stream or last."""
+    outputs = []
+    for blanks in ((), (500, 959)):
+        path = tmp_path / "in.csv"
+        with open(path, "w", newline="") as handle:
+            handle.write("timestamp,value\n")
+            for i in range(960):
+                handle.write(f"{i * 3600},{i % 24}\n")
+                if i in blanks:
+                    handle.write(f"{i * 3600},\n")
+        out = tmp_path / f"out{len(outputs)}.csv"
+        code, _, err = run(capsys, command, "--input", str(path), "--interval", "3600",
+                           "--k", "1", "--output", str(out))
+        assert (code, err) == (0, "")
+        outputs.append(out.read_bytes())
+    assert outputs[1] == outputs[0]
+
+
 @settings(max_examples=20, deadline=None)
 @given(data=st.data(),
        # per hourly slot: 0 no row, 1 a blank cell, else a value; the first has one

@@ -26,7 +26,6 @@ from qbsd.datasets import (
     DatasetDescriptor,
     MethodScore,
     SeriesFrame,
-    StepRecord,
     evaluation_steps,
     format_timestamp,
     rolling_evaluate,
@@ -75,18 +74,22 @@ def from_records(frame, methods, desc):
 
 
 def from_scores(frame, methods, desc):
-    """The same from ``MethodScore``s fed by ``evaluation_steps``."""
+    """The same from ``MethodScore``s fed by ``evaluation_steps``, each
+    method's record with QBSD's for the same slot, as ``cmd_evaluate``
+    feeds them."""
     scores = [MethodScore() for _ in methods]
+    kinds = [isinstance(m, QbsdConfig) for m in methods]
+    qbsd_at = kinds.index(True) if any(kinds) else None
     try:
         for step in evaluation_steps(frame, methods, desc):
+            qbsd = None if qbsd_at is None else step[qbsd_at]
             for score, record in zip(scores, step):
-                score.add(record)
+                score.add(record, None if record is qbsd else qbsd)
         reports = [repr(report) for report in score_reports(scores, methods, desc)]
     except DataError as exc:
         return failure(exc)
-    qbsd = next((s for s, m in zip(scores, methods) if isinstance(m, QbsdConfig)), None)
-    pairs = [repr(tuple(map(list, qbsd.paired_errors(score)))) for score in scores
-             if qbsd is not None and score is not qbsd]
+    pairs = [repr((list(score.qbsd_errors), list(score.own_errors)))
+             for kind, score in zip(kinds, scores) if qbsd_at is not None and not kind]
     return list(zip(reports, [score.skipped for score in scores])), pairs
 
 
@@ -131,31 +134,6 @@ def test_scores_equal_the_records_derivation(
             SeasonalNaive(season), Persistence(), MovingAverage(average)]
     methods = [pool[i] for i in order[:count]]
     assert from_scores(frame, methods, desc) == from_records(frame, methods, desc)
-
-
-def test_pairing_again_after_more_records_counts_them():
-    """``paired_errors`` keeps the errors of the method it is called on, so
-    a record added after a pairing must still be paired."""
-    rng = random.Random(11)
-
-    def record(slot):
-        actual = None if rng.random() < 0.2 else rng.uniform(-5.0, 5.0)
-        forecast = None if rng.random() < 0.2 else rng.uniform(-5.0, 5.0)
-        return StepRecord(slot, DAILY, actual, forecast)
-
-    steps = [(record(slot), record(slot)) for slot in range(60)]
-    kept, other = MethodScore(), MethodScore()
-    for slot, (a, b) in enumerate(steps):
-        kept.add(a)
-        other.add(b)
-        if slot in (20, 21, 45):
-            kept.paired_errors(other)
-    fresh, fresh_other = MethodScore(), MethodScore()
-    for a, b in steps:
-        fresh.add(a)
-        fresh_other.add(b)
-    assert kept.paired_errors(other) == fresh.paired_errors(fresh_other)
-    assert len(kept.paired_errors(other)[0]) > 10
 
 
 def _peak_above_start(argv: list[str]) -> int:

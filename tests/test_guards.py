@@ -1,6 +1,6 @@
 """Source guards, read with ``ast``: no float ``sum()`` in the package, no
-unused import in it, no private package name imported by the CLI, and no
-numpy in the tests.
+unused import in it, no private package name imported by the CLI, no numpy
+in the tests, and every name the benchmark's tracer looks up present.
 
 From Python 3.12 on the built-in ``sum()`` of floats is compensated, so a
 float ``sum()`` in ``src/qbsd`` would make outputs differ between the
@@ -9,6 +9,7 @@ version. The tests run on the standard library, like the package.
 """
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
@@ -16,6 +17,7 @@ import qbsd
 
 PACKAGE = Path(qbsd.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
+TRACER = TESTS.parent / "perfbench" / "tracer.py"
 
 # (module.function, the call as ast.unparse writes it, why it is exact)
 ALLOWED_SUMS = [
@@ -165,3 +167,30 @@ def test_numpy_guard_sees_every_import_form():
                    "from numpy import asarray", "from numpy.random import default_rng"):
         assert imports_numpy(ast.parse(source)), source
     assert not imports_numpy(ast.parse("import numbers\nfrom . import numpy_like"))
+
+
+def tracer_lookups() -> list[tuple[str, str]]:
+    """``(module, attribute path)`` of every name ``perfbench/tracer.py``
+    looks up: its ``ENTRY_POINTS`` and ``HISTORY_CLASS``, read as literals,
+    so the tracer and its numpy are not imported."""
+    found = {}
+    for node in ast.parse(TRACER.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            name = getattr(node.targets[0], "id", None)
+            if name in ("ENTRY_POINTS", "HISTORY_CLASS"):
+                found[name] = ast.literal_eval(node.value)
+    return [(module, path) for _, module, path in found["ENTRY_POINTS"]] + [
+        found["HISTORY_CLASS"]]
+
+
+def test_every_name_the_tracer_looks_up_resolves():
+    """The tracer reports a name it cannot find as absent, so without this a
+    deleted or renamed one would silently empty a per-layer metric."""
+    missing = []
+    for module, path in tracer_lookups():
+        owner = importlib.import_module(module)
+        for part in path.split("."):
+            owner = getattr(owner, part, None)
+        if owner is None:
+            missing.append(f"{module}.{path}")
+    assert missing == []
