@@ -28,11 +28,9 @@ from . import baselines as bl
 from .core import DEFAULT_C_FLOOR_CONTINUOUS, QbsdConfig, contingency_constant
 from .datasets import (
     DatasetDescriptor,
-    MethodScore,
     StepRecord,
     SynthSpec,
     estimate_contingency,
-    evaluation_steps,
     format_timestamp,
     generate_synthetic,
     get_descriptor,
@@ -44,6 +42,7 @@ from .datasets import (
     # datasets.rolling_evaluate_self_ns_per_slot reads 0 and measures nothing
     # until the tracer is pointed at the streamed pass.
     rolling_evaluate,
+    score_methods,
     score_reports,
     series_rows,
 )
@@ -500,7 +499,6 @@ def cmd_evaluate(args) -> int:
         cfg = replace(cfg, c=estimate_contingency(frame, test_start, cfg.c))
     specs = [cfg if marker == "qbsd" else marker for _, marker in methods]
     labels = [label for label, _ in methods]
-    scores = [MethodScore() for _ in methods]
     # the records files are streamed as the test range is walked and appear
     # only once the report is out
     with ExitStack() as files:
@@ -509,14 +507,7 @@ def cmd_evaluate(args) -> int:
                 _output_file(_records_path(args.output, label, len(labels) > 1))))
             for label in labels
         ] if args.output else []
-        adds = [score.add for score in scores]
-        qbsd_at = labels.index("qbsd") if "qbsd" in labels else None
-        for step in evaluation_steps(frame, specs, desc):
-            qbsd = None if qbsd_at is None else step[qbsd_at]
-            for add, record in zip(adds, step):
-                add(record, None if record is qbsd else qbsd)
-            for writer, record in zip(writers, step):
-                writer.write(record)
+        scores = score_methods(frame, specs, desc, [writer.write for writer in writers])
         for writer in writers:
             writer.close()
         reports = score_reports(scores, specs, desc)
@@ -524,7 +515,7 @@ def cmd_evaluate(args) -> int:
         rows = []
         for label, report, score in zip(labels, reports, scores):
             p_vs_qbsd = None
-            if qbsd_at is not None and label != "qbsd":
+            if score.qbsd_errors:
                 with suppress(TooFewPairs, ValueError):
                     p_vs_qbsd = wilcoxon_signed_rank(
                         score.qbsd_errors, score.own_errors, alternative="less"

@@ -21,7 +21,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from itertools import chain, compress, count, islice
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .baselines import BaselineSpec, baseline_forecast
 from .core import (
@@ -256,11 +256,6 @@ class SeriesFrame:
 
     def __len__(self) -> int:
         return len(self.slots)
-
-    def pairs(self) -> Iterator[tuple[SlotCoord, float]]:
-        g = self.granularity
-        for slot, value in zip(self.slots, self.values):
-            yield SlotCoord(slot, g), value
 
 
 def load_csv(
@@ -604,14 +599,25 @@ def replay(
     path: str,
 ) -> Iterator[StepRecord]:
     """One record per ``(line, global slot, actual)`` row, in arrival order,
-    as ``_record`` builds it; ``series_rows`` yields such rows, and
-    ``path`` labels the errors. A value for a slot the window already holds
-    raises ``DuplicateTimestamp``, and a row for a slot the window has
-    passed raises ``StaleSlot``, each naming the row's ``path:line``. A gap
-    row for a slot the window holds a value for writes no record, as in
-    ``evaluate``."""
+    as ``_record`` builds it, but for the gap rows below; ``series_rows``
+    yields such rows, and ``path`` labels the errors. A value for a slot the
+    window already holds raises ``DuplicateTimestamp``, and a row for a slot
+    the window has passed raises ``StaleSlot``, each naming the row's
+    ``path:line``. A gap row for a slot the window holds a value for yields
+    no record, as in ``evaluate``. Any other gap row's record is held until
+    a row for another slot arrives or the rows end: a value row for its slot
+    replaces it, and a further gap row for its slot is dropped. So when the
+    rows fail right after a gap row (a malformed row), the gap's record is
+    not yielded."""
     history, g = forecaster.history, forecaster.granularity
+    held = None  # the record of the last row, while that row is a gap
     for line, slot, actual in rows:
+        if held is not None:
+            if held.global_slot != slot:
+                yield held
+            elif actual is None:
+                continue
+            held = None
         if history.get(slot) is not None:
             if actual is None:
                 continue
@@ -620,23 +626,31 @@ def replay(
             record = _record(forecaster, slot, actual)
         except StaleSlot as exc:
             raise StaleSlot(f"{path}:{line}: {exc}") from exc
-        yield record
+        if actual is None:
+            held = record
+        else:
+            yield record
+    if held is not None:
+        yield held
 
 
-def evaluation_steps(
+def score_methods(
     frame: SeriesFrame,
     methods: Sequence[QbsdConfig | BaselineSpec],
     desc: DatasetDescriptor,
-) -> Iterator[tuple[StepRecord, ...]]:
+    sinks: Sequence[Callable[[StepRecord], object]] = (),
+) -> list[MethodScore]:
     """Replay the test range once with a moving training window, for every
-    method at the same time, yielding each test slot's records as one tuple
-    in method order.
+    method at the same time, and return each method's ``MethodScore``, in
+    method order.
 
     All methods read one history ring: the QBSD forecaster's (at most one
     ``QbsdConfig`` may be given), or a plain ``SlidingHistory`` when none is.
     At each test slot every baseline forecasts from the ring, then QBSD
-    observes the slot, so no method sees the slot's own value. Nothing is
-    kept past its slot but the ring itself.
+    observes the slot, so no method sees the slot's own value. Each method's
+    record for the slot then goes to its score with QBSD's record for the
+    slot (QBSD's own score gets None), and to ``sinks[i]`` when one is
+    given. Nothing is kept past its slot but the ring and the scores.
     """
     if frame.granularity != desc.frequency:
         raise ConfigError(
@@ -662,7 +676,10 @@ def evaluation_steps(
     first = bisect_left(slots, test_start)
     history.extend(zip(slots, values[:first]))
 
+    scores = [MethodScore() for _ in methods]
+    adds = [score.add for score in scores]
     step: list[Optional[StepRecord]] = [None] * len(methods)
+    qbsd = None
     i, n = first, len(slots)
     for slot in range(test_start, test_end + 1):
         if i < n and slots[i] == slot:
@@ -680,21 +697,25 @@ def evaluation_steps(
                 # positional: 175 ns per record, against 260 ns by keyword (CPython 3.11)
                 step[index] = StepRecord(slot, g, actual, forecast, None, None, None, diff)
         if configs:
-            step[qbsd_at] = _record(forecaster, slot, actual)
+            qbsd = step[qbsd_at] = _record(forecaster, slot, actual)
         elif actual is not None:
             history.insert(slot, actual)
-        yield tuple(step)
+        for add, record in zip(adds, step):
+            add(record, None if record is qbsd else qbsd)
+        for sink, record in zip(sinks, step):
+            sink(record)
+    return scores
 
 
 class MethodScore:
-    """One method's score, fed a record per test slot in slot order: the
-    scored actuals and forecasts (actual and forecast both present) as
-    ``array('d')`` columns, and the skip count.
+    """One method's score, fed by ``score_methods`` a record per test slot in
+    slot order: the scored actuals and forecasts (actual and forecast both
+    present) as ``array('d')`` columns, and the skip count.
 
-    Given QBSD's record for the same slot as well, a slot that both scored
-    is a Wilcoxon pair: QBSD's absolute error goes to ``qbsd_errors`` and
-    this method's to ``own_errors``, two ``array('d')`` columns in slot
-    order."""
+    With QBSD's record for the same slot (None for QBSD's own score, or in a
+    run without QBSD), a slot that both scored is a Wilcoxon pair: QBSD's
+    absolute error goes to ``qbsd_errors`` and this method's to
+    ``own_errors``, two ``array('d')`` columns in slot order."""
 
     __slots__ = ("actuals", "forecasts", "skipped", "qbsd_errors", "own_errors")
 
@@ -705,7 +726,7 @@ class MethodScore:
         self.qbsd_errors = array("d")
         self.own_errors = array("d")
 
-    def add(self, record: StepRecord, qbsd: Optional[StepRecord] = None) -> None:
+    def add(self, record: StepRecord, qbsd: Optional[StepRecord]) -> None:
         actual, forecast = record.actual, record.forecast
         if forecast is None:
             self.skipped += 1
@@ -744,15 +765,11 @@ def rolling_evaluate(
     methods: Sequence[QbsdConfig | BaselineSpec],
     desc: DatasetDescriptor,
 ) -> list[tuple[MetricsReport, list[StepRecord]]]:
-    """``evaluation_steps`` collected: for each method in order, the metrics
-    over its scored slots (forecast and actual both present) and a record
-    per grid slot in the test range."""
+    """``score_methods`` with its records collected: for each method in
+    order, the metrics over its scored slots (forecast and actual both
+    present) and a record per grid slot in the test range."""
     records: list[list[StepRecord]] = [[] for _ in methods]
-    scores = [MethodScore() for _ in methods]
-    for step in evaluation_steps(frame, methods, desc):
-        for out, score, record in zip(records, scores, step):
-            out.append(record)
-            score.add(record)
+    scores = score_methods(frame, methods, desc, [out.append for out in records])
     return list(zip(score_reports(scores, methods, desc), records))
 
 

@@ -1,0 +1,100 @@
+"""Mutation checks: plausible wrong edits of the package, each with the tests
+that must fail once it is made.
+
+Run from anywhere with ``python tests/mutants.py`` (pytest and hypothesis
+installed). For each entry the script copies ``src/`` to a temporary
+directory, replaces the entry's old text, which must occur there exactly
+once, with its new text, and runs the entry's tests with ``-x`` and a fixed
+``--hypothesis-seed`` under ``PYTHONPATH=<copy>/src``. A mutant is killed
+when pytest reports a failed test; the script exits 1 if any survives. The
+file is not named ``test_*.py``, so pytest does not collect it;
+``tests/test_guards.py`` checks that every old text occurs exactly once and
+that every named test file exists.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+HYPOTHESIS_SEED = "0"
+PYTEST_TESTS_FAILED = 1
+
+# (file from the repository root, exact old text, new text, tests that must fail)
+MUTANTS = [
+    # evaluate pairs no slot, so every Wilcoxon p-value is blank
+    ("src/qbsd/datasets.py",
+     "add(record, None if record is qbsd else qbsd)",
+     "add(record, None)",
+     ["tests/test_evaluate_streaming.py::test_scores_equal_the_records_derivation"]),
+    # a gap row's record is yielded at once, so a repeated slot writes two records
+    ("src/qbsd/datasets.py",
+     "            if held.global_slot != slot:\n                yield held",
+     "            if True:\n                yield held",
+     ["tests/test_cli.py::test_blank_row_before_another_row_for_its_slot_writes_one_record"]),
+    # a zero or NaN that leaves the sorted subset is bisected out instead of
+    # the subset being rebuilt
+    ("src/qbsd/engine.py",
+     "                if not (value > 0.0 or value < 0.0):\n"
+     "                    return False\n"
+     "                del ordered",
+     "                del ordered",
+     ["tests/test_engine_properties.py::test_sliding_subset_matches_reference"]),
+    # a zero or NaN that enters the sorted subset is bisected in
+    ("src/qbsd/engine.py",
+     "                if not (value > 0.0 or value < 0.0):\n"
+     "                    return False\n"
+     "                insort",
+     "                insort",
+     ["tests/test_engine_properties.py::test_sliding_subset_matches_reference"]),
+    # a scheme whose lag windows collide is accepted
+    ("src/qbsd/timegrid.py",
+     "if len(set(self.offsets)) != len(self.offsets):",
+     "if False:",
+     ["tests/test_timegrid.py::test_scheme_rejects_overlap_and_leakage",
+      "tests/test_timegrid.py::test_scheme_is_accepted_exactly_when_its_windows_are_apart",
+      "tests/test_timegrid.py::test_context_period_too_wide_for_weekly_lags"]),
+]
+
+
+def killed(file: str, old: str, new: str, tests: list[str]) -> bool:
+    """Whether each of ``tests`` fails on a copy of ``src/`` with ``old``
+    replaced by ``new`` in ``file``; raises if ``old`` is not there once."""
+    with tempfile.TemporaryDirectory() as tmp:
+        shutil.copytree(ROOT / "src", Path(tmp) / "src",
+                        ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+        path = Path(tmp) / file
+        text = path.read_text(encoding="utf-8")
+        if text.count(old) != 1:
+            raise SystemExit(f"{file}: the old text occurs {text.count(old)} times:\n{old}")
+        path.write_text(text.replace(old, new), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=os.path.join(tmp, "src"))
+        for test in tests:
+            result = subprocess.run(
+                [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                 f"--hypothesis-seed={HYPOTHESIS_SEED}", test],
+                cwd=ROOT, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+            if result.returncode != PYTEST_TESTS_FAILED:
+                print(f"  survives {test} (pytest exit {result.returncode})")
+                return False
+    return True
+
+
+def main() -> int:
+    survivors = 0
+    for file, old, new, tests in MUTANTS:
+        ok = killed(file, old, new, tests)
+        survivors += not ok
+        where = " / ".join(line.strip() for line in old.splitlines())
+        print(f"{'killed' if ok else 'SURVIVED'}: {file}: {where}", flush=True)
+    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1714,6 +1714,32 @@ def test_blank_row_after_a_value_for_its_slot_writes_no_record(tmp_path, capsys,
     assert outputs[1] == outputs[0]
 
 
+@pytest.mark.parametrize("command", ["forecast", "anomaly"])
+@pytest.mark.parametrize("second", ["value", "blank"])
+@pytest.mark.parametrize("at", [500, 959], ids=["mid-stream", "last"])
+def test_blank_row_before_another_row_for_its_slot_writes_one_record(tmp_path, capsys,
+                                                                      command, second, at):
+    """A blank row for a slot the window holds no value for, followed by a
+    value or a second blank for the same slot, writes the bytes of the file
+    with only that second row: the blank's record is held until a row for
+    another slot arrives or the input ends."""
+    last = str(at % 24) if second == "value" else ""
+    outputs = []
+    for cells in ((last,), ("", last)):
+        path = tmp_path / "in.csv"
+        with open(path, "w", newline="") as handle:
+            handle.write("timestamp,value\n")
+            for i in range(960):
+                handle.writelines(f"{i * 3600},{cell}\n"
+                                  for cell in (cells if i == at else (i % 24,)))
+        out = tmp_path / f"out{len(outputs)}.csv"
+        code, _, err = run(capsys, command, "--input", str(path), "--interval", "3600",
+                           "--k", "1", "--output", str(out))
+        assert (code, err) == (0, "")
+        outputs.append(out.read_bytes())
+    assert outputs[1] == outputs[0]
+
+
 @settings(max_examples=20, deadline=None)
 @given(data=st.data(),
        # per hourly slot: 0 no row, 1 a blank cell, else a value; the first has one

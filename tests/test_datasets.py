@@ -335,10 +335,10 @@ class TestRollingEvaluate:
             cfg, frame.granularity, capacity_slots=desc.train_window_slots
         )
         by_slot = {}
-        for t, value in frame.pairs():
+        for slot, value in zip(frame.slots, frame.values):
             try:
-                residuals, fo = streamed.observe(t, value)
-                by_slot[t.global_slot] = (residuals, fo)
+                residuals, fo = streamed.observe(slot, value)
+                by_slot[slot] = (residuals, fo)
             except (InsufficientHistory, InsufficientSpan):
                 pass
         test_start, test_end = desc.test_slot_range

@@ -223,6 +223,10 @@ OPS = st.one_of(
     shape="weekly4", k=4, extra_capacity=1, min_samples=3, special_rate=0.0,
     rare=False, prefill=0, ops=[("forecast", 3), ("observe", 3)], seed=0,
 )
+@example(  # a 0.0 and a -0.0 in the subset as one of them slides out
+    shape="weekly4", k=3, extra_capacity=1, min_samples=3, special_rate=0.5,
+    rare=False, prefill=25, ops=[("observe", 40)], seed=1,
+)
 @given(
     shape=st.sampled_from(["weekly4", "two_lags", "yearly"]),
     k=st.integers(0, 10),

@@ -1,12 +1,12 @@
 """``evaluate`` scores its methods as the test range streams.
 
-``MethodScore`` is fed one record per test slot by ``evaluation_steps`` and
-keeps only what the report needs. Each method's report, skip count and
-Wilcoxon pairs must equal, by ``repr``, what the records-holding derivation
-gives: ``evaluate`` over the scored records, ``skipped_count``, and the pairs
-of absolute errors at the slots QBSD and the method both scored. And the
-memory a run needs above its window grows by a small fraction of what
-holding a record per method per slot took.
+``score_methods`` feeds each method's ``MethodScore`` one record per test
+slot, and the score keeps only what the report needs. Each method's report,
+skip count and Wilcoxon pairs must equal, by ``repr``, what the
+records-holding derivation gives: ``evaluate`` over the scored records,
+``skipped_count``, and the pairs of absolute errors at the slots QBSD and
+the method both scored. And the memory a run needs above its window grows by
+a small fraction of what holding a record per method per slot took.
 """
 
 from __future__ import annotations
@@ -24,11 +24,10 @@ from qbsd.cli import main
 from qbsd.core import QbsdConfig
 from qbsd.datasets import (
     DatasetDescriptor,
-    MethodScore,
     SeriesFrame,
-    evaluation_steps,
     format_timestamp,
     rolling_evaluate,
+    score_methods,
     score_reports,
     skipped_count,
 )
@@ -74,22 +73,16 @@ def from_records(frame, methods, desc):
 
 
 def from_scores(frame, methods, desc):
-    """The same from ``MethodScore``s fed by ``evaluation_steps``, each
-    method's record with QBSD's for the same slot, as ``cmd_evaluate``
-    feeds them."""
-    scores = [MethodScore() for _ in methods]
-    kinds = [isinstance(m, QbsdConfig) for m in methods]
-    qbsd_at = kinds.index(True) if any(kinds) else None
+    """The same from the ``MethodScore``s of ``score_methods``, the walk
+    ``cmd_evaluate`` runs."""
     try:
-        for step in evaluation_steps(frame, methods, desc):
-            qbsd = None if qbsd_at is None else step[qbsd_at]
-            for score, record in zip(scores, step):
-                score.add(record, None if record is qbsd else qbsd)
+        scores = score_methods(frame, methods, desc)
         reports = [repr(report) for report in score_reports(scores, methods, desc)]
     except DataError as exc:
         return failure(exc)
+    kinds = [isinstance(m, QbsdConfig) for m in methods]
     pairs = [repr((list(score.qbsd_errors), list(score.own_errors)))
-             for kind, score in zip(kinds, scores) if qbsd_at is not None and not kind]
+             for kind, score in zip(kinds, scores) if any(kinds) and not kind]
     return list(zip(reports, [score.skipped for score in scores])), pairs
 
 

@@ -1,6 +1,7 @@
 """Source guards, read with ``ast``: no float ``sum()`` in the package, no
 unused import in it, no private package name imported by the CLI, no numpy
-in the tests, and every name the benchmark's tracer looks up present.
+in the tests, and every name the benchmark's tracer looks up present. And
+every mutant in ``tests/mutants.py`` still applies to the source.
 
 From Python 3.12 on the built-in ``sum()`` of floats is compensated, so a
 float ``sum()`` in ``src/qbsd`` would make outputs differ between the
@@ -10,6 +11,7 @@ version. The tests run on the standard library, like the package.
 
 import ast
 import importlib
+import importlib.util
 from collections import Counter
 from pathlib import Path
 
@@ -194,3 +196,28 @@ def test_every_name_the_tracer_looks_up_resolves():
         if owner is None:
             missing.append(f"{module}.{path}")
     assert missing == []
+
+
+def mutant_entries() -> list[tuple[str, str, str, list[str]]]:
+    """``MUTANTS`` of ``tests/mutants.py``, loaded by path: the file is a
+    script, not a test module."""
+    spec = importlib.util.spec_from_file_location("mutants", TESTS / "mutants.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.MUTANTS
+
+
+def test_every_mutant_applies_to_the_source():
+    """Each mutant's old text occurs exactly once in its file, and each test
+    that must kill it is in a file that exists, so an edit of the source or a
+    moved test cannot make the mutant list go stale unseen. Whether the
+    tests kill the mutants is ``python tests/mutants.py``, a CI job of its
+    own."""
+    root = TESTS.parent
+    stale = []
+    for file, old, _, tests in mutant_entries():
+        found = (root / file).read_text(encoding="utf-8").count(old)
+        if found != 1:
+            stale.append(f"{file}: old text found {found} times: {old!r}")
+        stale += [test for test in tests if not (root / test.split("::")[0]).is_file()]
+    assert stale == []
