@@ -211,13 +211,7 @@ def _load_config_flags(path: str) -> list[str]:
         flag = "--" + key.strip().replace("_", "-")
         if flag == "--config":
             raise ConfigError(f"{path}:{number}: a config file cannot name another one")
-        value = value.strip()
-        if value.lower() == "true":
-            flags.append(flag)
-        elif value.lower() == "false":
-            continue
-        else:
-            flags.extend([flag, value])
+        flags.extend([flag, value.strip()])
     return flags
 
 
@@ -484,7 +478,7 @@ def cmd_evaluate(args) -> int:
     if args.output and args.report:
         for label, _ in methods:
             records = _records_path(args.output, label, len(methods) > 1)
-            if Path(records) == Path(args.report):
+            if Path(records).resolve() == Path(args.report).resolve():
                 raise ConfigError(f"the {label} records and --report would both write {records}")
     if args.input is not None:
         frame = load_csv(args.input, desc.timestamp_column, desc.target_column, desc.frequency)

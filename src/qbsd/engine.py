@@ -19,11 +19,7 @@ from .core import (
     qbsd_step,
 )
 from .errors import ConfigError, GridMisaligned, InsufficientHistory, InsufficientSpan, StaleSlot
-from .timegrid import Granularity, SeasonalityScheme, SlotCoord
-
-# Not called by the forecast path; importable from this module because
-# perfbench/tracer.py looks it up here by name.
-from .timegrid import resolve_subset_slots  # noqa: F401
+from .timegrid import Granularity, SeasonalityScheme, SlotCoord, resolve_subset_slots
 
 # A target slot: a plain int global slot, taken to be on the forecaster's
 # grid, or a SlotCoord, whose grid is checked.
@@ -51,15 +47,15 @@ class SlidingHistory:
     NaN included, can be stored. Memory is O(capacity) however sparse the
     series is.
 
-    ``writes`` counts successful inserts and ``last_write`` is the slot of
-    the latest one, so a reader can tell what changed since it last looked.
+    ``writes`` counts successful inserts, so a reader can tell whether
+    anything changed since it last looked.
 
     ``extend`` is the one batch path: it leaves exactly the state that
     ``insert`` of each pair in turn would, and an in-order run costs one
     ring write per value.
     """
 
-    __slots__ = ("capacity", "_values", "_latest", "writes", "last_write")
+    __slots__ = ("capacity", "_values", "_latest", "writes")
 
     def __init__(self, capacity_slots: int):
         if capacity_slots < 1:
@@ -68,7 +64,6 @@ class SlidingHistory:
         self._values: list[Optional[float]] = [None] * capacity_slots
         self._latest: Optional[int] = None
         self.writes = 0
-        self.last_write: Optional[int] = None
 
     @property
     def latest(self) -> Optional[int]:
@@ -91,7 +86,6 @@ class SlidingHistory:
             self.check_fresh(slot)  # raises
         self._values[slot % capacity] = value
         self.writes += 1
-        self.last_write = slot
 
     def check_fresh(self, slot: int) -> None:
         """Raise ``StaleSlot`` if the window has already passed ``slot``."""
@@ -106,19 +100,19 @@ class SlidingHistory:
         through ``insert``. If a pair is rejected, or the iterator raises,
         the pairs before it stay inserted."""
         values, capacity = self._values, self.capacity
-        latest, writes, last_write = self._latest, self.writes, self.last_write
+        latest, writes = self._latest, self.writes
         try:
             for slot, value in pairs:
                 if slot - 1 == latest:
                     values[slot % capacity] = value
-                    latest = last_write = slot
+                    latest = slot
                     writes += 1
                 else:
-                    self._latest, self.writes, self.last_write = latest, writes, last_write
+                    self._latest, self.writes = latest, writes
                     self.insert(slot, value)
-                    latest, writes, last_write = self._latest, self.writes, self.last_write
+                    latest, writes = self._latest, self.writes
         finally:
-            self._latest, self.writes, self.last_write = latest, writes, last_write
+            self._latest, self.writes = latest, writes
 
     def get(self, slot: int) -> Optional[float]:
         latest = self._latest
@@ -230,23 +224,18 @@ class RollingForecaster:
             t = t.global_slot if t.granularity is self.granularity else self._on_grid(t)
         base = t
         if base < self._span:
-            if base < 0:
-                raise ValueError(f"global_slot must be >= 0, got {base}")
-            raise InsufficientSpan(
-                f"slot {base} needs history {self._span} slots back, "
-                "which falls before the epoch"
-            )
+            # drop the kept subset: observe buffers base anyway, and base may lie in it
+            self._base = None
+            # raises: ValueError below slot 0, InsufficientSpan otherwise
+            resolve_subset_slots(SlotCoord(base, self.granularity), self.cfg.scheme)
         history = self.history
         edges = self._edges
         if edges is not None:
             writes = history.writes
             # Slide only from the previous target, and only if the history is
-            # unchanged since then or its one write is the slot just before
-            # this target (an in-order observe); anything else rebuilds.
-            slid = base - 1 == self._base and (
-                writes == self._writes
-                or (writes == self._writes + 1 and history.last_write == base - 1)
-            ) and self._slide(base)
+            # unchanged since then apart from observe's own write of that
+            # target (self._writes counts it); anything else rebuilds.
+            slid = base - 1 == self._base and writes == self._writes and self._slide(base)
             self._base, self._writes = base, writes
             if slid:
                 return qbsd_step(self._ordered, len(self._offsets), self.cfg)
@@ -316,9 +305,12 @@ class RollingForecaster:
             fo = self.forecast_at(t)
         except (InsufficientHistory, InsufficientSpan):
             self.history.insert(t, value)
+            self._writes = self.history.writes
             raise
         residuals = compute_residuals(value, fo, self.cfg.c)
         self.history.insert(t, value)
+        # t enters the next target's subset: the slide takes it from the ring
+        self._writes = self.history.writes
         return residuals, fo
 
 

@@ -52,6 +52,53 @@ MUTANTS = [
      "                insort",
      "                insort",
      ["tests/test_engine_properties.py::test_sliding_subset_matches_reference"]),
+    # the kept subset slides over any write since it was sorted
+    ("src/qbsd/engine.py",
+     "base - 1 == self._base and writes == self._writes and self._slide(base)",
+     "base - 1 == self._base and self._slide(base)",
+     ["tests/test_engine_properties.py::test_sliding_subset_matches_reference"]),
+    # observe does not count its own write after a forecast, so nothing slides
+    ("src/qbsd/engine.py",
+     "        # t enters the next target's subset: the slide takes it from the ring\n"
+     "        self._writes = self.history.writes\n",
+     "",
+     ["tests/test_engine_properties.py::test_wide_schemes_slide_on_consecutive_targets"]),
+    # a target below the scheme span leaves the last target's subset kept, so
+    # observe's write inside it is counted but never read
+    ("src/qbsd/engine.py",
+     "            self._base = None\n            # raises",
+     "            # raises",
+     ["tests/test_engine_properties.py::test_warmup_write_inside_the_kept_subset_is_seen"]),
+    # a target below the scheme span is forecast from what the ring holds
+    ("src/qbsd/engine.py",
+     "resolve_subset_slots(SlotCoord(base, self.granularity), self.cfg.scheme)",
+     "pass",
+     ["tests/test_engine.py::TestObserve::test_first_observation_buffers_and_raises"]),
+    # extend leaves the history as it found it
+    ("src/qbsd/engine.py",
+     "        finally:\n            self._latest, self.writes = latest, writes",
+     "        finally:\n            pass",
+     ["tests/test_engine.py::TestExtend::test_matches_per_item_insert"]),
+    # extend does not count the writes of its in-order run
+    ("src/qbsd/engine.py",
+     "                    latest = slot\n                    writes += 1",
+     "                    latest = slot",
+     ["tests/test_engine.py::TestExtend::test_matches_per_item_insert"]),
+    # a subset is never filtered to the retained window
+    ("src/qbsd/engine.py",
+     "if not (lo < -self._span and hi >= -1):",
+     "if False:",
+     ["tests/test_engine_properties.py::test_forecast_at_matches_reference_path"]),
+    # the deepest offset is taken to be in the window one slot too early
+    ("src/qbsd/engine.py",
+     "lo < -self._span and",
+     "lo <= -self._span and",
+     ["tests/test_engine_properties.py::test_forecast_at_matches_reference_path"]),
+    # the slot before the target is taken to be in the window one slot too early
+    ("src/qbsd/engine.py",
+     "and hi >= -1):",
+     "and hi >= -2):",
+     ["tests/test_engine_properties.py::test_forecast_at_matches_reference_path"]),
     # a scheme whose lag windows collide is accepted
     ("src/qbsd/timegrid.py",
      "if len(set(self.offsets)) != len(self.offsets):",

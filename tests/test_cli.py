@@ -3,6 +3,7 @@ import builtins
 import contextlib
 import csv
 import dataclasses
+import errno
 import io
 import json
 import os
@@ -423,6 +424,25 @@ class TestEvaluate:
         assert stdout == ""
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("method,output,report,records", [
+        ("qbsd", "same.csv", "same.csv", "same.csv"),
+        ("qbsd,persistence", "r.csv", "r.qbsd.csv", "r.qbsd.csv"),
+    ], ids=["one-method", "one-of-two"])
+    def test_report_on_a_records_path_spelled_absolutely_exits_1_before_input(
+        self, tmp_path, capsys, monkeypatch, method, output, report, records
+    ):
+        """An absolute --report names the same file as a relative --output
+        records path: the check resolves both before comparing."""
+        monkeypatch.chdir(tmp_path)
+        code, stdout, err = run(capsys, "evaluate", "--input", "absent.csv",
+                                "--interval", "3600", "--test-start", "0",
+                                "--test-end", "3600", "--method", method,
+                                "--output", output, "--report", str(tmp_path / report))
+        assert code == 1
+        assert err == f"error: the qbsd records and --report would both write {records}\n"
+        assert stdout == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_dataset_exit_1(self, capsys):
         code, _, err = run(capsys, "evaluate", "--dataset", "wat")
         assert code == 1
@@ -836,6 +856,18 @@ class TestSchemeAndMethodFlags:
         want = smooth([1.0, 2.0, 4.0, 8.0], MovingAverage(4))
         assert [r["q1_smooth"] for r in rows[4:]] == [repr(v) for v in want]
 
+    @pytest.mark.parametrize("spelling", ["none", " None ", ""])
+    def test_smoother_none_writes_what_no_smoother_writes(self, tmp_path, capsys, spelling):
+        series = tmp_path / "series.csv"
+        run(capsys, "synth", "--output", str(series), "--days", "30", "--slots-per-day", "24")
+        outputs = []
+        for name, flags in (("plain", []), ("none", ["--smoother", spelling])):
+            out = tmp_path / f"{name}.csv"
+            assert run(capsys, "forecast", "--input", str(series), "--interval", "3600",
+                       "--k", "1", "--output", str(out), *flags)[0] == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_bad_smoother(self, tmp_path, capsys):
         code, _, err = run(capsys, "forecast", "--input", "x.csv",
                            "--interval", "900", "--smoother", "lowess:3")
@@ -1059,6 +1091,33 @@ class TestConfigFile:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
+
+    def test_values_are_passed_as_the_flag_would_take_them(self, tmp_path, capsys):
+        """Each key=value line is --key value: a threshold of false exits 1
+        as the flag does, and a value column can be named true. Blank lines
+        and # lines are skipped."""
+        skipped = "\n# threshold=2 is a comment\n  \n"
+        conf = tmp_path / "anomaly.conf"
+        conf.write_text(f"interval=3600{skipped}threshold=false\n")
+        unread = str(tmp_path / "unread.csv")
+        flag = run(capsys, "anomaly", "--input", unread, "--interval", "3600",
+                   "--threshold", "false")
+        assert flag == (1, "", "error: argument --threshold: invalid float value: 'false'\n")
+        assert run(capsys, "anomaly", "--input", unread, "--config", str(conf)) == flag
+
+        series = tmp_path / "series.csv"
+        run(capsys, "synth", "--output", str(series), "--days", "30", "--slots-per-day", "24")
+        header, rows = series.read_text().split("\n", 1)
+        assert header == "timestamp,value"
+        named_true = tmp_path / "named_true.csv"
+        named_true.write_text("timestamp,true\n" + rows)
+        conf = tmp_path / "forecast.conf"
+        conf.write_text(f"interval=3600\nk=1{skipped}value-column=true\ninput={named_true}\n")
+        expected, out = tmp_path / "expected.csv", tmp_path / "out.csv"
+        assert run(capsys, "forecast", "--interval", "3600", "--k", "1", "--input",
+                   str(series), "--output", str(expected))[0] == 0
+        assert run(capsys, "forecast", "--config", str(conf), "--output", str(out)) == (0, "", "")
+        assert out.read_bytes() == expected.read_bytes()
 
     def test_command_line_input_overrides_config(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -2012,3 +2071,48 @@ def test_unsorted_or_piped_input_evaluates_as_the_sorted_file(tmp_path, capsys):
     assert evaluate(pipe, "piped") == expected
     writer.join(timeout=30)
     assert not writer.is_alive()
+
+
+ABSENT_SERIES = ["--input", "absent.csv", "--interval", "3600"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["forecast", *ABSENT_SERIES, "--smoother", "sg:x:3"],
+     "bad smoother 'sg:x:3'; expected sg:<window>:<polyorder>"),
+    (["forecast", *ABSENT_SERIES, "--smoother", "sg:11"],
+     "bad smoother 'sg:11'; expected sg:<window>:<polyorder>"),
+    (["anomaly", *ABSENT_SERIES, "--smoother", "ma:x"],
+     "bad smoother 'ma:x'; expected ma:<window>"),
+    (["evaluate", "--dataset", "synthetic", "--method", "seasonal-naive:x"],
+     "bad method argument in 'seasonal-naive:x'; expected slots"),
+    (["evaluate", "--dataset", "synthetic", "--method", ","], "no methods given"),
+    (["synth", "--output", "s.csv", "--anomalies", "3000"],
+     "bad anomaly '3000'; expected <slot>:<magnitude>, e.g. 3000:+500"),
+    (["synth"], "--output is required"),
+    (["evaluate"], "either --dataset or --interval is required"),
+    (["evaluate", "--dataset", "births2015"], "--input is required for dataset 'births2015'"),
+    (["forecast", "--interval", "3600"], "--input is required"),
+    (["bench", "--buffer-weeks", "4"], "--buffer-weeks needs at least two sizes, e.g. 4,16"),
+], ids=lambda value: " ".join(value) if isinstance(value, list) else "")
+def test_bad_or_missing_flag_exits_1_with_its_message(tmp_path, capsys, monkeypatch, argv,
+                                                      message):
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["forecast", "anomaly"])
+def test_output_name_no_file_can_have_exits_2_before_input(tmp_path, capsys, monkeypatch,
+                                                           command):
+    """A 300-byte file name fails on the first look at the output path,
+    before the input (here absent) is opened."""
+    if os.pathconf(tmp_path, "PC_NAME_MAX") >= 300:
+        pytest.skip("the file system takes 300-byte names")
+    monkeypatch.chdir(tmp_path)
+    out = "a" * 296 + ".csv"
+    code, stdout, err = run(capsys, command, "--input", "absent.csv", "--interval", "3600",
+                            "--output", out)
+    too_long = errno.ENAMETOOLONG
+    assert (code, stdout) == (2, "")
+    assert err == f"error: [Errno {too_long}] {os.strerror(too_long)}: '{out}'\n"
+    assert list(tmp_path.iterdir()) == []

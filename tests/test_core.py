@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from qbsd.core import (
     ForecastOutput,
     QbsdConfig,
+    Quartiles,
     compute_quartiles,
     compute_residuals,
     contingency_constant,
@@ -77,6 +78,14 @@ class TestQuartiles:
             interpolated_percentile([1.0], 1.5)
         assert interpolated_percentile([3.0, 1.0, 2.0], 0.0) == 1.0
         assert interpolated_percentile([3.0, 1.0, 2.0], 1.0) == 3.0
+
+    def test_interpolated_percentile_of_nothing_rejected(self):
+        with pytest.raises(EmptyInput, match=r"^percentile of an empty sample$"):
+            interpolated_percentile([], 0.5)
+
+    def test_q1_above_q3_rejected(self):
+        with pytest.raises(ValueError, match=r"^q1 \(2\.0\) must not exceed q3 \(1\.0\)$"):
+            Quartiles(2.0, 1.0)
 
 
 class TestForecastFromSubset:

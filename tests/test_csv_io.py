@@ -16,7 +16,7 @@ import json
 import math
 from array import array
 from collections import deque
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import Optional
 
@@ -24,6 +24,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qbsd import datasets
 from qbsd.cli import RECORD_COLUMNS, RecordWriter, _parse_smoother, main
 from qbsd.datasets import (
     StepRecord,
@@ -214,6 +215,21 @@ def test_format_timestamp_takes_integers_only():
     format_timestamp(900)  # caches the day and the clock of 900.0 too
     with pytest.raises(TypeError):
         format_timestamp(900.0)
+
+
+def test_day_caches_that_fill_up_start_over():
+    """More distinct days than the day caches hold: each fills, is cleared
+    and refills, and every parse and format still matches datetime."""
+    first = datetime(1990, 1, 1, tzinfo=timezone.utc)
+    days = [first + timedelta(days=n) for n in range(datasets._DATE_CACHE_LIMIT + 500)]
+    for day in days + days[:100]:  # the first days again, after a clear
+        text = day.strftime("%Y-%m-%dT%H:%M:%S")
+        epoch = int(day.timestamp())
+        assert parse_timestamp(text) == epoch
+        assert format_timestamp(epoch + 3600) == (day + timedelta(hours=1)).strftime(
+            "%Y-%m-%dT%H:%M:%S")
+    assert 0 < len(datasets._date_seconds) <= datasets._DATE_CACHE_LIMIT
+    assert 0 < len(datasets._day_prefix) <= datasets._DATE_CACHE_LIMIT
 
 
 def reference_parse(text: str) -> int:

@@ -279,6 +279,12 @@ class TestDescriptors:
         with pytest.raises(ConfigError, match=r"not the scheme's k of 4 slots \(14400 s\)"):
             DatasetDescriptor(**fields, k_seconds=k_seconds)
 
+    def test_window_of_part_of_a_slot_is_config_error(self):
+        base = get_descriptor("synthetic")
+        with pytest.raises(ConfigError,
+                           match=r"^synthetic: training window is not a whole number of slots$"):
+            synthetic_descriptor(train_window_seconds=base.train_window_seconds + 450)
+
     def test_off_grid_test_range_is_config_error(self):
         start, end = get_descriptor("synthetic").test_range
         with pytest.raises(ConfigError, match="test range is off the grid"):
@@ -305,6 +311,16 @@ def k4_descriptor():
     return synthetic_descriptor(
         k_seconds=4 * 900, scheme=default_weekly_scheme(4, 4, QUARTER_HOURLY)
     )
+
+
+@pytest.mark.parametrize("slots,values,message", [
+    ((0, 1, 2), (1.0, 2.0), "slots and values must have the same length"),
+    ((0, 2, 2), (1.0, 2.0, 3.0), "slots must be strictly increasing"),
+    ((0, 3, 1), (1.0, 2.0, 3.0), "slots must be strictly increasing"),
+], ids=["lengths", "repeated", "descending"])
+def test_series_frame_rejects_bad_columns(slots, values, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SeriesFrame(HOURLY, slots, values)
 
 
 class TestRollingEvaluate:

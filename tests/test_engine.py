@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qbsd import timegrid
 from qbsd.core import QbsdConfig
 from qbsd.engine import MultiSeriesEngine, RollingForecaster, SlidingHistory
 from qbsd.errors import (
@@ -60,6 +61,10 @@ class TestSlidingHistory:
         assert h.get(5) == 1.0
         assert h.get(6) is None
         assert 5 in h and len(h) == 1
+
+    def test_capacity_below_one_slot_rejected(self):
+        with pytest.raises(ConfigError, match=r"^capacity must be >= 1 slot, got 0$"):
+            SlidingHistory(0)
 
     def test_overwrite_last_wins(self):
         h = SlidingHistory(10)
@@ -175,7 +180,7 @@ def history_batches(draw):
 
 def _state(h):
     # repr tells NaN from NaN and 0.0 from -0.0
-    return repr(h._values), h.latest, h.writes, h.last_write
+    return repr(h._values), h.latest, h.writes
 
 
 class TestExtend:
@@ -261,10 +266,10 @@ class TestIngest:
         with pytest.raises(GridMisaligned):
             f.ingest_history(batch)
         h = f.history
-        assert (h.latest, h.writes, h.last_write) == (2, 3, 2)
+        assert (h.latest, h.writes) == (2, 3)
         assert [h.get(s) for s in range(5)] == [0.0, 1.0, 2.0, None, None]
         f.ingest_history([(3, 3.0)])
-        assert (h.latest, h.writes, h.last_write) == (3, 4, 3)
+        assert (h.latest, h.writes) == (3, 4)
 
     def test_int_and_coord_slots_fill_the_same_history(self):
         g = HOURLY
@@ -272,6 +277,22 @@ class TestIngest:
         series = weekly_series(g, 30)
         coords.ingest_history(series)
         ints.ingest_history((t.global_slot, value) for t, value in series)
+        assert _state(coords.history) == _state(ints.history)
+
+    def test_coord_on_an_equal_grid_object_reads_like_an_int_slot(self):
+        """A SlotCoord whose grid equals the forecaster's but is another
+        object is checked, then forecast and observed as the int slot is."""
+        g, other = timegrid.HOURLY, Granularity(3600)
+        assert other == g and other is not g
+        coords, ints = make_forecaster(g), make_forecaster(g)
+        rng = random.Random(8)
+        series = [(s, rng.uniform(0, 100)) for s in range(5 * g.slots_per_week)]
+        prefill = 4 * g.slots_per_week
+        coords.ingest_history((SlotCoord(s, other), v) for s, v in series[:prefill])
+        ints.ingest_history(series[:prefill])
+        for s, v in series[prefill:]:
+            assert coords.observe(SlotCoord(s, other), v) == ints.observe(s, v)
+            assert coords.forecast_at(SlotCoord(s + 1, other)) == ints.forecast_at(s + 1)
         assert _state(coords.history) == _state(ints.history)
 
     def test_capacity_floor(self):

@@ -382,6 +382,36 @@ def test_wide_schemes_slide_on_consecutive_targets(k, slides, monkeypatch):
     assert calls == []
 
 
+def test_warmup_write_inside_the_kept_subset_is_seen():
+    """observe buffers a slot below the scheme span although it cannot be
+    forecast. When that slot lies inside the subset kept from the last
+    target, the next target must see its value, as a fresh forecaster over
+    the same history does."""
+    g = SIX_HOURLY
+    scheme = default_weekly_scheme(4, 4, g)
+    span = scheme.span_slots
+    cfg = QbsdConfig(scheme=scheme, c=1.0)
+    rng = random.Random(3)
+    series = {s: rng.gauss(100.0, 20.0) for s in range(span + 12)}
+    checked = 0
+    for target in range(span, span + 8):
+        for coord in resolve_subset_slots(SlotCoord(target + 1, g), scheme):
+            late = coord.global_slot
+            if late >= span:
+                continue
+            forecaster = RollingForecaster(cfg, g)
+            assert forecaster._edges is not None  # a scheme that slides
+            forecaster.ingest_history((s, v) for s, v in series.items() if s != late)
+            forecaster.forecast_at(target)
+            with pytest.raises(InsufficientSpan):
+                forecaster.observe(late, series[late])
+            fresh = RollingForecaster(cfg, g)
+            fresh.ingest_history(series.items())
+            assert forecaster.forecast_at(target + 1) == fresh.forecast_at(target + 1), late
+            checked += 1
+    assert checked >= 8
+
+
 # ------------------------------------------------ int slots and SlotCoords
 
 def _twin_forecasters(slide: bool, k: int, extra_capacity: int, min_samples: int):

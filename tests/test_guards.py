@@ -81,7 +81,6 @@ def test_sum_guard_sees_a_float_sum():
 # (module.name, why the module imports it without using it)
 ALLOWED_UNUSED_IMPORTS = [
     ("cli.rolling_evaluate", "perfbench/tracer.py looks it up in qbsd.cli by name"),
-    ("engine.resolve_subset_slots", "perfbench/tracer.py looks it up in qbsd.engine by name"),
 ]
 
 

@@ -155,6 +155,10 @@ class TestEvaluate:
 
 
 class TestWilcoxon:
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match=r"^mode must be auto, exact, or approx, got 'bogus'$"):
+            wilcoxon_signed_rank([1.0, 2.0, 3.0], [2.0, 3.0, 4.0], mode="bogus")
+
     def test_all_zero_differences_rejected(self):
         with pytest.raises(TooFewPairs):
             wilcoxon_signed_rank([1.0] * 6, [1.0] * 6)
