@@ -461,10 +461,8 @@ def _open_beside(path: str | Path) -> tuple[TextIO, str]:
             if exc.errno == errno.ENAMETOOLONG and prefix != short:
                 prefix = short
                 continue
-            if exc.errno in (errno.ENOENT, errno.ENOTDIR, errno.EACCES):
-                # the directory's fault: name the path asked for
-                raise type(exc)(exc.errno, exc.strerror, str(path)) from exc
-            raise
+            # name the path asked for, not the temporary file
+            raise type(exc)(exc.errno, exc.strerror, str(path)) from exc
 
 
 def cmd_evaluate(args) -> int:
@@ -475,32 +473,32 @@ def cmd_evaluate(args) -> int:
     desc = _resolve_descriptor(args, need_test_range=True)
     cfg = _qbsd_config(args, desc)
     methods = _parse_methods(args.method or "qbsd", desc.frequency)
-    if args.output and args.report:
-        for label, _ in methods:
-            records = _records_path(args.output, label, len(methods) > 1)
+    labels = [label for label, _ in methods]
+    records_paths = [_records_path(args.output, label, len(labels) > 1)
+                     for label in labels] if args.output else []
+    if args.report:
+        for label, records in zip(labels, records_paths):
             if Path(records).resolve() == Path(args.report).resolve():
                 raise ConfigError(f"the {label} records and --report would both write {records}")
-    if args.input is not None:
-        frame = load_csv(args.input, desc.timestamp_column, desc.target_column, desc.frequency)
-    elif desc.name != "synthetic":
+    if args.input is None and desc.name != "synthetic":
         raise ConfigError(f"--input is required for dataset {desc.name!r}")
-    else:
-        frame = generate_synthetic(
-            SynthSpec(noise_std=args.noise_std or 0.0, seed=args.seed or 0)
-        )
-    if args.c is None and any(marker == "qbsd" for _, marker in methods):
-        test_start, _ = desc.test_slot_range
-        cfg = replace(cfg, c=estimate_contingency(frame, test_start, cfg.c))
-    specs = [cfg if marker == "qbsd" else marker for _, marker in methods]
-    labels = [label for label, _ in methods]
-    # the records files are streamed as the test range is walked and appear
-    # only once the report is out
+    # every output is opened before the input is read. The records files are
+    # streamed as the test range is walked; the report, entered last, is
+    # closed first, so they appear only once the report is out
     with ExitStack() as files:
-        writers = [
-            RecordWriter(files.enter_context(
-                _output_file(_records_path(args.output, label, len(labels) > 1))))
-            for label in labels
-        ] if args.output else []
+        writers = [RecordWriter(files.enter_context(_output_file(path)))
+                   for path in records_paths]
+        report_file = files.enter_context(_output_file(args.report)) if args.report else None
+        if args.input is not None:
+            frame = load_csv(args.input, desc.timestamp_column, desc.target_column, desc.frequency)
+        else:
+            frame = generate_synthetic(
+                SynthSpec(noise_std=args.noise_std or 0.0, seed=args.seed or 0)
+            )
+        if args.c is None and any(marker == "qbsd" for _, marker in methods):
+            test_start, _ = desc.test_slot_range
+            cfg = replace(cfg, c=estimate_contingency(frame, test_start, cfg.c))
+        specs = [cfg if marker == "qbsd" else marker for _, marker in methods]
         scores = score_methods(frame, specs, desc, [writer.write for writer in writers])
         for writer in writers:
             writer.close()
@@ -527,7 +525,13 @@ def cmd_evaluate(args) -> int:
                     "wilcoxon_p_vs_qbsd": p_vs_qbsd,
                 }
             )
-        _render_evaluation(args, desc, rows)
+        payload = {"dataset": desc.name, "methods": rows}
+        if args.format == "table":
+            _print_table(desc.name, rows)
+        else:
+            _write_report(sys.stdout, args.format, payload)
+        if report_file is not None:
+            _write_report(report_file, args.format, payload)
     return 0
 
 
@@ -549,28 +553,20 @@ def _write_report(handle: TextIO, fmt: str, payload: dict) -> None:
         handle.write("\n")
 
 
-def _render_evaluation(args, desc: DatasetDescriptor, rows: list[dict]) -> None:
-    payload = {"dataset": desc.name, "methods": rows}
-    fmt = args.format
-    if fmt != "table":
-        _write_report(sys.stdout, fmt, payload)
-    else:
-        print(f"dataset: {desc.name}")
-        header = (
-            f"{'method':<22} {'mae':>12} {'mse':>14} {'rmse':>12} "
-            f"{'mape':>8} {'r2':>8} {'excl':>5} {'skip':>5} {'p_vs_qbsd':>10}"
+def _print_table(dataset: str, rows: list[dict]) -> None:
+    print(f"dataset: {dataset}")
+    header = (
+        f"{'method':<22} {'mae':>12} {'mse':>14} {'rmse':>12} "
+        f"{'mape':>8} {'r2':>8} {'excl':>5} {'skip':>5} {'p_vs_qbsd':>10}"
+    )
+    print(header)
+    for row in rows:
+        p = "-" if row["wilcoxon_p_vs_qbsd"] is None else f"{row['wilcoxon_p_vs_qbsd']:.4f}"
+        print(
+            f"{row['method']:<22} {row['mae']:>12.4f} {row['mse']:>14.4f} "
+            f"{row['rmse']:>12.4f} {row['mape']:>8.2f} {row['r2']:>8.3f} "
+            f"{row['mape_excluded']:>5d} {row['skipped']:>5d} {p:>10}"
         )
-        print(header)
-        for row in rows:
-            p = "-" if row["wilcoxon_p_vs_qbsd"] is None else f"{row['wilcoxon_p_vs_qbsd']:.4f}"
-            print(
-                f"{row['method']:<22} {row['mae']:>12.4f} {row['mse']:>14.4f} "
-                f"{row['rmse']:>12.4f} {row['mape']:>8.2f} {row['r2']:>8.3f} "
-                f"{row['mape_excluded']:>5d} {row['skipped']:>5d} {p:>10}"
-            )
-    if args.report:
-        with _output_file(args.report) as handle:
-            _write_report(handle, fmt, payload)
 
 
 # ---------------------------------------------------------------- forecast
@@ -748,7 +744,7 @@ def cmd_bench(args) -> int:
     methods = _parse_methods(args.method or "seasonal-naive,persistence,moving-average", g)
 
     stats = measure_qbsd_latency(
-        n, k=k, slots_per_day=spd, buffer_weeks=buffer_weeks, seed=args.seed or 0,
+        n, slots_per_day=spd, buffer_weeks=buffer_weeks, seed=args.seed or 0,
         baselines=[(label, spec) for label, spec in methods if spec != "qbsd"],
         scheme=scheme,
     )
@@ -791,8 +787,8 @@ def cmd_synth(args) -> int:
             f"--start {args.start}: the last row, {last}, is in year 10000 or "
             f"later; the grid ends at {GRID_END}"
         )
-    frame = generate_synthetic(spec)
     with _output_file(args.output) as handle:
+        frame = generate_synthetic(spec)
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["timestamp", "value"])
         for slot, value in zip(frame.slots, frame.values):

@@ -62,12 +62,11 @@ from .timegrid import (
 # valid date or clock is neither converted nor cached, so the whole string
 # goes to the general parser and fails there exactly as before. The caches
 # only memoise pure functions, so every caller and thread may share them. A
-# full cache is emptied and refilled.
+# full date cache is emptied and refilled; a clock cache cannot outgrow a day.
 _DATE = re.compile(r"(\d{4})-(\d{2})-(\d{2})", re.ASCII)
 _CLOCK = re.compile(r"(\d{2}):(\d{2}):(\d{2})", re.ASCII)
 _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 _DATE_CACHE_LIMIT = 4096  # days, about 11 years
-_CLOCK_CACHE_LIMIT = SECONDS_PER_DAY  # every clock of a day
 _date_seconds: dict[str, int] = {}
 _clock_seconds: dict[str, int] = {}
 _day_prefix: dict[int, str] = {}
@@ -138,7 +137,7 @@ def _clock_part(text: str) -> Optional[int]:
     if hours > 23 or minutes > 59 or seconds > 59:
         return None
     seconds += hours * 3600 + minutes * 60
-    _remember(_clock_seconds, text, seconds, _CLOCK_CACHE_LIMIT)
+    _clock_seconds[text] = seconds
     return seconds
 
 
@@ -159,7 +158,7 @@ def format_timestamp(epoch_seconds: int) -> str:
     if clock is None:
         hours, rest = divmod(second, 3600)
         clock = f"{hours:02d}:{rest // 60:02d}:{rest % 60:02d}"
-        _remember(_clock_text, second, clock, _CLOCK_CACHE_LIMIT)
+        _clock_text[second] = clock
     return prefix + clock
 
 

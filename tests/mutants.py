@@ -99,6 +99,17 @@ MUTANTS = [
      "and hi >= -1):",
      "and hi >= -2):",
      ["tests/test_engine_properties.py::test_forecast_at_matches_reference_path"]),
+    # a repeated slot's message names its two lines the wrong way round
+    ("src/qbsd/datasets.py",
+     "_duplicate(path, lines[i + 1], slots[i], granularity, lines[i])",
+     "_duplicate(path, lines[i], slots[i], granularity, lines[i + 1])",
+     ["tests/test_csv_io.py::test_load_csv_matches_a_sort_and_scan"]),
+    # a NaN difference is ranked among the tied magnitudes beside it
+    ("src/qbsd/metrics.py",
+     "        if mags[i:j].count(mags[i]) != t:\n"
+     "            raise ValueError(_NAN_DIFFERENCE)\n",
+     "",
+     ["tests/test_wilcoxon_reference.py::test_a_nan_difference_raises_wherever_it_ranks"]),
     # a scheme whose lag windows collide is accepted
     ("src/qbsd/timegrid.py",
      "if len(set(self.offsets)) != len(self.offsets):",

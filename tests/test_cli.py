@@ -89,6 +89,13 @@ class TestSynth:
         assert diffs == [50]
         assert float(v_spiked[50]) == float(v_plain[50]) + 500.0
 
+    def test_blank_anomaly_tokens_are_skipped(self, tmp_path, capsys):
+        plain = tmp_path / "plain.csv"
+        padded = tmp_path / "padded.csv"
+        for out, anomalies in ((plain, "3000:+500"), (padded, "3000:+500, ,")):
+            assert run(capsys, "synth", "--output", str(out), "--anomalies", anomalies)[0] == 0
+        assert padded.read_bytes() == plain.read_bytes()
+
     def test_unwritable_path(self, tmp_path, capsys):
         code, _, err = run(capsys, "synth", "--output",
                            str(tmp_path / "no" / "dir.csv"))
@@ -1906,6 +1913,25 @@ def test_unwritable_output_names_the_path_asked_for(tmp_path, capsys, command):
     assert err == f"error: [Errno 2] No such file or directory: '{out}'\n"
 
 
+def test_any_failure_to_create_the_temporary_file_names_the_path_asked_for(
+    tmp_path, capsys, monkeypatch
+):
+    """An I/O error on creating ``<out.csv>.<pid>.tmp`` is reported for
+    ``out.csv``, the only name the caller knows."""
+    def failing_open(file, mode="r", *args, **kwargs):
+        if mode == "x":
+            raise OSError(errno.EIO, os.strerror(errno.EIO), file)
+        return builtins.open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", failing_open, raising=False)
+    monkeypatch.chdir(tmp_path)
+    code, stdout, err = run(capsys, "forecast", "--input", "absent.csv", "--interval", "3600",
+                            "--output", "out.csv")
+    assert (code, stdout) == (2, "")
+    assert err == f"error: [Errno {errno.EIO}] {os.strerror(errno.EIO)}: 'out.csv'\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["forecast", "evaluate"])
 def test_output_to_a_pipe_is_written_in_place(tmp_path, capsys, command):
     expected_path = tmp_path / "expected.csv"
@@ -2101,17 +2127,32 @@ def test_bad_or_missing_flag_exits_1_with_its_message(tmp_path, capsys, monkeypa
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("command", ["forecast", "anomaly"])
+_ABSENT_INPUT = ["--input", "absent.csv", "--interval", "3600"]
+_ABSENT_EVALUATE = ["evaluate", *_ABSENT_INPUT, "--test-start", "1970-02-01T00:00:00",
+                    "--test-end", "1970-02-08T00:00:00"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["forecast", *_ABSENT_INPUT], "--output"),
+    (["anomaly", *_ABSENT_INPUT], "--output"),
+    (_ABSENT_EVALUATE, "--output"),
+    (_ABSENT_EVALUATE, "--report"),
+    (["synth"], "--output"),
+], ids=["forecast", "anomaly", "evaluate-output", "evaluate-report", "synth"])
 def test_output_name_no_file_can_have_exits_2_before_input(tmp_path, capsys, monkeypatch,
-                                                           command):
+                                                           argv, flag):
     """A 300-byte file name fails on the first look at the output path,
-    before the input (here absent) is opened."""
+    before the input (here absent) is opened or the series is made."""
     if os.pathconf(tmp_path, "PC_NAME_MAX") >= 300:
         pytest.skip("the file system takes 300-byte names")
     monkeypatch.chdir(tmp_path)
+
+    def never_called(*args, **kwargs):
+        raise AssertionError("the series was made before the output was opened")
+
+    monkeypatch.setattr(cli, "generate_synthetic", never_called)
     out = "a" * 296 + ".csv"
-    code, stdout, err = run(capsys, command, "--input", "absent.csv", "--interval", "3600",
-                            "--output", out)
+    code, stdout, err = run(capsys, *argv, flag, out)
     too_long = errno.ENAMETOOLONG
     assert (code, stdout) == (2, "")
     assert err == f"error: [Errno {too_long}] {os.strerror(too_long)}: '{out}'\n"
