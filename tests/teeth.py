@@ -1,15 +1,32 @@
-"""Mutation checks: plausible wrong edits of the package, each with the tests
-that must fail once it is made.
+"""Whether the tests have teeth: every line of the package that can run is
+run by some test, and each of a list of plausible wrong edits of the package
+fails the tests named beside it.
 
-Run from anywhere with ``python tests/mutants.py`` (pytest and hypothesis
-installed). For each entry the script copies ``src/`` to a temporary
-directory, replaces the entry's old text, which must occur there exactly
-once, with its new text, and runs the entry's tests with ``-x`` and a fixed
-``--hypothesis-seed`` under ``PYTHONPATH=<copy>/src``. A mutant is killed
-when pytest reports a failed test; the script exits 1 if any survives. The
-file is not named ``test_*.py``, so pytest does not collect it;
-``tests/test_guards.py`` checks that every old text occurs exactly once and
-that every named test file exists.
+Run from anywhere with ``python tests/teeth.py`` (pytest and hypothesis
+installed). The file is not named ``test_*.py``, so pytest does not collect
+it. It exits 1 if a line is unrun or a mutant survives.
+
+**Line coverage, the mutants' clean baseline.** The script first runs pytest
+on ``tests/`` in this process under ``sys.settrace`` and
+``threading.settrace``, tracing only frames whose code is in ``src/qbsd``,
+with a fixed ``--hypothesis-seed`` and no hypothesis deadline (tracing slows
+every call). If a test fails, the script exits with pytest's code and tries
+no mutant: a failure counts as a kill only where the same tests pass on the
+real source. A module's executable lines are the lines of its compiled code
+objects (``co_lines``). The script prints each executable line that did not
+run, other than those in ``ALLOWED``.
+
+**Mutants.** For each entry of ``MUTANTS`` the script copies ``src/`` to a
+temporary directory, replaces the entry's old text, which must occur there
+exactly once, with its new text, and runs the entry's tests with ``-x`` and
+the same seed in a child Python. The child's ``PYTHONPATH`` is the copy's
+``src`` before the inherited path, so it imports the mutated package and
+whatever else this process could import, pytest included. A mutant is killed
+when pytest reports a failed test.
+
+``tests/test_guards.py`` checks that every old text occurs exactly once,
+that every named test file exists and that every ``ALLOWED`` line is still
+in the package.
 """
 
 from __future__ import annotations
@@ -19,11 +36,21 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
+from types import CodeType
+
+import pytest
+from hypothesis import settings
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "qbsd"
 HYPOTHESIS_SEED = "0"
 PYTEST_TESTS_FAILED = 1
+INHERITED_PYTHONPATH = os.environ.get("PYTHONPATH")
+
+# (module, line text) of the lines no in-process test can run
+ALLOWED = {("cli.py", "sys.exit(main())")}
 
 # (file from the repository root, exact old text, new text, tests that must fail)
 MUTANTS = [
@@ -56,7 +83,21 @@ MUTANTS = [
     ("src/qbsd/engine.py",
      "base - 1 == self._base and writes == self._writes and self._slide(base)",
      "base - 1 == self._base and self._slide(base)",
-     ["tests/test_engine_properties.py::test_sliding_subset_matches_reference"]),
+     ["tests/test_engine_properties.py::test_write_between_consecutive_targets_is_seen"]),
+    # the slot that leaves a lag group is read one slot below the window
+    ("src/qbsd/engine.py",
+     "            slot = base + leave\n"
+     "            value = values[slot % capacity] if oldest < slot <= latest else None",
+     "            slot = base + leave\n"
+     "            value = values[slot % capacity] if oldest <= slot <= latest else None",
+     ["tests/test_engine_properties.py::test_consecutive_targets_behind_a_full_window"]),
+    # the slot that enters a lag group is read one slot below the window
+    ("src/qbsd/engine.py",
+     "            slot = base + enter\n"
+     "            value = values[slot % capacity] if oldest < slot <= latest else None",
+     "            slot = base + enter\n"
+     "            value = values[slot % capacity] if oldest <= slot <= latest else None",
+     ["tests/test_engine_properties.py::test_consecutive_targets_behind_a_full_window"]),
     # observe does not count its own write after a forecast, so nothing slides
     ("src/qbsd/engine.py",
      "        # t enters the next target's subset: the slide takes it from the ring\n"
@@ -120,6 +161,61 @@ MUTANTS = [
 ]
 
 
+def pythonpath(src: Path) -> str:
+    """``src`` before the ``PYTHONPATH`` this process was started with."""
+    return os.pathsep.join(filter(None, [str(src), INHERITED_PYTHONPATH]))
+
+
+def executable_lines(code: CodeType) -> set[int]:
+    """The line numbers of ``code`` and of every code object nested in it."""
+    lines = {line for _, _, line in code.co_lines() if line}
+    for const in code.co_consts:
+        if isinstance(const, CodeType):
+            lines |= executable_lines(const)
+    return lines
+
+
+def run_traced(args: list[str]) -> tuple[int, dict[str, set[int]]]:
+    """pytest's exit code for ``args`` and the lines run in each file of the
+    package, keyed by the file's path."""
+    prefix = str(PACKAGE) + os.sep
+    ran: dict[str, set[int]] = {}
+
+    def trace(frame, event, arg):
+        filename = frame.f_code.co_filename
+        if not filename.startswith(prefix):
+            return None
+        lines = ran.setdefault(filename, set())
+
+        def local(frame, event, arg):
+            lines.add(frame.f_lineno)
+            return local
+
+        return local(frame, event, arg)
+
+    threading.settrace(trace)
+    sys.settrace(trace)
+    try:
+        code = pytest.main(args)
+    finally:
+        sys.settrace(None)
+        threading.settrace(None)
+    return code, ran
+
+
+def unrun_lines(ran: dict[str, set[int]]) -> list[str]:
+    """``path:line: text`` of each executable line of the package that is not
+    in ``ran`` or ``ALLOWED``."""
+    unrun = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        source = text.splitlines()
+        missing = executable_lines(compile(text, str(path), "exec")) - ran.get(str(path), set())
+        unrun += [f"{path.relative_to(ROOT)}:{n}: {source[n - 1].strip()}"
+                  for n in sorted(missing) if (path.name, source[n - 1].strip()) not in ALLOWED]
+    return unrun
+
+
 def killed(file: str, old: str, new: str, tests: list[str]) -> bool:
     """Whether each of ``tests`` fails on a copy of ``src/`` with ``old``
     replaced by ``new`` in ``file``; raises if ``old`` is not there once."""
@@ -131,7 +227,7 @@ def killed(file: str, old: str, new: str, tests: list[str]) -> bool:
         if text.count(old) != 1:
             raise SystemExit(f"{file}: the old text occurs {text.count(old)} times:\n{old}")
         path.write_text(text.replace(old, new), encoding="utf-8")
-        env = dict(os.environ, PYTHONPATH=os.path.join(tmp, "src"))
+        env = dict(os.environ, PYTHONPATH=pythonpath(Path(tmp) / "src"))
         for test in tests:
             result = subprocess.run(
                 [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
@@ -144,6 +240,23 @@ def killed(file: str, old: str, new: str, tests: list[str]) -> bool:
 
 
 def main() -> int:
+    os.chdir(ROOT)
+    sys.path.insert(0, str(PACKAGE.parent))
+    # tests that start a Python of their own find the package as tier-1 does
+    os.environ["PYTHONPATH"] = pythonpath(PACKAGE.parent)
+    settings.register_profile("teeth", deadline=None)
+    # hypothesis is imported before pytest runs, which cannot rewrite its asserts
+    code, ran = run_traced(["-q", "-p", "no:cacheprovider", "-W",
+                            "ignore::pytest.PytestAssertRewriteWarning",
+                            "--hypothesis-profile=teeth",
+                            f"--hypothesis-seed={HYPOTHESIS_SEED}", str(ROOT / "tests")])
+    if code != 0:
+        print(f"pytest exited {code}; no coverage is reported and no mutant is tried")
+        return int(code)
+    unrun = unrun_lines(ran)
+    for line in unrun:
+        print(f"unrun: {line}")
+    print(f"{len(unrun)} executable lines of {PACKAGE.relative_to(ROOT)} not run", flush=True)
     survivors = 0
     for file, old, new, tests in MUTANTS:
         ok = killed(file, old, new, tests)
@@ -151,7 +264,7 @@ def main() -> int:
         where = " / ".join(line.strip() for line in old.splitlines())
         print(f"{'killed' if ok else 'SURVIVED'}: {file}: {where}", flush=True)
     print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed")
-    return 1 if survivors else 0
+    return 1 if unrun or survivors else 0
 
 
 if __name__ == "__main__":

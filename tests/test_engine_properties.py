@@ -412,6 +412,106 @@ def test_warmup_write_inside_the_kept_subset_is_seen():
     assert checked >= 8
 
 
+def test_write_between_consecutive_targets_is_seen():
+    """A write inside the kept subset that does not come from observe, made
+    between two consecutive targets, reaches the second forecast, as a fresh
+    forecaster over the same history sees it."""
+    g = Granularity(3600)
+    cfg = QbsdConfig(scheme=default_weekly_scheme(4, 4, g), c=1.0)
+    forecaster = RollingForecaster(cfg, g)
+    assert forecaster._edges is not None  # a scheme that slides
+    rng = random.Random(11)
+    t = forecaster._span + 10
+    series = {s: rng.gauss(100.0, 20.0) for s in range(t + 3)}
+    forecaster.ingest_history((s, series[s]) for s in range(t))
+    for s in range(t, t + 3):
+        forecaster.observe(s, series[s])
+    t += 3
+    forecaster.forecast_at(t)
+    forecaster.history.insert(t - 1, 1234.5)
+    series[t - 1] = 1234.5
+    fresh = RollingForecaster(cfg, g)
+    fresh.ingest_history(series.items())
+    assert forecaster.forecast_at(t + 1) == fresh.forecast_at(t + 1)
+
+
+def test_consecutive_targets_behind_a_full_window():
+    """Targets in order from below the window to past its end, on one
+    forecaster, slide over subsets whose leaving and entering slots reach
+    the window's oldest edge; each forecast equals a fresh forecaster's."""
+    g = Granularity(3600)
+    cfg = QbsdConfig(scheme=default_weekly_scheme(4, 4, g), c=1.0)
+    capacity = cfg.scheme.span_slots + 24
+    latest = 3 * capacity
+    rng = random.Random(5)
+    window = [(s, rng.gauss(100.0, 20.0)) for s in range(latest - capacity + 1, latest + 1)]
+    forecaster = RollingForecaster(cfg, g, capacity_slots=capacity)
+    forecaster.ingest_history(window)
+    assert forecaster._edges is not None  # a scheme that slides
+    for target in range(latest - capacity - 5, latest + 2):
+        fresh = RollingForecaster(cfg, g, capacity_slots=capacity)
+        fresh.ingest_history(window)
+        got = _outcome(lambda: _exact((forecaster.forecast_at(target), None)))
+        assert got == _outcome(lambda: _exact((fresh.forecast_at(target), None))), target
+
+
+class CountingList(list):
+    """A ring of cells that counts its reads and writes. A scan of many cells
+    (a slice, ``count``, iteration) counts one read per cell it covers, so a
+    whole-ring scan shows as ``capacity`` reads."""
+
+    def __init__(self, cells):
+        super().__init__(cells)
+        self.reads = self.writes = 0
+
+    def __getitem__(self, index):
+        self.reads += len(range(*index.indices(len(self)))) if isinstance(index, slice) else 1
+        return super().__getitem__(index)
+
+    def __setitem__(self, index, value):
+        self.writes += len(range(*index.indices(len(self)))) if isinstance(index, slice) else 1
+        super().__setitem__(index, value)
+
+    def __iter__(self):
+        self.reads += len(self)
+        return super().__iter__()
+
+    def count(self, value):
+        self.reads += len(self)
+        return super().count(value)
+
+
+@pytest.mark.parametrize("k", [1, 4], ids=["rebuild", "slide"])
+def test_observe_reads_and_writes_as_many_cells_at_any_capacity(k):
+    """The paper's central claim as an exact count: each observe reads and
+    writes as many ring cells with 520 weeks of history kept as with 5."""
+    g = Granularity(3600)
+    cfg = QbsdConfig(scheme=default_weekly_scheme(4, k, g), c=1.0)
+    forecasters = [RollingForecaster(cfg, g, capacity_slots=weeks * g.slots_per_week)
+                   for weeks in (5, 520)]
+    assert all(f._edges is not None for f in forecasters) == (k == 4)
+    rng = random.Random(1)
+    start = cfg.scheme.span_slots + 30
+    prefill = [(s, rng.gauss(100.0, 20.0)) for s in range(start)]
+    for f in forecasters:
+        f.ingest_history(prefill)
+    rings = [CountingList(f.history._values) for f in forecasters]
+    for f, ring in zip(forecasters, rings):
+        f.history._values = ring
+    stream = random.Random(2)
+    for slot in range(start, start + 3000):
+        if stream.random() < 0.02:
+            continue  # a gap: the next observe clears this slot's cell
+        value = stream.gauss(100.0, 20.0)
+        counts = []
+        for f, ring in zip(forecasters, rings):
+            ring.reads = ring.writes = 0
+            f.observe(slot, value)
+            counts.append((ring.reads, ring.writes))
+        assert counts[0] == counts[1], slot
+        assert counts[0][0] > 0 and counts[0][1] >= 1, slot
+
+
 # ------------------------------------------------ int slots and SlotCoords
 
 def _twin_forecasters(slide: bool, k: int, extra_capacity: int, min_samples: int):

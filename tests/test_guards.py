@@ -1,7 +1,8 @@
 """Source guards, read with ``ast``: no float ``sum()`` in the package, no
 unused import in it, no private package name imported by the CLI, no numpy
 in the tests, and every name the benchmark's tracer looks up present. And
-every mutant in ``tests/mutants.py`` still applies to the source.
+every mutant and every allowed unrun line in ``tests/teeth.py`` still applies
+to the source.
 
 From Python 3.12 on the built-in ``sum()`` of floats is compensated, so a
 float ``sum()`` in ``src/qbsd`` would make outputs differ between the
@@ -197,26 +198,32 @@ def test_every_name_the_tracer_looks_up_resolves():
     assert missing == []
 
 
-def mutant_entries() -> list[tuple[str, str, str, list[str]]]:
-    """``MUTANTS`` of ``tests/mutants.py``, loaded by path: the file is a
-    script, not a test module."""
-    spec = importlib.util.spec_from_file_location("mutants", TESTS / "mutants.py")
+def teeth():
+    """``tests/teeth.py``, loaded by path: the file is a script, not a test
+    module."""
+    spec = importlib.util.spec_from_file_location("teeth", TESTS / "teeth.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.MUTANTS
+    return module
 
 
 def test_every_mutant_applies_to_the_source():
-    """Each mutant's old text occurs exactly once in its file, and each test
-    that must kill it is in a file that exists, so an edit of the source or a
-    moved test cannot make the mutant list go stale unseen. Whether the
-    tests kill the mutants is ``python tests/mutants.py``, a CI job of its
-    own."""
+    """Each mutant's old text occurs exactly once in its file, each test that
+    must kill it is in a file that exists, and each line allowed to go unrun
+    is still a line of its module, so an edit of the source or a moved test
+    cannot make either list go stale unseen. Whether the tests kill the
+    mutants and run every other line is ``python tests/teeth.py``, a CI step
+    of its own."""
     root = TESTS.parent
+    script = teeth()
     stale = []
-    for file, old, _, tests in mutant_entries():
+    for file, old, _, tests in script.MUTANTS:
         found = (root / file).read_text(encoding="utf-8").count(old)
         if found != 1:
             stale.append(f"{file}: old text found {found} times: {old!r}")
         stale += [test for test in tests if not (root / test.split("::")[0]).is_file()]
+    for module, line in sorted(script.ALLOWED):
+        lines = (PACKAGE / module).read_text(encoding="utf-8").splitlines()
+        if line not in map(str.strip, lines):
+            stale.append(f"{module}: allowed unrun line not found: {line!r}")
     assert stale == []
