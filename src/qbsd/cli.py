@@ -339,6 +339,7 @@ def _resolve_descriptor(args, need_test_range: bool) -> DatasetDescriptor:
         ("--test-end", base, "a builtin dataset has its own test range"),
         ("--seed", not generated, "only the generated synthetic series is seeded"),
         ("--noise-std", not generated, "only the generated synthetic series is noised"),
+        ("--c-floor", args.c is not None, "--c fixes c, so no estimate is floored"),
     ):
         if unused and getattr(args, flag[2:].replace("-", "_"), None) is not None:
             raise ConfigError(f"{flag} does not apply to this run: {reason}")
@@ -694,7 +695,7 @@ def measure_qbsd_latency(
     fns = {}
     for weeks in buffer_weeks:
         forecaster = RollingForecaster(cfg, g, capacity_slots=weeks * g.slots_per_week)
-        forecaster.history.extend(zip(frame.slots, frame.values))
+        forecaster.ingest_history(zip(frame.slots, frame.values))
         fns[weeks] = forecaster.forecast_at
         if weeks == history_weeks:
             history = forecaster.history

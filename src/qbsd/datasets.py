@@ -673,7 +673,8 @@ def score_methods(
         history = SlidingHistory(window)
 
     first = bisect_left(slots, test_start)
-    history.extend(zip(slots, values[:first]))
+    for slot, value in zip(slots, values[:first]):
+        history.insert(slot, value)
 
     scores = [MethodScore() for _ in methods]
     adds = [score.add for score in scores]

@@ -49,10 +49,6 @@ class SlidingHistory:
 
     ``writes`` counts successful inserts, so a reader can tell whether
     anything changed since it last looked.
-
-    ``extend`` is the one batch path: it leaves exactly the state that
-    ``insert`` of each pair in turn would, and an in-order run costs one
-    ring write per value.
     """
 
     __slots__ = ("capacity", "_values", "_latest", "writes")
@@ -93,26 +89,6 @@ class SlidingHistory:
         if latest is not None and slot <= latest - self.capacity:
             raise StaleSlot(f"slot {slot} is older than the retained window "
                             f"(oldest kept: {latest - self.capacity + 1})")
-
-    def extend(self, pairs: Iterable[tuple[int, float]]) -> None:
-        """``insert`` each ``(slot, value)`` pair in turn. A slot just after
-        ``latest`` is written straight into the ring; any other slot goes
-        through ``insert``. If a pair is rejected, or the iterator raises,
-        the pairs before it stay inserted."""
-        values, capacity = self._values, self.capacity
-        latest, writes = self._latest, self.writes
-        try:
-            for slot, value in pairs:
-                if slot - 1 == latest:
-                    values[slot % capacity] = value
-                    latest = slot
-                    writes += 1
-                else:
-                    self._latest, self.writes = latest, writes
-                    self.insert(slot, value)
-                    latest, writes = self._latest, self.writes
-        finally:
-            self._latest, self.writes = latest, writes
 
     def get(self, slot: int) -> Optional[float]:
         latest = self._latest
@@ -203,19 +179,13 @@ class RollingForecaster:
 
     def ingest_history(self, batch: Iterable[tuple[Slot, float]]) -> None:
         """Insert observed values; newest write wins on duplicate slots and
-        anything pushed out of the window is evicted. The pairs go through
-        ``SlidingHistory.extend``, so an in-order run costs one ring write
-        per value; an int slot is passed through as it is."""
-        g, on_grid = self.granularity, self._on_grid
-        self.history.extend(
-            (
-                (t.global_slot if t.granularity is g else on_grid(t))
-                if isinstance(t, SlotCoord)
-                else t,
-                value,
-            )
-            for t, value in batch
-        )
+        anything pushed out of the window is evicted. An in-order run costs
+        one ring write per value; an int slot is passed through as it is."""
+        g, on_grid, insert = self.granularity, self._on_grid, self.history.insert
+        for t, value in batch:
+            if isinstance(t, SlotCoord):
+                t = t.global_slot if t.granularity is g else on_grid(t)
+            insert(t, value)
 
     def forecast_at(self, t: Slot) -> ForecastOutput:
         """Forecast for slot t from history alone. The output is identical

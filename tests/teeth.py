@@ -115,16 +115,11 @@ MUTANTS = [
      "resolve_subset_slots(SlotCoord(base, self.granularity), self.cfg.scheme)",
      "pass",
      ["tests/test_engine.py::TestObserve::test_first_observation_buffers_and_raises"]),
-    # extend leaves the history as it found it
+    # ingest_history takes a SlotCoord on another grid as one on its own
     ("src/qbsd/engine.py",
-     "        finally:\n            self._latest, self.writes = latest, writes",
-     "        finally:\n            pass",
-     ["tests/test_engine.py::TestExtend::test_matches_per_item_insert"]),
-    # extend does not count the writes of its in-order run
-    ("src/qbsd/engine.py",
-     "                    latest = slot\n                    writes += 1",
-     "                    latest = slot",
-     ["tests/test_engine.py::TestExtend::test_matches_per_item_insert"]),
+     "t = t.global_slot if t.granularity is g else on_grid(t)",
+     "t = t.global_slot",
+     ["tests/test_engine.py::TestIngest::test_granularity_mismatch"]),
     # a subset is never filtered to the retained window
     ("src/qbsd/engine.py",
      "if not (lo < -self._span and hi >= -1):",

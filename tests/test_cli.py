@@ -1505,6 +1505,20 @@ def test_rejected_contingency_flag_is_named_before_input(tmp_path, capsys, comma
     assert stdout == ""
 
 
+@pytest.mark.parametrize("floor", ["5", "-1"], ids=["valid", "invalid"])
+@pytest.mark.parametrize("command", ["forecast", "anomaly", "evaluate"])
+def test_c_floor_beside_c_exits_1_before_input(tmp_path, capsys, command, floor):
+    """--c fixes c, so a --c-floor beside it would be ignored, whatever its
+    value: the run is refused before its input is opened."""
+    code, stdout, err = run(capsys, command, "--dataset", "synthetic",
+                            "--input", str(tmp_path / "absent.csv"),
+                            "--c", "2", "--c-floor", floor)
+    assert code == 1
+    assert err == ("error: --c-floor does not apply to this run: "
+                   "--c fixes c, so no estimate is floored\n")
+    assert stdout == ""
+
+
 @pytest.mark.parametrize("command", [
     ["evaluate", "--test-start", str(30 * 86400), "--test-end", str(60 * 86400)],
     ["anomaly", "--threshold", "3", "--output", "-"],

@@ -3,8 +3,6 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from qbsd import timegrid
 from qbsd.core import QbsdConfig
@@ -142,92 +140,9 @@ def test_retained_cell_costs_one_list_slot():
     assert used <= 16 * capacity, used / capacity
 
 
-class _Broken(Exception):
-    pass
-
-
-@st.composite
-def history_batches(draw):
-    """A capacity, pairs to insert before the batch, and a batch mixing
-    in-order runs, jumps past the capacity, late rows inside the window,
-    duplicates and rows older than the window, with NaN, inf and -0.0
-    among the values; and where, if anywhere, the batch's iterator raises."""
-    capacity = draw(st.integers(1, 12))
-    values = st.one_of(
-        st.floats(allow_nan=True, allow_infinity=True), st.sampled_from([-0.0, math.nan])
-    )
-    latest = draw(st.integers(0, 40))
-    # the history starts empty or holds an in-order run that ends at latest
-    prefill = [(slot, draw(values)) for slot in range(latest - draw(st.integers(-1, 3)), latest + 1)]
-    batch = []
-    for _ in range(draw(st.integers(0, 10))):
-        kind = draw(st.sampled_from(["run", "run", "jump", "late", "duplicate", "stale"]))
-        if kind == "run":
-            slots = list(range(latest + 1, latest + 1 + draw(st.integers(1, 2 * capacity))))
-        elif kind == "jump":
-            slots = [latest + capacity + draw(st.integers(1, 3))]
-        elif kind == "late":
-            slots = [latest - draw(st.integers(1, capacity))]
-        elif kind == "duplicate":
-            slots = [latest, latest]
-        else:
-            slots = [latest - capacity - draw(st.integers(0, 2))]
-        batch.extend((slot, draw(values)) for slot in slots)
-        latest = max(latest, *slots)
-    raise_at = draw(st.one_of(st.none(), st.integers(0, len(batch))))
-    return capacity, prefill, batch, raise_at
-
-
 def _state(h):
     # repr tells NaN from NaN and 0.0 from -0.0
     return repr(h._values), h.latest, h.writes
-
-
-class TestExtend:
-    """``extend`` is the batch form of ``insert``: per-item inserts are the
-    oracle for every state it leaves and every error it raises."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(history_batches())
-    # a jump, a late row inside the new window, then an in-order run
-    @example((4, [], [(0, 0.0), (1, 1.0), (6, 6.0), (4, 4.0), (7, 7.0), (8, 8.0)], None))
-    # a stale row after an in-order run: the run stays inserted
-    @example((3, [], [(5, 5.0), (6, 6.0), (7, 7.0), (4, 4.0), (8, 8.0)], None))
-    def test_matches_per_item_insert(self, case):
-        capacity, prefill, batch, raise_at = case
-        ref, h = SlidingHistory(capacity), SlidingHistory(capacity)
-        for slot, value in prefill:
-            ref.insert(slot, value)
-            h.insert(slot, value)
-        stop = len(batch) if raise_at is None else raise_at
-
-        ref_error = None
-        for i, (slot, value) in enumerate(batch[:stop]):
-            try:
-                ref.insert(slot, value)
-            except StaleSlot as exc:
-                ref_error = (i, str(exc))
-                break
-        else:
-            if raise_at is not None:
-                ref_error = (raise_at, "broken")
-
-        taken = []
-
-        def pairs():
-            for i, pair in enumerate(batch[:stop]):
-                taken.append(i)
-                yield pair
-            if raise_at is not None:
-                raise _Broken("broken")
-
-        error = None
-        try:
-            h.extend(pairs())
-        except (StaleSlot, _Broken) as exc:
-            error = (taken[-1] if isinstance(exc, StaleSlot) else len(taken), str(exc))
-        assert error == ref_error
-        assert _state(h) == _state(ref)
 
 
 class TestIngest:

@@ -481,10 +481,38 @@ class CountingList(list):
         return super().count(value)
 
 
+@pytest.mark.parametrize("coords", [False, True], ids=["int", "slotcoord"])
+@pytest.mark.parametrize("weeks", [5, 520])
+def test_in_order_prefill_writes_one_cell_per_value_and_reads_none(weeks, coords):
+    """ingest_history of an in-order run writes each value's cell once and
+    reads no cell, whatever the capacity."""
+    g = Granularity(3600)
+    cfg = QbsdConfig(scheme=default_weekly_scheme(4, 4, g), c=1.0)
+    forecaster = RollingForecaster(cfg, g, capacity_slots=weeks * g.slots_per_week)
+    ring = forecaster.history._values = CountingList(forecaster.history._values)
+    rng = random.Random(1)
+    n = cfg.scheme.span_slots + 30
+    forecaster.ingest_history(
+        (SlotCoord(s, g) if coords else s, rng.gauss(100.0, 20.0)) for s in range(n))
+    assert (ring.reads, ring.writes) == (0, n)
+    assert forecaster.history.latest == n - 1
+
+
 @pytest.mark.parametrize("k", [1, 4], ids=["rebuild", "slide"])
-def test_observe_reads_and_writes_as_many_cells_at_any_capacity(k):
+def test_observe_reads_and_writes_as_many_cells_at_any_capacity(k, monkeypatch):
     """The paper's central claim as an exact count: each observe reads and
-    writes as many ring cells with 520 weeks of history kept as with 5."""
+    writes as many ring cells with 520 weeks of history kept as with 5. An
+    observe that slides the kept subset reads at most the leaving and the
+    entering cell of each lag group; any other reads at most the subset."""
+    slid = []
+    real = RollingForecaster._slide
+
+    def spy(self, base):
+        moved = real(self, base)
+        slid.append(moved)
+        return moved
+
+    monkeypatch.setattr(RollingForecaster, "_slide", spy)
     g = Granularity(3600)
     cfg = QbsdConfig(scheme=default_weekly_scheme(4, k, g), c=1.0)
     forecasters = [RollingForecaster(cfg, g, capacity_slots=weeks * g.slots_per_week)
@@ -506,8 +534,12 @@ def test_observe_reads_and_writes_as_many_cells_at_any_capacity(k):
         counts = []
         for f, ring in zip(forecasters, rings):
             ring.reads = ring.writes = 0
+            slid.clear()
             f.observe(slot, value)
             counts.append((ring.reads, ring.writes))
+            # the stream holds no zero or NaN, so a slide that starts finishes
+            bound = 2 * len(f._edges) if slid == [True] else cfg.scheme.subset_size
+            assert ring.reads <= bound, (slot, slid)
         assert counts[0] == counts[1], slot
         assert counts[0][0] > 0 and counts[0][1] >= 1, slot
 

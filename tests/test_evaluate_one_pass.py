@@ -160,13 +160,7 @@ def test_one_insert_per_present_row(monkeypatch, with_qbsd):
         inserts.append(slot)
         insert(self, slot, value)
 
-    def counted_extend(self, pairs):
-        # tests/test_engine.py::TestExtend pins extend to per-item insert
-        for slot, value in pairs:
-            counted(self, slot, value)
-
     monkeypatch.setattr(SlidingHistory, "insert", counted)
-    monkeypatch.setattr(SlidingHistory, "extend", counted_extend)
     methods = ([desc.qbsd_config()] if with_qbsd else []) + ALL_METHODS
     results = rolling_evaluate(frame, methods, desc)
     assert len(results) == len(methods)
