@@ -332,13 +332,10 @@ def _resolve_descriptor(args, need_test_range: bool) -> DatasetDescriptor:
     generic-CSV flags, with the scheme, window and column flags applied to
     either. ``DatasetDescriptor`` checks the result before any data work."""
     base = get_descriptor(args.dataset) if args.dataset else None
-    generated = base is not None and base.name == "synthetic" and not args.input
     for flag, unused, reason in (
         ("--interval", base, "a builtin dataset has its own grid"),
         ("--test-start", base, "a builtin dataset has its own test range"),
         ("--test-end", base, "a builtin dataset has its own test range"),
-        ("--seed", not generated, "only the generated synthetic series is seeded"),
-        ("--noise-std", not generated, "only the generated synthetic series is noised"),
         ("--c-floor", args.c is not None, "--c fixes c, so no estimate is floored"),
     ):
         if unused and getattr(args, flag[2:].replace("-", "_"), None) is not None:
@@ -390,16 +387,17 @@ def _flag(name: str):
 
 def _qbsd_config(args, desc: DatasetDescriptor) -> QbsdConfig:
     """The run's QBSD configuration. Its c is ``--c``, or else the
-    ``--c-floor`` that an estimate of c is floored at. A default threshold
-    that the scheme cannot meet is no flag's fault, so its message names none."""
+    ``--c-floor`` that an estimate of c is floored at, a flag only the
+    commands that estimate c have. A default threshold that the scheme
+    cannot meet is no flag's fault, so its message names none."""
     with _flag("--min-samples") if args.min_samples is not None else nullcontext():
         cfg = desc.qbsd_config(min_samples=args.min_samples)
     if args.c is not None:
         with _flag("--c"):
             return replace(cfg, c=args.c)
-    floor = DEFAULT_C_FLOOR_CONTINUOUS if args.c_floor is None else args.c_floor
+    floor = getattr(args, "c_floor", None)
     with _flag("--c-floor"):
-        return replace(cfg, c=floor)
+        return replace(cfg, c=DEFAULT_C_FLOOR_CONTINUOUS if floor is None else floor)
 
 
 # ---------------------------------------------------------------- evaluate
@@ -474,6 +472,11 @@ def cmd_evaluate(args) -> int:
     desc = _resolve_descriptor(args, need_test_range=True)
     cfg = _qbsd_config(args, desc)
     methods = _parse_methods(args.method or "qbsd", desc.frequency)
+    runs_qbsd = any(marker == "qbsd" for _, marker in methods)
+    if not runs_qbsd:
+        for flag in ("--c", "--c-floor", "--min-samples"):
+            if getattr(args, flag[2:].replace("-", "_")) is not None:
+                raise ConfigError(f"{flag} does not apply to this run: no qbsd method runs")
     labels = [label for label, _ in methods]
     records_paths = [_records_path(args.output, label, len(labels) > 1)
                      for label in labels] if args.output else []
@@ -481,8 +484,8 @@ def cmd_evaluate(args) -> int:
         for label, records in zip(labels, records_paths):
             if Path(records).resolve() == Path(args.report).resolve():
                 raise ConfigError(f"the {label} records and --report would both write {records}")
-    if args.input is None and desc.name != "synthetic":
-        raise ConfigError(f"--input is required for dataset {desc.name!r}")
+    if args.input is None:
+        raise ConfigError("--input is required")
     # every output is opened before the input is read. The records files are
     # streamed as the test range is walked; the report, entered last, is
     # closed first, so they appear only once the report is out
@@ -490,13 +493,8 @@ def cmd_evaluate(args) -> int:
         writers = [RecordWriter(files.enter_context(_output_file(path)))
                    for path in records_paths]
         report_file = files.enter_context(_output_file(args.report)) if args.report else None
-        if args.input is not None:
-            frame = load_csv(args.input, desc.timestamp_column, desc.target_column, desc.frequency)
-        else:
-            frame = generate_synthetic(
-                SynthSpec(noise_std=args.noise_std or 0.0, seed=args.seed or 0)
-            )
-        if args.c is None and any(marker == "qbsd" for _, marker in methods):
+        frame = load_csv(args.input, desc.timestamp_column, desc.target_column, desc.frequency)
+        if args.c is None and runs_qbsd:
             test_start, _ = desc.test_slot_range
             cfg = replace(cfg, c=estimate_contingency(frame, test_start, cfg.c))
         specs = [cfg if marker == "qbsd" else marker for _, marker in methods]
@@ -812,15 +810,14 @@ def _add_scheme_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_series_flags(p: argparse.ArgumentParser) -> None:
-    """Flags of evaluate, forecast and anomaly, all but ``--input`` and
-    ``--output``."""
+    """Flags of evaluate, forecast and anomaly, all but ``--input``,
+    ``--output`` and ``--c-floor``."""
     p.add_argument("--dataset", help="builtin dataset name (see README) or 'synthetic'")
     p.add_argument("--interval", type=int, help="grid interval in seconds for custom CSVs")
     p.add_argument("--timestamp-column", help="timestamp column name")
     p.add_argument("--value-column", help="value column name")
     _add_scheme_flags(p)
     p.add_argument("--c", type=float, help="contingency constant (overrides estimation)")
-    p.add_argument("--c-floor", type=float, help="floor used when estimating c")
     p.add_argument("--min-samples", type=int, help="validity threshold (default 4, "
                    "clipped to the scheme's subset size)")
     p.add_argument("--train-window", type=int, help="moving training window in days")
@@ -842,8 +839,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--output", help="write the records CSV here; with several "
                         "methods, one file per method, <stem>.<method><suffix>")
     p_eval.add_argument("--input", help="input CSV path (the last one given wins)")
-    p_eval.add_argument("--seed", type=int, help="seed for the synthetic dataset")
-    p_eval.add_argument("--noise-std", type=float, help="synthetic dataset noise sigma")
+    p_eval.add_argument("--c-floor", type=float, help="floor used when estimating c")
     p_eval.add_argument("--method", help="comma-separated: qbsd,seasonal-naive,...")
     p_eval.add_argument("--test-start", help="test range start (custom datasets)")
     p_eval.add_argument("--test-end", help="test range end (custom datasets)")
@@ -860,6 +856,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_series_flags(p_an)
     p_an.add_argument("--output", help="output path ('-' for stdout)")
     p_an.add_argument("--input", action="append", help="input CSV path (repeatable)")
+    p_an.add_argument("--c-floor", type=float, help="floor used when estimating c")
     p_an.add_argument("--smoother", help="sg:<window>:<polyorder> | ma:<window> | none")
     p_an.add_argument("--threshold", type=float, default=3.0,
                       help="anomaly threshold on |normalized residual|")

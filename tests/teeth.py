@@ -153,6 +153,11 @@ MUTANTS = [
      ["tests/test_timegrid.py::test_scheme_rejects_overlap_and_leakage",
       "tests/test_timegrid.py::test_scheme_is_accepted_exactly_when_its_windows_are_apart",
       "tests/test_timegrid.py::test_context_period_too_wide_for_weekly_lags"]),
+    # a run of baselines only takes --c, --c-floor and --min-samples, and ignores them
+    ("src/qbsd/cli.py",
+     "if not runs_qbsd:",
+     "if False:",
+     ["tests/test_cli.py::test_qbsd_flag_without_a_qbsd_method_exits_1_before_input"]),
 ]
 
 

@@ -20,6 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qbsd import cli
+from qbsd.baselines import Persistence
 from qbsd.cli import (
     RecordWriter,
     _build_parser,
@@ -29,7 +30,16 @@ from qbsd.cli import (
     main,
 )
 from qbsd.core import contingency_constant
-from qbsd.datasets import StepRecord, format_timestamp, get_descriptor, series_rows
+from qbsd.datasets import (
+    StepRecord,
+    SynthSpec,
+    format_timestamp,
+    generate_synthetic,
+    get_descriptor,
+    rolling_evaluate,
+    series_rows,
+    skipped_count,
+)
 from qbsd.engine import RollingForecaster, default_capacity
 from qbsd.errors import ConfigError
 from qbsd.smoothing import MovingAverage, smooth
@@ -54,6 +64,15 @@ def run(capsys, *argv):
 def read_rows(path):
     with open(path, newline="") as handle:
         return list(csv.DictReader(handle))
+
+
+@pytest.fixture(scope="module")
+def synth_csv(tmp_path_factory):
+    """``qbsd synth``'s default series: the input of ``--dataset synthetic``."""
+    path = tmp_path_factory.mktemp("synth") / "synthetic.csv"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["synth", "--output", str(path)]) == 0
+    return path
 
 
 class TestSynth:
@@ -381,8 +400,9 @@ class TestAnomaly:
 
 
 class TestEvaluate:
-    def test_builtin_synthetic_table(self, capsys):
-        code, stdout, _ = run(capsys, "evaluate", "--dataset", "synthetic")
+    def test_builtin_synthetic_table(self, capsys, synth_csv):
+        code, stdout, _ = run(capsys, "evaluate", "--dataset", "synthetic",
+                              "--input", str(synth_csv))
         assert code == 0
         assert "mape" in stdout
         line = [l for l in stdout.splitlines() if l.startswith("qbsd")][0]
@@ -456,9 +476,10 @@ class TestEvaluate:
         assert "wat" in err
 
     def test_two_methods_with_wilcoxon_column(self, tmp_path, capsys):
+        series = tmp_path / "series.csv"
+        run(capsys, "synth", "--output", str(series), "--noise-std", "10", "--seed", "5")
         code, stdout, _ = run(capsys, "evaluate", "--dataset", "synthetic",
-                              "--noise-std", "10", "--seed", "5",
-                              "--method", "qbsd,persistence")
+                              "--input", str(series), "--method", "qbsd,persistence")
         assert code == 0
         lines = stdout.splitlines()
         persistence = [l for l in lines if l.startswith("persistence")][0]
@@ -466,9 +487,10 @@ class TestEvaluate:
         assert p_text == "-" or 0.0 <= float(p_text) <= 1.0
         assert any(l.startswith("qbsd") for l in lines)
 
-    def test_json_format_and_report(self, tmp_path, capsys):
+    def test_json_format_and_report(self, tmp_path, capsys, synth_csv):
         report = tmp_path / "report.json"
         code, stdout, _ = run(capsys, "evaluate", "--dataset", "synthetic",
+                              "--input", str(synth_csv),
                               "--format", "json", "--report", str(report))
         assert code == 0
         payload = json.loads(stdout)
@@ -521,36 +543,48 @@ class TestEvaluate:
         assert rows[1]["method"] == "persistence" and rows[1]["mae"] == "inf"
         assert rows[1]["wilcoxon_p_vs_qbsd"] == ""
 
-    def test_csv_format(self, capsys):
+    def test_records_and_report_on_two_paths_are_both_written(
+        self, tmp_path, capsys, synth_csv
+    ):
+        records, report = tmp_path / "records.csv", tmp_path / "report.csv"
         code, stdout, _ = run(capsys, "evaluate", "--dataset", "synthetic",
-                              "--format", "csv")
+                              "--input", str(synth_csv), "--format", "csv",
+                              "--output", str(records), "--report", str(report))
+        assert code == 0
+        assert report.read_text() == stdout
+        assert len(read_rows(records)) == 4 * 7 * 96
+
+    def test_csv_format(self, capsys, synth_csv):
+        code, stdout, _ = run(capsys, "evaluate", "--dataset", "synthetic",
+                              "--input", str(synth_csv), "--format", "csv")
         assert code == 0
         rows = list(csv.DictReader(stdout.splitlines()))
         assert rows[0]["method"] == "qbsd"
         assert float(rows[0]["mape"]) == 0.0
 
-    def test_per_step_records_written(self, tmp_path, capsys):
+    def test_per_step_records_written(self, tmp_path, capsys, synth_csv):
         out = tmp_path / "records.csv"
         code, _, _ = run(capsys, "evaluate", "--dataset", "synthetic",
-                         "--output", str(out))
+                         "--input", str(synth_csv), "--output", str(out))
         assert code == 0
         rows = read_rows(out)
         assert len(rows) == 4 * 7 * 96
         assert rows[0]["forecast"] != ""
 
-    def test_one_run_writes_each_method_as_its_own_run(self, tmp_path, capsys):
+    def test_one_run_writes_each_method_as_its_own_run(self, tmp_path, capsys, synth_csv):
         """One run over four methods reports one row per method, in the
         order given, and writes for each method the records file a run of
         that method alone writes."""
         methods = ["qbsd", "seasonal-naive", "persistence", "moving-average"]
-        code, stdout, err = run(capsys, "evaluate", "--dataset", "synthetic",
+        source = ["--dataset", "synthetic", "--input", str(synth_csv)]
+        code, stdout, err = run(capsys, "evaluate", *source,
                                 "--method", ",".join(methods), "--format", "json",
                                 "--output", str(tmp_path / "all.csv"))
         assert code == 0, err
         assert [row["method"] for row in json.loads(stdout)["methods"]] == methods
         for method in methods:
             one = tmp_path / f"{method}.csv"
-            code, _, err = run(capsys, "evaluate", "--dataset", "synthetic",
+            code, _, err = run(capsys, "evaluate", *source,
                                "--method", method, "--output", str(one))
             assert code == 0, err
             assert one.read_bytes() == (tmp_path / f"all.{method}.csv").read_bytes(), method
@@ -678,8 +712,9 @@ class TestEvaluate:
 
 
 class TestSchemeAndMethodFlags:
-    def test_custom_scheme(self, capsys):
+    def test_custom_scheme(self, capsys, synth_csv):
         code, stdout, _ = run(capsys, "evaluate", "--dataset", "synthetic",
+                              "--input", str(synth_csv),
                               "--scheme", "custom:0,7,14,21", "--k", "0")
         assert code == 0
         assert any(l.startswith("qbsd") for l in stdout.splitlines())
@@ -697,8 +732,9 @@ class TestSchemeAndMethodFlags:
         assert code == 1
         assert "training window" in err
 
-    def test_seasonal_naive_with_explicit_season(self, capsys):
+    def test_seasonal_naive_with_explicit_season(self, capsys, synth_csv):
         code, stdout, _ = run(capsys, "evaluate", "--dataset", "synthetic",
+                              "--input", str(synth_csv),
                               "--method", "qbsd,seasonal-naive:672")
         assert code == 0
         line = [l for l in stdout.splitlines() if l.startswith("seasonal-naive")][0]
@@ -758,18 +794,20 @@ class TestSchemeAndMethodFlags:
         assert err == f"error: --method names one method twice: {first!r} and {second!r}\n"
         assert stdout == ""
 
-    def test_same_method_with_other_arguments_runs(self, capsys):
+    def test_same_method_with_other_arguments_runs(self, capsys, synth_csv):
         code, stdout, _ = run(capsys, "evaluate", "--dataset", "synthetic",
+                              "--input", str(synth_csv),
                               "--method", "seasonal-naive,seasonal-naive:96")
         assert code == 0
         assert [l.split()[0] for l in stdout.splitlines()[2:]] == [
             "seasonal-naive", "seasonal-naive:96"]
 
-    def test_persistence_is_a_one_slot_seasonal_naive(self, tmp_path, capsys):
+    def test_persistence_is_a_one_slot_seasonal_naive(self, tmp_path, capsys, synth_csv):
         """Two accepted methods with the same forecasts: the same metrics and
         the same records, row for row."""
         out = tmp_path / "records.csv"
         code, stdout, _ = run(capsys, "evaluate", "--dataset", "synthetic",
+                              "--input", str(synth_csv),
                               "--method", "persistence,seasonal-naive:1",
                               "--format", "json", "--output", str(out))
         assert code == 0
@@ -1029,9 +1067,9 @@ class TestBench:
 
 
 class TestConfigFile:
-    def test_config_supplies_defaults_flags_override(self, tmp_path, capsys):
+    def test_config_supplies_defaults_flags_override(self, tmp_path, capsys, synth_csv):
         conf = tmp_path / "run.conf"
-        conf.write_text("dataset=synthetic\nformat=json\nseed=2\n")
+        conf.write_text(f"dataset=synthetic\nformat=json\ninput={synth_csv}\n")
         code, stdout, _ = run(capsys, "evaluate", "--config", str(conf))
         assert code == 0
         assert json.loads(stdout)["dataset"] == "synthetic"
@@ -1148,21 +1186,20 @@ class TestConfigFile:
 
 SERIES_FLAGS = {
     "--config", "--dataset", "--input", "--output", "--interval", "--timestamp-column",
-    "--value-column", "--k", "--scheme", "--c", "--c-floor", "--min-samples",
-    "--train-window",
+    "--value-column", "--k", "--scheme", "--c", "--min-samples", "--train-window",
 }
 ACCEPTED_FLAGS = {
-    "evaluate": SERIES_FLAGS | {"--seed", "--noise-std", "--method", "--test-start",
-                                "--test-end", "--format", "--report"},
+    "evaluate": SERIES_FLAGS | {"--c-floor", "--method", "--test-start", "--test-end",
+                                "--format", "--report"},
     "forecast": SERIES_FLAGS | {"--smoother"},
-    "anomaly": SERIES_FLAGS | {"--smoother", "--threshold"},
+    "anomaly": SERIES_FLAGS | {"--c-floor", "--smoother", "--threshold"},
     "bench": {"--config", "--k", "--scheme", "--seed", "--forecasts", "--buffer-weeks",
               "--slots-per-day", "--method"},
     "synth": {"--config", "--output", "--seed", "--noise-std", "--days", "--slots-per-day",
               "--weekday-scale", "--weekend-scale", "--anomalies", "--start"},
 }
 # every subcommand used to take these; each now takes only those it reads
-FORMER_COMMON_FLAGS = SERIES_FLAGS | {"--seed", "--noise-std"}
+FORMER_COMMON_FLAGS = SERIES_FLAGS | {"--c-floor", "--seed", "--noise-std"}
 REMOVED_FLAGS = [
     (command, flag)
     for command, accepted in ACCEPTED_FLAGS.items()
@@ -1179,6 +1216,9 @@ FLAG_VALUES = {
 def base_argv(command: str, series: Path, out: Path) -> list[str]:
     """A run of ``command`` that exits 0, writing ``out`` where it writes a file."""
     return {
+        "evaluate": ["evaluate", "--input", str(series), "--interval", "3600",
+                     "--test-start", "1970-01-02T00:00", "--test-end", "1970-01-02T23:00",
+                     "--method", "persistence", "--output", str(out)],
         "forecast": ["forecast", "--input", str(series), "--interval", "3600",
                      "--k", "1", "--output", str(out)],
         "anomaly": ["anomaly", "--input", str(series), "--interval", "3600",
@@ -1199,10 +1239,10 @@ class TestAcceptedFlags:
             for name, parser in commands.choices.items()
         }
         assert accepted == ACCEPTED_FLAGS
-        assert sum(len(flags) for flags in accepted.values()) == 67
-        assert len(REMOVED_FLAGS) == 26
+        assert sum(len(flags) for flags in accepted.values()) == 64
+        assert len(REMOVED_FLAGS) == 29
 
-    @pytest.mark.parametrize("command", ["forecast", "anomaly", "bench", "synth"])
+    @pytest.mark.parametrize("command", ["evaluate", "forecast", "anomaly", "bench", "synth"])
     def test_base_runs_exit_0(self, tmp_path, capsys, command):
         series = tmp_path / "series.csv"
         run(capsys, "synth", "--output", str(series), "--days", "2", "--slots-per-day", "24")
@@ -1375,23 +1415,15 @@ def test_default_min_samples_above_subset_size_exits_1_before_input(
 
 
 # (run, flag, value, reason): flags that the run's data source makes meaningless
+SYNTHETIC = ["--dataset", "synthetic", "--input", "{synth}"]
 DATASET_MISFITS = [
-    (["evaluate", "--dataset", "synthetic"], "--interval", "3600", "its own grid"),
-    (["evaluate", "--dataset", "synthetic"], "--test-start", "2419200",
-     "its own test range"),
-    (["evaluate", "--dataset", "synthetic"], "--test-end", "2422800", "its own test range"),
+    (["evaluate", *SYNTHETIC], "--interval", "3600", "its own grid"),
+    (["evaluate", *SYNTHETIC], "--test-start", "2419200", "its own test range"),
+    (["evaluate", *SYNTHETIC], "--test-end", "2422800", "its own test range"),
     (["forecast", "--dataset", "synthetic", "--input", "{series}"], "--interval", "3600",
      "its own grid"),
     (["anomaly", "--dataset", "synthetic", "--input", "{series}"], "--interval", "3600",
      "its own grid"),
-    (["evaluate", "--dataset", "synthetic", "--input", "{series}"], "--seed", "5",
-     "is seeded"),
-    (["evaluate", "--dataset", "synthetic", "--input", "{series}"], "--noise-std", "3",
-     "is noised"),
-    (["evaluate", "--input", "{series}", "--interval", "3600", "--test-start", "2419200",
-      "--test-end", "2422800"], "--seed", "5", "is seeded"),
-    (["evaluate", "--input", "{series}", "--interval", "3600", "--test-start", "2419200",
-      "--test-end", "2422800"], "--noise-std", "3", "is noised"),
 ]
 
 
@@ -1401,14 +1433,13 @@ DATASET_MISFITS = [
     for argv, flag, *_ in DATASET_MISFITS
 ])
 def test_flag_the_data_source_ignores_exits_1_before_any_file(
-    tmp_path, capsys, monkeypatch, argv, flag, value, reason, via
+    tmp_path, capsys, monkeypatch, synth_csv, argv, flag, value, reason, via
 ):
-    """A builtin dataset fixes the grid and the test range; only the
-    generated synthetic series takes a seed and a noise level."""
+    """A builtin dataset fixes the grid and the test range."""
     series = tmp_path / "series.csv"
     run(capsys, "synth", "--output", str(series), "--days", "35", "--slots-per-day", "24")
     out = tmp_path / "out.csv"
-    argv = [a.format(series=series) for a in argv] + ["--output", str(out)]
+    argv = [a.format(series=series, synth=synth_csv) for a in argv] + ["--output", str(out)]
     if via == "argv":
         argv += [flag, value]
     else:
@@ -1434,13 +1465,31 @@ def test_flag_the_data_source_ignores_exits_1_before_any_file(
     assert run(capsys, *argv[:-2])[0] == 0  # the same run without the flag
 
 
-def test_generated_synthetic_series_takes_seed_and_noise(capsys):
-    base = ["evaluate", "--dataset", "synthetic", "--method", "persistence"]
-    code, plain, _ = run(capsys, *base)
-    assert code == 0
-    code, noisy, _ = run(capsys, *base, "--seed", "5", "--noise-std", "3")
-    assert code == 0
-    assert noisy != plain
+def test_synth_series_scores_as_the_generated_one(tmp_path, capsys):
+    """``synth --seed S --noise-std N`` then ``evaluate --dataset synthetic
+    --input`` reports what ``rolling_evaluate`` gives on
+    ``generate_synthetic(SynthSpec(seed=S, noise_std=N))`` with the same c,
+    and two seeds give two reports."""
+    desc = get_descriptor("synthetic")
+    methods = [dataclasses.replace(desc.qbsd_config(), c=2.0), Persistence()]
+    reports = []
+    for seed in (5, 6):
+        series = tmp_path / f"seed{seed}.csv"
+        run(capsys, "synth", "--output", str(series), "--seed", str(seed), "--noise-std", "3")
+        code, stdout, err = run(capsys, "evaluate", "--dataset", "synthetic",
+                                "--input", str(series), "--method", "qbsd,persistence",
+                                "--c", "2", "--format", "json")
+        assert code == 0, err
+        rows = json.loads(stdout)["methods"]
+        frame = generate_synthetic(SynthSpec(noise_std=3.0, seed=seed))
+        for row, (report, records) in zip(rows, rolling_evaluate(frame, methods, desc),
+                                          strict=True):
+            assert [row[key] for key in ("mae", "mse", "rmse", "mape", "r2",
+                                         "mape_excluded", "skipped")] == [
+                report.mae, report.mse, report.rmse, report.mape, report.r2,
+                report.mape_excluded_count, skipped_count(records)]
+        reports.append(rows)
+    assert reports[0] != reports[1]
 
 
 @pytest.mark.parametrize("text,message", [
@@ -1500,8 +1549,11 @@ def test_rejected_contingency_flag_is_named_before_input(tmp_path, capsys, comma
     code, stdout, err = run(capsys, *command, "--input", str(tmp_path / "absent.csv"),
                             "--interval", "3600", *flag)
     assert code == 1
-    assert err == (f"error: {flag[0]}: contingency constant must be finite and > 0, "
-                   f"got {float(flag[1])}\n")
+    if command == ["forecast"] and flag[0] == "--c-floor":  # forecast estimates no c
+        assert err == f"error: unrecognized arguments: {' '.join(flag)}\n"
+    else:
+        assert err == (f"error: {flag[0]}: contingency constant must be finite and > 0, "
+                       f"got {float(flag[1])}\n")
     assert stdout == ""
 
 
@@ -1509,14 +1561,35 @@ def test_rejected_contingency_flag_is_named_before_input(tmp_path, capsys, comma
 @pytest.mark.parametrize("command", ["forecast", "anomaly", "evaluate"])
 def test_c_floor_beside_c_exits_1_before_input(tmp_path, capsys, command, floor):
     """--c fixes c, so a --c-floor beside it would be ignored, whatever its
-    value: the run is refused before its input is opened."""
+    value: the run is refused before its input is opened. forecast, which
+    estimates no c, has no --c-floor at all."""
     code, stdout, err = run(capsys, command, "--dataset", "synthetic",
                             "--input", str(tmp_path / "absent.csv"),
                             "--c", "2", "--c-floor", floor)
     assert code == 1
-    assert err == ("error: --c-floor does not apply to this run: "
+    assert err == (f"error: unrecognized arguments: --c-floor {floor}\n"
+                   if command == "forecast" else
+                   "error: --c-floor does not apply to this run: "
                    "--c fixes c, so no estimate is floored\n")
     assert stdout == ""
+
+
+@pytest.mark.parametrize("flag", [["--c", "2"], ["--c-floor", "2"], ["--min-samples", "3"]],
+                         ids=["c", "c-floor", "min-samples"])
+@pytest.mark.parametrize("methods", ["persistence", "seasonal-naive,moving-average"])
+def test_qbsd_flag_without_a_qbsd_method_exits_1_before_input(
+    tmp_path, capsys, synth_csv, methods, flag
+):
+    """c and min_samples are QBSD's alone: a run of baselines only would
+    ignore them, so it is refused before any output or input is opened."""
+    out = tmp_path / "records.csv"
+    code, stdout, err = run(capsys, "evaluate", "--dataset", "synthetic",
+                            "--input", str(synth_csv), "--method", methods,
+                            "--output", str(out), *flag)
+    assert code == 1
+    assert err == f"error: {flag[0]} does not apply to this run: no qbsd method runs\n"
+    assert stdout == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", [
@@ -2123,6 +2196,8 @@ ABSENT_SERIES = ["--input", "absent.csv", "--interval", "3600"]
      "bad smoother 'sg:11'; expected sg:<window>:<polyorder>"),
     (["anomaly", *ABSENT_SERIES, "--smoother", "ma:x"],
      "bad smoother 'ma:x'; expected ma:<window>"),
+    (["anomaly", *ABSENT_SERIES, "--smoother", "ma:5:2"],
+     "bad smoother 'ma:5:2'; expected ma:<window>"),
     (["evaluate", "--dataset", "synthetic", "--method", "seasonal-naive:x"],
      "bad method argument in 'seasonal-naive:x'; expected slots"),
     (["evaluate", "--dataset", "synthetic", "--method", ","], "no methods given"),
@@ -2130,7 +2205,10 @@ ABSENT_SERIES = ["--input", "absent.csv", "--interval", "3600"]
      "bad anomaly '3000'; expected <slot>:<magnitude>, e.g. 3000:+500"),
     (["synth"], "--output is required"),
     (["evaluate"], "either --dataset or --interval is required"),
-    (["evaluate", "--dataset", "births2015"], "--input is required for dataset 'births2015'"),
+    (["evaluate", "--config"], "argument --config: expected one argument"),
+    (["evaluate", *ABSENT_SERIES, "--test-start", "0"],
+     "--test-start and --test-end are required for custom datasets"),
+    (["evaluate", "--dataset", "births2015"], "--input is required"),
     (["forecast", "--interval", "3600"], "--input is required"),
     (["bench", "--buffer-weeks", "4"], "--buffer-weeks needs at least two sizes, e.g. 4,16"),
 ], ids=lambda value: " ".join(value) if isinstance(value, list) else "")

@@ -76,6 +76,8 @@ class TestQuartiles:
     def test_interpolated_percentile_bounds(self):
         with pytest.raises(ValueError):
             interpolated_percentile([1.0], 1.5)
+        with pytest.raises(ValueError, match=r"fraction must be in \[0, 1\], got -0.5"):
+            interpolated_percentile([1.0], -0.5)
         assert interpolated_percentile([3.0, 1.0, 2.0], 0.0) == 1.0
         assert interpolated_percentile([3.0, 1.0, 2.0], 1.0) == 3.0
 

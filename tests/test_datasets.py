@@ -289,6 +289,8 @@ class TestDescriptors:
         start, end = get_descriptor("synthetic").test_range
         with pytest.raises(ConfigError, match="test range is off the grid"):
             synthetic_descriptor(test_range=(start + 5, end))
+        with pytest.raises(ConfigError, match="test range is off the grid"):
+            synthetic_descriptor(test_range=(start, end + 5))
 
 
 def synthetic_descriptor(**overrides):

@@ -13,15 +13,17 @@ of an int) is checked against the same calls with ``SlotCoord``s.
 
 from __future__ import annotations
 
+import contextlib
 import random
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from qbsd.baselines import MovingAverage, Persistence, SeasonalNaive
 from qbsd.core import QbsdConfig, compute_residuals, qbsd_step
-from qbsd.datasets import StepRecord, replay
-from qbsd.engine import RollingForecaster, SlidingHistory
+from qbsd.datasets import DatasetDescriptor, SeriesFrame, StepRecord, replay, score_methods
+from qbsd.engine import MultiSeriesEngine, RollingForecaster, SlidingHistory
 from qbsd.errors import (
     DataError,
     GridMisaligned,
@@ -542,6 +544,127 @@ def test_observe_reads_and_writes_as_many_cells_at_any_capacity(k, monkeypatch):
             assert ring.reads <= bound, (slot, slid)
         assert counts[0] == counts[1], slot
         assert counts[0][0] > 0 and counts[0][1] >= 1, slot
+
+
+def _assert_counts_match(small, large, elapsed, small_capacity):
+    """Per step, ``(reads, writes)`` of a ring of ``small_capacity`` cells
+    and of a larger one, and the slots ``elapsed`` since the last write
+    (None where the step writes nothing). Reads are equal at every step.
+    Writes are equal wherever the slots elapsed fit in the smaller window;
+    after a longer gap each ring clears at most the slots it skips, so
+    cells written <= slots elapsed. Returns how many steps came after such
+    a gap."""
+    assert [r for r, _ in small] == [r for r, _ in large]
+    long_gaps = 0
+    for step, ((_, w_small), (_, w_large), since) in enumerate(zip(small, large, elapsed)):
+        if since is None:
+            assert (w_small, w_large) == (0, 0), step
+        elif since <= small_capacity:
+            assert w_small == w_large, step
+        else:
+            long_gaps += 1
+            assert 1 <= w_small < w_large <= since, step
+    return long_gaps
+
+
+def _stream_slots(seed: int, first: int, n: int, gap: range) -> list[int]:
+    """The present slots of ``first .. first + n - 1``: 2% missing at
+    random, and every slot of ``gap``."""
+    rng = random.Random(seed)
+    return [s for s in range(first, first + n) if rng.random() >= 0.02 and s not in gap]
+
+
+@pytest.mark.parametrize("with_qbsd", [True, False], ids=["qbsd-and-baselines", "baselines"])
+def test_score_methods_reads_and_writes_as_many_cells_at_any_window(with_qbsd, monkeypatch):
+    """score_methods' one ring, read by QBSD and three baselines (or by the
+    baselines alone), reads as many cells per test slot with 520 weeks of
+    training window as with 28 days, and writes as many but after a gap
+    longer than 28 days."""
+    rings = []
+    real_init = SlidingHistory.__init__
+
+    def counting_init(self, capacity_slots):
+        real_init(self, capacity_slots)
+        self._values = CountingList(self._values)
+        rings.append(self._values)
+
+    monkeypatch.setattr(SlidingHistory, "__init__", counting_init)
+    g = Granularity(3600)
+    scheme = default_weekly_scheme(4, 4, g)
+    test_start = 35 * g.slots_per_day
+    gap = range(test_start + 10 * 24, test_start + 40 * 24)  # 30 days
+    slots = _stream_slots(3, 0, test_start + 70 * 24, gap)
+    values = random.Random(4)
+    frame = SeriesFrame(g, slots, [values.gauss(100.0, 20.0) for _ in slots])
+    methods = [SeasonalNaive(g.slots_per_week), Persistence(), MovingAverage(24)]
+    if with_qbsd:
+        methods.insert(0, QbsdConfig(scheme=scheme, c=1.0))
+    test_range = (test_start * 3600, slots[-1] * 3600)
+    counts = []
+    for days in (28, 520 * 7):
+        desc = DatasetDescriptor("counted", g, "timestamp", "value", days * 86400, scheme,
+                                 test_range)
+        rings.clear()
+        totals = [(0, 0)]
+        score_methods(frame, methods, desc,
+                      [lambda record: totals.append((rings[0].reads, rings[0].writes))])
+        assert len(rings) == 1
+        counts.append([(r - r0, w - w0) for (r0, w0), (r, w) in zip(totals, totals[1:])])
+    small, large = counts
+    # the first test slot's counts hold the prefill's too, whose gaps are short
+    assert small[0] == large[0]
+    present = set(slots)
+    last = max(s for s in slots if s < test_start)
+    elapsed = []
+    for slot in range(test_start, slots[-1] + 1):
+        elapsed.append(slot - last if slot in present else None)
+        last = slot if slot in present else last
+    assert _assert_counts_match(small[1:], large[1:], elapsed[1:], 28 * 24) == 1
+
+
+def test_fleet_reads_and_writes_as_many_cells_at_any_capacity():
+    """A MultiSeriesEngine fleet of 5-week forecasters and one of 520-week
+    forecasters, fed the same interleaved streams, read and write as many
+    cells per observe, but after a gap longer than 5 weeks."""
+    g = Granularity(3600)
+    cfg = QbsdConfig(scheme=default_weekly_scheme(4, 4, g), c=1.0)
+    ids = ["a", "b", "c", "d"]
+    start = cfg.scheme.span_slots + 30
+    prefill = [(s, 100.0 + s % 24) for s in range(start)]
+    streams = {series_id: set(_stream_slots(i, start, 3000, range(0)))
+               for i, series_id in enumerate(ids)}
+    # series "a" misses 6 weeks, longer than the smaller window
+    streams["a"] -= set(range(start + 500, start + 500 + 6 * g.slots_per_week))
+    fleets, rings = [], []
+    for weeks in (5, 520):
+        engine = MultiSeriesEngine(
+            lambda weeks=weeks: RollingForecaster(cfg, g, capacity_slots=weeks * g.slots_per_week))
+        fleet_rings = {}
+        for series_id in ids:
+            forecaster = engine.forecaster(series_id)
+            forecaster.ingest_history(prefill)
+            forecaster.history._values = fleet_rings[series_id] = CountingList(
+                forecaster.history._values)
+        fleets.append(engine)
+        rings.append(fleet_rings)
+    values = random.Random(2)
+    counts = ([], [])
+    elapsed = []
+    last = dict.fromkeys(ids, start - 1)
+    for slot in range(start, start + 3000):
+        for series_id in ids:
+            if slot not in streams[series_id]:
+                continue
+            value = values.gauss(100.0, 20.0)
+            for engine, fleet_rings, out in zip(fleets, rings, counts):
+                ring = fleet_rings[series_id]
+                ring.reads = ring.writes = 0
+                with contextlib.suppress(InsufficientHistory):
+                    engine.observe(series_id, slot, value)
+                out.append((ring.reads, ring.writes))
+            elapsed.append(slot - last[series_id])
+            last[series_id] = slot
+    assert _assert_counts_match(*counts, elapsed, 5 * g.slots_per_week) == 1
 
 
 # ------------------------------------------------ int slots and SlotCoords

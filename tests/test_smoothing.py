@@ -151,6 +151,10 @@ class TestCoefficients:
             savgol_coefficients(5, 5)
         with pytest.raises(InvalidWindow):
             SavitzkyGolay(4, 2)
+        with pytest.raises(InvalidWindow, match="odd integer >= 3, got 1"):
+            SavitzkyGolay(1, 0)
+        with pytest.raises(InvalidWindow, match="0 <= polyorder < window_length, got -1"):
+            SavitzkyGolay(5, -1)
         with pytest.raises(InvalidWindow):
             MovingAverage(0)
 
