@@ -28,6 +28,13 @@ class SeasonalNaive:
         if self.season_slots < 1:
             raise ConfigError(f"season_slots must be >= 1, got {self.season_slots}")
 
+    def forecast(self, history: HistoryView, slot: int) -> float:
+        lagged = slot - self.season_slots
+        value = history.get(lagged) if lagged >= 0 else None
+        if value is None:
+            raise InsufficientHistory(f"{self.name} needs a value at slot {lagged}")
+        return value
+
 
 @dataclass(frozen=True)
 class Persistence(SeasonalNaive):
@@ -48,6 +55,23 @@ class MovingAverage:
         if self.window_slots < 1:
             raise ConfigError(f"window_slots must be >= 1, got {self.window_slots}")
 
+    def forecast(self, history: HistoryView, slot: int) -> float:
+        # summed left to right: from 3.12 on, the built-in sum() of floats is
+        # compensated and would round some means differently
+        total = 0.0
+        count = 0
+        for s in range(max(0, slot - self.window_slots), slot):
+            value = history.get(s)
+            if value is not None:
+                total += value
+                count += 1
+        if not count:
+            raise InsufficientHistory(
+                f"moving average found no values in the {self.window_slots} slots "
+                f"before slot {slot}"
+            )
+        return total / count
+
 
 BaselineSpec = Union[SeasonalNaive, MovingAverage]
 
@@ -55,25 +79,5 @@ BaselineSpec = Union[SeasonalNaive, MovingAverage]
 def baseline_forecast(
     history: HistoryView, t: SlotCoord | int, spec: BaselineSpec
 ) -> float:
-    slot = t.global_slot if isinstance(t, SlotCoord) else int(t)
-    if isinstance(spec, SeasonalNaive):
-        lagged = slot - spec.season_slots
-        value = history.get(lagged) if lagged >= 0 else None
-        if value is None:
-            raise InsufficientHistory(f"{spec.name} needs a value at slot {lagged}")
-        return value
-    # summed left to right: from 3.12 on, the built-in sum() of floats is
-    # compensated and would round some means differently
-    total = 0.0
-    count = 0
-    for s in range(max(0, slot - spec.window_slots), slot):
-        value = history.get(s)
-        if value is not None:
-            total += value
-            count += 1
-    if not count:
-        raise InsufficientHistory(
-            f"moving average found no values in the {spec.window_slots} slots "
-            f"before slot {slot}"
-        )
-    return total / count
+    """``spec``'s forecast for ``t``, a ``SlotCoord`` or a global slot."""
+    return spec.forecast(history, t.global_slot if isinstance(t, SlotCoord) else int(t))

@@ -56,9 +56,14 @@ ALLOWED = {("cli.py", "sys.exit(main())")}
 MUTANTS = [
     # evaluate pairs no slot, so every Wilcoxon p-value is blank
     ("src/qbsd/datasets.py",
-     "add(record, None if record is qbsd else qbsd)",
-     "add(record, None)",
+     "add(actual, forecast, qbsd_forecast)",
+     "add(actual, forecast, None)",
      ["tests/test_evaluate_streaming.py::test_scores_equal_the_records_derivation"]),
+    # a baseline's record for a records file loses its difference residual
+    ("src/qbsd/datasets.py",
+     "StepRecord(slot, g, actual, forecast, None, None, None, diff)",
+     "StepRecord(slot, g, actual, forecast)",
+     ["tests/test_evaluate_one_pass.py::test_one_pass_equals_each_method_alone"]),
     # a gap row's record is yielded at once, so a repeated slot writes two records
     ("src/qbsd/datasets.py",
      "            if held.global_slot != slot:\n                yield held",

@@ -1169,7 +1169,7 @@ class TestConfigFile:
         for path, seed in ((a, "1"), (b, "2")):
             run(capsys, "synth", "--output", str(path), "--days", "35",
                 "--slots-per-day", "24", "--noise-std", "5", "--seed", seed)
-        settings = (f"interval=3600\nk=1\nmethod=persistence\nformat=json\n"
+        settings = (f"interval=3600\nmethod=persistence\nformat=json\n"
                     f"test-start={28 * 86400}\ntest-end={35 * 86400 - 3600}\n")
         reports = {}
         for path in (a, b):
@@ -1574,14 +1574,17 @@ def test_c_floor_beside_c_exits_1_before_input(tmp_path, capsys, command, floor)
     assert stdout == ""
 
 
-@pytest.mark.parametrize("flag", [["--c", "2"], ["--c-floor", "2"], ["--min-samples", "3"]],
-                         ids=["c", "c-floor", "min-samples"])
+@pytest.mark.parametrize("flag", [["--c", "2"], ["--c-floor", "2"], ["--min-samples", "3"],
+                                  ["--k", "2"], ["--scheme", "custom:0,7,14,21"]],
+                         ids=["c", "c-floor", "min-samples", "k", "scheme"])
 @pytest.mark.parametrize("methods", ["persistence", "seasonal-naive,moving-average"])
 def test_qbsd_flag_without_a_qbsd_method_exits_1_before_input(
     tmp_path, capsys, synth_csv, methods, flag
 ):
-    """c and min_samples are QBSD's alone: a run of baselines only would
-    ignore them, so it is refused before any output or input is opened."""
+    """c, min_samples, k and the scheme are QBSD's alone: a run of baselines
+    only would ignore them, so it is refused before any output or input is
+    opened. The k and scheme values fit the synthetic window, so no span
+    check fires first."""
     out = tmp_path / "records.csv"
     code, stdout, err = run(capsys, "evaluate", "--dataset", "synthetic",
                             "--input", str(synth_csv), "--method", methods,

@@ -1,12 +1,13 @@
 """``evaluate`` scores its methods as the test range streams.
 
-``score_methods`` feeds each method's ``MethodScore`` one record per test
-slot, and the score keeps only what the report needs. Each method's report,
-skip count and Wilcoxon pairs must equal, by ``repr``, what the
-records-holding derivation gives: ``evaluate`` over the scored records,
-``skipped_count``, and the pairs of absolute errors at the slots QBSD and
-the method both scored. And the memory a run needs above its window grows by
-a small fraction of what holding a record per method per slot took.
+``score_methods`` feeds each method's ``MethodScore`` an actual and a
+forecast per test slot, and the score keeps only what the report needs.
+Each method's report, skip count and Wilcoxon pairs must equal, by
+``repr``, what the records-holding derivation gives: ``evaluate`` over the
+scored records, ``skipped_count``, and the pairs of absolute errors at the
+slots QBSD and the method both scored, with or without a sink per method.
+And the memory a run needs above its window grows by a small fraction of
+what holding a record per method per slot took.
 """
 
 from __future__ import annotations
@@ -72,11 +73,11 @@ def from_records(frame, methods, desc):
     return list(zip(reports, skipped)), pairs
 
 
-def from_scores(frame, methods, desc):
+def from_scores(frame, methods, desc, sinks=()):
     """The same from the ``MethodScore``s of ``score_methods``, the walk
-    ``cmd_evaluate`` runs."""
+    ``cmd_evaluate`` runs, with ``sinks`` passed to it."""
     try:
-        scores = score_methods(frame, methods, desc)
+        scores = score_methods(frame, methods, desc, sinks)
         reports = [repr(report) for report in score_reports(scores, methods, desc)]
     except DataError as exc:
         return failure(exc)
@@ -126,7 +127,10 @@ def test_scores_equal_the_records_derivation(
     pool = [QbsdConfig(scheme=scheme, c=rng.choice((1e-6, 1.0, 5.0))),
             SeasonalNaive(season), Persistence(), MovingAverage(average)]
     methods = [pool[i] for i in order[:count]]
-    assert from_scores(frame, methods, desc) == from_records(frame, methods, desc)
+    scores = from_scores(frame, methods, desc)
+    assert scores == from_records(frame, methods, desc)
+    # a run whose every method has a sink builds its records: it scores the same
+    assert from_scores(frame, methods, desc, [[].append for _ in methods]) == scores
 
 
 def _peak_above_start(argv: list[str]) -> int:
