@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 from typing import ClassVar, Protocol, Union
 
 from .errors import ConfigError, InsufficientHistory
-from .timegrid import SlotCoord
 
 
 class HistoryView(Protocol):
@@ -76,8 +75,7 @@ class MovingAverage:
 BaselineSpec = Union[SeasonalNaive, MovingAverage]
 
 
-def baseline_forecast(
-    history: HistoryView, t: SlotCoord | int, spec: BaselineSpec
-) -> float:
-    """``spec``'s forecast for ``t``, a ``SlotCoord`` or a global slot."""
-    return spec.forecast(history, t.global_slot if isinstance(t, SlotCoord) else int(t))
+def baseline_forecast(history: HistoryView, slot: int, spec: BaselineSpec) -> float:
+    """``spec``'s forecast for global slot ``slot``: the one call every
+    caller makes, and the name the benchmark's tracer times."""
+    return spec.forecast(history, slot)

@@ -20,7 +20,6 @@ import time
 from collections import deque
 from contextlib import ExitStack, contextmanager, nullcontext, suppress
 from dataclasses import replace
-from functools import partial
 from itertools import chain, count
 from pathlib import Path
 from typing import Iterator, Optional, Sequence, TextIO
@@ -475,7 +474,7 @@ def cmd_evaluate(args) -> int:
     methods = _parse_methods(args.method or "qbsd", desc.frequency)
     runs_qbsd = any(marker == "qbsd" for _, marker in methods)
     if not runs_qbsd:
-        for flag in ("--c", "--c-floor", "--min-samples", "--k", "--scheme"):
+        for flag in ("--c", "--c-floor", "--min-samples"):
             if getattr(args, flag[2:].replace("-", "_")) is not None:
                 raise ConfigError(f"{flag} does not apply to this run: no qbsd method runs")
     labels = [label for label, _ in methods]
@@ -699,7 +698,7 @@ def measure_qbsd_latency(
         if weeks == history_weeks:
             history = forecaster.history
     for label, spec in baselines:
-        fns[label] = partial(spec.forecast, history)
+        fns[label] = lambda t, spec=spec: bl.baseline_forecast(history, t, spec)
     durations = _time_calls(list(fns.values()), targets, n_forecasts)
     return {key: _median_p95(d) for key, d in zip(fns, durations)}
 

@@ -23,14 +23,7 @@ from datetime import date, datetime, timezone
 from itertools import chain, compress, count, islice
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .baselines import (
-    BaselineSpec,
-    # not called here: kept only because perfbench/tracer.py looks up
-    # qbsd.datasets.baseline_forecast. The walk calls each spec's forecast
-    # method, so the traced baselines.forecast_ns_per_slot reads 0 until the
-    # tracer wraps those methods.
-    baseline_forecast,
-)
+from .baselines import BaselineSpec, baseline_forecast
 from .core import (
     DEFAULT_C_FLOOR_CONTINUOUS,
     QbsdConfig,
@@ -686,7 +679,7 @@ def score_methods(
         history.insert(slot, value)
 
     scores = [MethodScore() for _ in methods]
-    forecast_fns = [spec.forecast for _, spec in baselines]
+    specs = [spec for _, spec in baselines]
     adds = [scores[index].add for index, _ in baselines]
     own: list[Optional[float]] = [None] * len(baselines)  # each baseline's forecast
     # each sink with the position of its baseline in ``own``; None for QBSD's
@@ -701,9 +694,9 @@ def score_methods(
             i += 1
         else:
             actual = None
-        for j, forecast_fn in enumerate(forecast_fns):
+        for j, spec in enumerate(specs):
             try:
-                own[j] = forecast_fn(history, slot)
+                own[j] = baseline_forecast(history, slot, spec)
             except InsufficientHistory:
                 own[j] = None
         if configs:

@@ -2,7 +2,6 @@ import pytest
 
 from qbsd.baselines import MovingAverage, Persistence, SeasonalNaive, baseline_forecast
 from qbsd.errors import ConfigError, InsufficientHistory
-from qbsd.timegrid import DAILY, SlotCoord
 
 
 def test_seasonal_naive_tracks_periodic_series():
@@ -16,7 +15,6 @@ def test_seasonal_naive_tracks_periodic_series():
 def test_persistence_on_constant_series():
     history = {s: 9.0 for s in range(10)}
     assert baseline_forecast(history, 10, Persistence()) == 9.0
-    assert baseline_forecast(history, SlotCoord(5, DAILY), Persistence()) == 9.0
 
 
 def test_moving_average_mean_of_trailing_window():

@@ -1169,7 +1169,7 @@ class TestConfigFile:
         for path, seed in ((a, "1"), (b, "2")):
             run(capsys, "synth", "--output", str(path), "--days", "35",
                 "--slots-per-day", "24", "--noise-std", "5", "--seed", seed)
-        settings = (f"interval=3600\nmethod=persistence\nformat=json\n"
+        settings = (f"interval=3600\nk=1\nmethod=persistence\nformat=json\n"
                     f"test-start={28 * 86400}\ntest-end={35 * 86400 - 3600}\n")
         reports = {}
         for path in (a, b):
@@ -1574,17 +1574,14 @@ def test_c_floor_beside_c_exits_1_before_input(tmp_path, capsys, command, floor)
     assert stdout == ""
 
 
-@pytest.mark.parametrize("flag", [["--c", "2"], ["--c-floor", "2"], ["--min-samples", "3"],
-                                  ["--k", "2"], ["--scheme", "custom:0,7,14,21"]],
-                         ids=["c", "c-floor", "min-samples", "k", "scheme"])
+@pytest.mark.parametrize("flag", [["--c", "2"], ["--c-floor", "2"], ["--min-samples", "3"]],
+                         ids=["c", "c-floor", "min-samples"])
 @pytest.mark.parametrize("methods", ["persistence", "seasonal-naive,moving-average"])
 def test_qbsd_flag_without_a_qbsd_method_exits_1_before_input(
     tmp_path, capsys, synth_csv, methods, flag
 ):
-    """c, min_samples, k and the scheme are QBSD's alone: a run of baselines
-    only would ignore them, so it is refused before any output or input is
-    opened. The k and scheme values fit the synthetic window, so no span
-    check fires first."""
+    """c and min_samples are QBSD's alone: a run of baselines only would
+    ignore them, so it is refused before any output or input is opened."""
     out = tmp_path / "records.csv"
     code, stdout, err = run(capsys, "evaluate", "--dataset", "synthetic",
                             "--input", str(synth_csv), "--method", methods,
@@ -1593,6 +1590,32 @@ def test_qbsd_flag_without_a_qbsd_method_exits_1_before_input(
     assert err == f"error: {flag[0]} does not apply to this run: no qbsd method runs\n"
     assert stdout == ""
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flags, span", [
+    ([], 504),
+    (["--scheme", "custom:0,3"], 72),
+    (["--scheme", "custom:0,1"], None),
+    (["--scheme", "custom:0,1", "--k", "2"], None),
+], ids=["weekly4", "scheme-too-deep", "scheme", "scheme-and-k"])
+def test_scheme_sets_the_span_of_a_baseline_only_run(tmp_path, capsys, flags, span):
+    """A run of baselines only still reads --scheme and --k: the custom
+    descriptor checks the training window against their span. A two-day
+    window (48 hourly slots) is below weekly4's 504, so it runs only with a
+    scheme whose span fits it."""
+    series = tmp_path / "series.csv"
+    run(capsys, "synth", "--output", str(series), "--days", "14", "--slots-per-day", "24")
+    code, stdout, err = run(capsys, "evaluate", "--input", str(series), "--interval", "3600",
+                            "--test-start", str(7 * 86400), "--test-end", str(14 * 86400 - 3600),
+                            "--train-window", "2", "--method", "persistence,moving-average",
+                            *flags)
+    if span is None:
+        assert (code, err) == (0, "")
+        assert "persistence" in stdout and "moving-average" in stdout
+    else:
+        assert (code, stdout) == (1, "")
+        assert err == ("error: custom: training window of 48 slots is below the scheme "
+                       f"span of {span}\n")
 
 
 @pytest.mark.parametrize("command", [

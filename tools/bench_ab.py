@@ -2,14 +2,14 @@
 
 Usage, from anywhere in a checkout:
 
-    python3 tools/bench_ab.py --a HEAD~1 --b HEAD --workload yearly_evaluate \\
-        --pairs 10 --seconds 30
+    python3 tools/bench_ab.py --a HEAD~1 --b HEAD --workload yearly_evaluate --pairs 10
 
 Each revision is exported with ``git archive`` into a ``.perfbench-ab-*``
 directory at the root of the checkout, removed again at exit. Pair i runs
-each tree's own ``perfbench/run.py --workload W --seed i --seconds S``, one
-after the other: A first in odd pairs, B first in even ones, so a change in
-host speed reaches both sides alike. A run that exits non-zero, reports
+each tree's own ``perfbench/run.py --workload W --seed i --seconds S``, with S
+the ``run_seconds`` of the checkout's ``BENCHMARK.json``, one after the other:
+A first in odd pairs, B first in even ones, so a change in host speed reaches
+both sides alike. A run that exits non-zero, reports
 ``correct: false`` or reports ``failed`` > 0 stops the tool with exit 1,
 naming the side and the pair.
 
@@ -20,7 +20,7 @@ verdict: ``better`` when B won at least nine tenths of the pairs and the
 medians differ by more than A's IQR; ``worse`` when B's median is worse than
 A's by more than the metric's ``bound``, a fraction of A's median; else
 ``within noise``. The last line of standard output is one JSON object:
-``{"workload", "a", "b", "pairs", "seconds", "metrics"}``, where each metric
+``{"workload", "a", "b", "pairs", "metrics"}``, where each metric
 holds ``a_median``, ``a_iqr``, ``b_median``, ``b_iqr``, ``b_wins`` and
 ``verdict``. The tool needs only the standard library and git.
 """
@@ -121,11 +121,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--b", required=True, help="the revision under test")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--seconds", type=float, required=True)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    spec, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
     trees: dict[str, Path] = {}
     runs: dict[str, list[dict]] = {"a": [], "b": []}
     try:
@@ -133,7 +133,7 @@ def main(argv: list[str] | None = None) -> int:
             trees[side] = export(getattr(args, side))
         for pair in range(1, args.pairs + 1):
             for side in ("a", "b") if pair % 2 else ("b", "a"):
-                code, stdout = run_side(trees[side], args.workload, pair, args.seconds)
+                code, stdout = run_side(trees[side], args.workload, pair, seconds)
                 runs[side].append(result_of(code, stdout, side.upper(), pair))
                 shown = " ".join(f"{m['name']}={runs[side][-1].get(m['name'])}" for m in spec)
                 print(f"pair {pair} {side.upper()}: {shown}", flush=True)
@@ -152,7 +152,7 @@ def main(argv: list[str] | None = None) -> int:
               f"B median {row['b_median']} (IQR {row['b_iqr']}), "
               f"B won {row['b_wins']} of {args.pairs}: {row['verdict']}")
     print(json.dumps({"workload": args.workload, "a": args.a, "b": args.b,
-                      "pairs": args.pairs, "seconds": args.seconds, "metrics": metrics}))
+                      "pairs": args.pairs, "metrics": metrics}))
     return 0
 
 
